@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -75,25 +76,12 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-def _ci_payload(est: verify.EstimateCI) -> dict:
-    return {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "trials": est.trials,
-        "z": est.z,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-    }
-
-
 def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise MassTransportError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _load(args):
@@ -270,8 +258,8 @@ def cmd_verify_identity(args) -> int:
                 {
                     "n": term.n,
                     "mode": "mc",
-                    "lhs": _ci_payload(term.lhs),
-                    "rhs": _ci_payload(term.rhs),
+                    "lhs": dataclasses.asdict(term.lhs),
+                    "rhs": dataclasses.asdict(term.rhs),
                     "cumulative_lhs": cum_lf,
                     "cumulative_rhs": cum_rf,
                     "pass": ok,
@@ -322,7 +310,7 @@ def cmd_verify_maximal(args) -> int:
             ok = ok and verify.agreement_pass(est, float(exact_value))
         all_passed &= ok
         csv_rows.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
-        payload["mc"] = {"estimate": _ci_payload(est), "pass": ok}
+        payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
 
     payload["all_passed"] = all_passed
     text = _csv_text(_MAXIMAL_HEADER, csv_rows) if args.format == "csv" else _json_text(payload)
@@ -364,7 +352,7 @@ def cmd_survival(args) -> int:
         csv_rows.append(
             ["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, bound, ok]
         )
-        payload["mc"] = {"estimate": _ci_payload(est), "pass": ok}
+        payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
 
     payload["all_passed"] = all_passed
     text = _csv_text(_SURVIVAL_HEADER, csv_rows) if args.format == "csv" else _json_text(payload)
@@ -420,7 +408,7 @@ def cmd_birkhoff(args) -> int:
                     "n_max": report.n_max,
                     "window_start": report.window_start,
                     "side": report.side,
-                    "estimate": _ci_payload(est),
+                    "estimate": dataclasses.asdict(est),
                 }
             )
         _emit(text, args.out)
@@ -571,14 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except MassTransportError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (MassTransportError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import Process
-from .scratch import Scratch
-from .verify import EstimateCI, Z_DEFAULT, _run_chunks
+from .verify import EstimateCI, Z_DEFAULT, _estimate, _fill_rows
+from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
 MIN_WINDOW_START = 64
@@ -121,17 +121,15 @@ def trajectory_batch(
     starts = np.array((0,) + grid[:-1], dtype=np.intp)
     denom = np.array(grid, dtype=np.float64)
 
-    scratch = Scratch()
-
-    def worker(chunk: np.ndarray):
-        block = process.sample_block(seed, chunk, 0, n_max, scratch.tile())
+    def step(chunk: np.ndarray, tile):
+        block = process.sample_block(seed, chunk, 0, n_max, tile)
         sums = np.cumsum(np.add.reduceat(block, starts, axis=1), axis=1)
-        ids = process.component_ids(seed, chunk)
-        return sums / denom[None, :], ids
+        sums /= denom
+        return sums, process.component_ids(seed, chunk)
 
-    parts = _run_chunks(trials, threads, worker, width=n_max)
-    averages = np.concatenate([p[0] for p in parts], axis=0)
-    ids = np.concatenate([p[1] for p in parts])
+    averages = np.empty((trials, len(grid)))
+    ids = np.empty(trials, dtype=np.int64)
+    _fill_rows(step, threads, n_max, averages, ids)
     rows = tuple(
         TrajectoryRow(t, component, target, tuple(row))
         for t, (component, target, row) in enumerate(
@@ -197,10 +195,7 @@ def estimate_dip_probability(
     # the n of each window column, as a float
     steps = np.arange(start, n_max + 1, dtype=np.float64)
 
-    scratch = Scratch()
-
-    def worker(chunk: np.ndarray):
-        tile = scratch.tile()
+    def step(chunk: np.ndarray, tile):
         block = process.sample_block(seed, chunk, 0, n_max, tile)
         ids = process.component_ids(seed, chunk)
         # only the window's columns are centered and scaled
@@ -208,12 +203,7 @@ def estimate_dip_probability(
         ratios -= np.multiply(targets[ids][:, None], steps, out=tile.empty(ratios.shape))
         ratios /= steps
         if side == "below":
-            hit = ratios.min(axis=1) < -epsilon
-        else:
-            hit = ratios.max(axis=1) > epsilon
-        return hit.astype(np.float64)
+            return ratios.min(axis=1) < -epsilon
+        return ratios.max(axis=1) > epsilon
 
-    parts = _run_chunks(trials, threads, worker, width=n_max)
-    return DipReport(
-        epsilon, n_max, start, side, EstimateCI.from_samples(np.concatenate(parts), z)
-    )
+    return DipReport(epsilon, n_max, start, side, _estimate(step, trials, threads, n_max, z))

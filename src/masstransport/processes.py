@@ -18,21 +18,31 @@ process whose distribution has finite support and whose values are all
 rationals supports exact enumeration alongside Monte Carlo sampling.
 
 Sampling is counter based (see :mod:`masstransport.rng`): the block of
-increments for a trial is a pure function of (seed, trial) and of the
-stream ids assigned to the nodes of the description, so windows of any
-shape cut from the same trial agree wherever they overlap.
+increments for a trial is a pure function of (seed, trial, window) and
+of the stream ids assigned to the nodes of the description.  For iid,
+moving-average and rotation kinds each increment depends on its own
+index only, so windows of any shape cut from the same trial agree
+wherever they overlap.  A Markov chain starts from its stationary law at
+the first index of its window, lo + 1: chain windows with the same lo
+agree wherever they overlap (extending to the right keeps the prefix),
+while windows with different lo have the same law but not the same
+path.  A mixture follows the contract of the component a trial picks.
+
+Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
+and one :class:`Process` class that validates, samples and enumerates
+it; ``_PROCESSES`` pairs them.  Code elsewhere reads a spec's fields
+through :func:`dataclasses.fields` and never branches on the kind.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng
 from .scratch import FRESH
@@ -77,6 +87,7 @@ def _coerce_reals(vs) -> tuple[Real, ...]:
 class IidDiscrete:
     """Independent draws from a finite value table."""
 
+    kind: ClassVar[str] = "iid_discrete"
     values: tuple[Real, ...]
     probs: tuple[Fraction, ...]
 
@@ -89,6 +100,7 @@ class IidDiscrete:
 class IidGaussian:
     """Independent normal draws with the given mean and standard deviation."""
 
+    kind: ClassVar[str] = "iid_gaussian"
     mean: float
     stddev: float
 
@@ -97,6 +109,7 @@ class IidGaussian:
 class MarkovChain:
     """Payoff sequence X_k = payoffs[state_k] of a stationary finite chain."""
 
+    kind: ClassVar[str] = "markov_chain"
     transitions: tuple[tuple[Fraction, ...], ...]
     payoffs: tuple[Real, ...]
 
@@ -109,6 +122,7 @@ class MarkovChain:
 class MovingAverage:
     """X_k = sum_i coefficients[i] * Z_{k-i} over iid innovations Z."""
 
+    kind: ClassVar[str] = "moving_average"
     coefficients: tuple[Real, ...]
     innovation: Union[IidDiscrete, IidGaussian]
 
@@ -129,6 +143,7 @@ class Rotation:
     periodic with an astronomically long period.
     """
 
+    kind: ClassVar[str] = "rotation"
     pieces: tuple[tuple[float, Real], ...]
     angle: float = GOLDEN_ANGLE
 
@@ -144,6 +159,7 @@ class Rotation:
 class Mixture:
     """Pick one component per trajectory with the given weights."""
 
+    kind: ClassVar[str] = "mixture"
     components: tuple[tuple[Fraction, "ProcessSpec"], ...]
 
     def __post_init__(self):
@@ -151,6 +167,9 @@ class Mixture:
 
 
 ProcessSpec = Union[IidDiscrete, IidGaussian, MarkovChain, MovingAverage, Rotation, Mixture]
+
+# the kinds a moving average may filter
+IID_SPECS = (IidDiscrete, IidGaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +202,7 @@ class PathWindow:
     sums: tuple[Real, ...]
 
     def __post_init__(self):
-        if not (self.lo <= 0 <= self.hi):
-            raise InvalidSpec(f"window [{self.lo}, {self.hi}] must contain 0")
-        if self.hi - self.lo < 1:
-            raise InvalidSpec("window must contain at least one increment")
+        _check_window(self.lo, self.hi)
         if len(self.values) != self.hi - self.lo:
             raise InvalidSpec("values length does not match window size")
         if len(self.sums) != self.hi - self.lo + 1:
@@ -261,7 +277,12 @@ class ComponentInfo:
 
 
 class Process:
-    """Runtime form of a ProcessSpec: sampling, enumeration, moments."""
+    """Runtime form of a ProcessSpec: sampling, enumeration, moments.
+
+    Each kind's constructor takes (spec, stream, build): ``build`` turns
+    a child description into a Process with the next stream ids, so only
+    kinds with children call it.
+    """
 
     spec: ProcessSpec
     stream: int
@@ -276,9 +297,6 @@ class Process:
 
     def components(self) -> tuple[ComponentInfo, ...]:
         return (ComponentInfo(0, Fraction(1), self),)
-
-    def n_components(self) -> int:
-        return len(self.components())
 
     def sample_block(
         self, seed: int, trials: np.ndarray, lo: int, hi: int, scratch=FRESH
@@ -300,6 +318,10 @@ class Process:
 
     def atom_bound(self, lo: int, hi: int) -> int | None:
         """Upper bound on the number of enumeration atoms, None if infinite."""
+        return None
+
+    def ruin_decay(self) -> tuple[float, float] | None:
+        """(rho, c) with P(S_n <= 0) <= c * rho^n, or None when unavailable."""
         return None
 
 
@@ -348,6 +370,13 @@ def _count_cuts(cuts: np.ndarray, x: np.ndarray, side: str, scratch=FRESH) -> np
     return count
 
 
+def _cumulative(weights) -> np.ndarray:
+    """Float cumulative sums along the last axis, ending in exactly 1.0."""
+    cum = np.cumsum(np.array(weights, dtype=np.float64), axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray, scratch=FRESH) -> np.ndarray:
     """Index of the first cumulative weight >= u; cum[-1] must be 1.0.
 
@@ -359,7 +388,7 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, scratch=FRESH) -> np.ndarray:
 class IidDiscreteProcess(Process):
     finite_support = True
 
-    def __init__(self, spec: IidDiscrete, stream: int):
+    def __init__(self, spec: IidDiscrete, stream: int, build=None):
         if len(spec.values) == 0:
             raise InvalidSpec("value table is empty", "values")
         if len(spec.values) != len(spec.probs):
@@ -371,9 +400,7 @@ class IidDiscreteProcess(Process):
         self.stream = stream
         self.exact = all(isinstance(v, Fraction) for v in self.spec.values)
         self._values_f = np.array([float(v) for v in self.spec.values], dtype=np.float64)
-        cum = np.cumsum(np.array([float(p) for p in probs], dtype=np.float64))
-        cum[-1] = 1.0
-        self._cum = cum
+        self._cum = _cumulative(probs)
 
     def mean(self) -> float:
         return float(sum(float(v) * float(p) for v, p in zip(self.spec.values, self.spec.probs)))
@@ -383,7 +410,7 @@ class IidDiscreteProcess(Process):
             return None
         return sum((v * p for v, p in zip(self.spec.values, self.spec.probs)), Fraction(0))
 
-    def draw_values(self, seed, trials, lo, hi, scratch=FRESH) -> np.ndarray:
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         if len(self._values_f) == 1:
             out = scratch.empty((len(trials), hi - lo))
             out.fill(self._values_f[0])
@@ -393,9 +420,6 @@ class IidDiscreteProcess(Process):
         )
         # every index is in range, and "clip" writes to out unbuffered
         return self._values_f.take(_inverse_cdf(self._cum, u, scratch), out=u, mode="clip")
-
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
-        return self.draw_values(seed, trials, lo, hi, scratch)
 
     def enum_paths(self, lo, hi):
         pairs = [(v, p) for v, p in zip(self.spec.values, self.spec.probs) if p > 0]
@@ -408,69 +432,66 @@ class IidDiscreteProcess(Process):
     def atom_bound(self, lo, hi):
         return len(self.spec.values) ** (hi - lo)
 
+    def ruin_decay(self):
+        # an iid walk is a chain whose rows all equal the value law
+        probs = np.array([float(p) for p in self.spec.probs])
+        return _chain_decay(self.mean(), np.tile(probs, (len(probs), 1)), self._values_f, probs)
+
 
 class GaussianProcess(Process):
     finite_support = False
     exact = False
 
-    def __init__(self, spec: IidGaussian, stream: int):
+    def __init__(self, spec: IidGaussian, stream: int, build=None):
+        # scipy takes most of the package's import time; only this kind needs it
+        from scipy.special import ndtri
+
         if not math.isfinite(spec.mean):
             raise InvalidSpec("mean must be finite", "mean")
         if not (math.isfinite(spec.stddev) and spec.stddev > 0):
             raise InvalidSpec("stddev must be finite and positive", "stddev")
         self.spec = IidGaussian(float(spec.mean), float(spec.stddev))
         self.stream = stream
+        self._ndtri = ndtri
 
     def mean(self) -> float:
         return self.spec.mean
 
-    def draw_values(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        z = ndtri(u, out=u)
+        z = self._ndtri(u, out=u)
         z *= self.spec.stddev
         z += self.spec.mean
         return z
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
-        return self.draw_values(seed, trials, lo, hi, scratch)
+    def ruin_decay(self):
+        mu, sd = self.spec.mean, self.spec.stddev
+        if mu <= 0:
+            return None
+        return math.exp(-mu * mu / (2.0 * sd * sd)), 1.0
 
 
 class MarkovProcess(Process):
     finite_support = True
 
-    def __init__(self, spec: MarkovChain, stream: int):
-        n = len(spec.transitions)
-        if n == 0:
-            raise InvalidSpec("transition matrix is empty", "transitions")
-        for i, row in enumerate(spec.transitions):
-            if len(row) != n:
-                raise InvalidSpec(f"row {i} has length {len(row)}, expected {n}", "transitions")
+    def __init__(self, spec: MarkovChain, stream: int, build=None):
+        rows = _stochastic_rows(spec.transitions)
+        n = len(rows)
         if len(spec.payoffs) != n:
             raise InvalidSpec(f"expected {n} payoffs, got {len(spec.payoffs)}", "payoffs")
-        rows = tuple(
-            tuple(_check_prob(p, f"transitions[{i}]") for p in row)
-            for i, row in enumerate(spec.transitions)
-        )
-        for i, row in enumerate(rows):
-            if sum(row) != 1:
-                raise InvalidSpec(f"row {i} sums to {sum(row)}, not 1", "transitions")
         self.spec = MarkovChain(rows, spec.payoffs)
         self.stream = stream
-        self.pi = stationary_distribution(rows)
+        self.pi = _stationary_law(rows)
         if any(p == 0 for p in self.pi):
             raise NoStationaryDistribution(
                 "stationary law puts zero weight on some state; drop transient states"
             )
         self.exact = all(isinstance(v, Fraction) for v in self.spec.payoffs)
         self._payoff_f = np.array([float(v) for v in self.spec.payoffs], dtype=np.float64)
-        pc = np.cumsum(np.array([float(p) for p in self.pi], dtype=np.float64))
-        pc[-1] = 1.0
-        self._pi_cum = pc
-        rc = np.cumsum(np.array([[float(p) for p in row] for row in rows], dtype=np.float64), axis=1)
-        rc[:, -1] = 1.0
-        self._row_cum = rc
+        self._pi_cum = _cumulative(self.pi)
+        self._row_cum = rc = _cumulative(rows)
         # a two-state column can swap the states only if some u has
         # row_cum[0, 0] < u <= row_cum[1, 0]
         self._swaps = n == 2 and rc[0, 0] < rc[1, 0]
@@ -523,11 +544,19 @@ class MarkovProcess(Process):
     def atom_bound(self, lo, hi):
         return len(self.spec.payoffs) ** (hi - lo)
 
+    def ruin_decay(self):
+        matrix = np.array([[float(p) for p in row] for row in self.spec.transitions])
+        start = np.array([float(p) for p in self.pi])
+        return _chain_decay(self.mean(), matrix, self._payoff_f, start)
+
 
 class MovingAverageProcess(Process):
     finite_support: bool
 
-    def __init__(self, spec: MovingAverage, stream: int, inner: Process):
+    def __init__(self, spec: MovingAverage, stream: int, build):
+        if not isinstance(spec.innovation, IID_SPECS):
+            raise InvalidSpec("innovation must be an iid kind", "innovation")
+        inner = build(spec.innovation)
         if len(spec.coefficients) == 0:
             raise InvalidSpec("coefficient list is empty", "coefficients")
         self.spec = MovingAverage(spec.coefficients, inner.spec)
@@ -549,7 +578,7 @@ class MovingAverageProcess(Process):
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         q = self.order
-        z = self.inner.draw_values(seed, trials, lo - q, hi, scratch)
+        z = self.inner.sample_block(seed, trials, lo - q, hi, scratch)
         length = hi - lo
         out = scratch.empty((len(trials), length))
         np.multiply(self._coef_f[0], z[:, q : q + length], out=out)
@@ -577,7 +606,7 @@ class RotationProcess(Process):
     finite_support = False
     exact = False
 
-    def __init__(self, spec: Rotation, stream: int):
+    def __init__(self, spec: Rotation, stream: int, build=None):
         if len(spec.pieces) == 0:
             raise InvalidSpec("piece list is empty", "pieces")
         breaks = [b for b, _ in spec.pieces]
@@ -617,7 +646,8 @@ class RotationProcess(Process):
 
 
 class MixtureProcess(Process):
-    def __init__(self, spec: Mixture, stream: int, children: tuple[Process, ...]):
+    def __init__(self, spec: Mixture, stream: int, build):
+        children = tuple(build(s) for _, s in spec.components)
         weights = tuple(_check_prob(w, "components") for w, _ in spec.components)
         if len(weights) == 0:
             raise InvalidSpec("component list is empty", "components")
@@ -629,16 +659,10 @@ class MixtureProcess(Process):
         self.weights = weights
         self.finite_support = all(c.finite_support for c in children)
         self.exact = all(c.exact for c in children)
-        wc = np.cumsum(np.array([float(w) for w in weights], dtype=np.float64))
-        wc[-1] = 1.0
-        self._w_cum = wc
-        offsets = []
-        total = 0
-        for c in children:
-            offsets.append(total)
-            total += c.n_components()
-        self._offsets = offsets
-        self._leafs = total
+        self._w_cum = _cumulative(weights)
+        # each child's first index in the flat list of leaf components
+        sizes = [len(c.components()) for c in children[:-1]]
+        self._offsets = list(itertools.accumulate(sizes, initial=0))
 
     def mean(self) -> float:
         return float(sum(float(w) * c.mean() for w, c in zip(self.weights, self.children)))
@@ -663,23 +687,26 @@ class MixtureProcess(Process):
         u = rng.uniform_column(seed, self.stream, trials, 0)
         return _inverse_cdf(self._w_cum, u)
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def _by_pick(self, seed, trials, out, fill):
+        """Rows of out from fill(c, child, trials that picked child c)."""
         picks = self._picks(seed, trials)
-        out = scratch.empty((len(trials), hi - lo))
         for c, child in enumerate(self.children):
             rows = np.nonzero(picks == c)[0]
             if len(rows):
-                out[rows] = child.sample_block(seed, trials[rows], lo, hi, scratch)
+                out[rows] = fill(c, child, trials[rows])
         return out
 
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+        out = scratch.empty((len(trials), hi - lo))
+        return self._by_pick(
+            seed, trials, out, lambda c, child, t: child.sample_block(seed, t, lo, hi, scratch)
+        )
+
     def component_ids(self, seed, trials):
-        picks = self._picks(seed, trials)
         out = np.empty(len(trials), dtype=np.int64)
-        for c, child in enumerate(self.children):
-            rows = np.nonzero(picks == c)[0]
-            if len(rows):
-                out[rows] = self._offsets[c] + child.component_ids(seed, trials[rows])
-        return out
+        return self._by_pick(
+            seed, trials, out, lambda c, child, t: self._offsets[c] + child.component_ids(seed, t)
+        )
 
     def enum_paths(self, lo, hi):
         for w, child in zip(self.weights, self.children):
@@ -697,31 +724,45 @@ class MixtureProcess(Process):
             total += b
         return total
 
+    def ruin_decay(self):
+        rho, c = 0.0, 0.0
+        for w, child in zip(self.weights, self.children):
+            decay = child.ruin_decay()
+            if decay is None:
+                return None
+            rho = max(rho, decay[0])
+            c += float(w) * decay[1]
+        return rho, c
+
 
 # ---------------------------------------------------------------------------
 # building and operating on processes
 
 
+# every kind: its spec class and the Process class that runs it
+_PROCESSES: dict[type, type[Process]] = {
+    IidDiscrete: IidDiscreteProcess,
+    IidGaussian: GaussianProcess,
+    MarkovChain: MarkovProcess,
+    MovingAverage: MovingAverageProcess,
+    Rotation: RotationProcess,
+    Mixture: MixtureProcess,
+}
+# kind string -> spec class, in the order error messages list them
+SPEC_KINDS: dict[str, type] = {cls.kind: cls for cls in _PROCESSES}
+
+
+def _process_class(spec: ProcessSpec) -> type[Process]:
+    if type(spec) not in _PROCESSES:
+        raise InvalidSpec(f"unknown process kind {type(spec).__name__}")
+    return _PROCESSES[type(spec)]
+
+
 def _build(spec: ProcessSpec, counter: list[int]) -> Process:
+    cls = _process_class(spec)
     stream = counter[0]
     counter[0] += 1
-    if isinstance(spec, IidDiscrete):
-        return IidDiscreteProcess(spec, stream)
-    if isinstance(spec, IidGaussian):
-        return GaussianProcess(spec, stream)
-    if isinstance(spec, MarkovChain):
-        return MarkovProcess(spec, stream)
-    if isinstance(spec, MovingAverage):
-        if not isinstance(spec.innovation, (IidDiscrete, IidGaussian)):
-            raise InvalidSpec("innovation must be an iid kind", "innovation")
-        inner = _build(spec.innovation, counter)
-        return MovingAverageProcess(spec, stream, inner)
-    if isinstance(spec, Rotation):
-        return RotationProcess(spec, stream)
-    if isinstance(spec, Mixture):
-        children = tuple(_build(s, counter) for _, s in spec.components)
-        return MixtureProcess(spec, stream, children)
-    raise InvalidSpec(f"unknown process kind {type(spec).__name__}")
+    return cls(spec, stream, lambda child: _build(child, counter))
 
 
 def make_process(spec: ProcessSpec) -> Process:
@@ -851,6 +892,24 @@ def _rref(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
+def _stochastic_rows(transitions) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of a square row-stochastic matrix as exact Fractions."""
+    n = len(transitions)
+    if n == 0:
+        raise InvalidSpec("transition matrix is empty", "transitions")
+    for i, row in enumerate(transitions):
+        if len(row) != n:
+            raise InvalidSpec(f"row {i} has length {len(row)}, expected {n}", "transitions")
+    rows = tuple(
+        tuple(_check_prob(p, f"transitions[{i}]") for p in row)
+        for i, row in enumerate(transitions)
+    )
+    for i, row in enumerate(rows):
+        if sum(row) != 1:
+            raise InvalidSpec(f"row {i} sums to {sum(row)}, not 1", "transitions")
+    return rows
+
+
 def stationary_distribution(
     transitions: Sequence[Sequence[Union[Fraction, int]]],
 ) -> tuple[Fraction, ...]:
@@ -861,15 +920,12 @@ def stationary_distribution(
     (reducible chains with several closed classes) or the fixed vector
     cannot be normalized to a probability vector.
     """
-    n = len(transitions)
-    if n == 0:
-        raise InvalidSpec("transition matrix is empty", "transitions")
-    rows = [tuple(_check_prob(p, f"transitions[{i}]") for p in row) for i, row in enumerate(transitions)]
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise InvalidSpec(f"row {i} has length {len(row)}, expected {n}", "transitions")
-        if sum(row) != 1:
-            raise InvalidSpec(f"row {i} sums to {sum(row)}, not 1", "transitions")
+    return _stationary_law(_stochastic_rows(transitions))
+
+
+def _stationary_law(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
+    """stationary_distribution of rows that _stochastic_rows has checked."""
+    n = len(rows)
     # fixed vectors of P^T: solve (P^T - I) x = 0
     a = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     pivots = _rref(a)
@@ -893,6 +949,59 @@ def stationary_distribution(
 
 
 # ---------------------------------------------------------------------------
+# how fast a positive-drift chain stops returning to (-inf, 0]
+
+
+def _chain_decay(mean: float, matrix: np.ndarray, payoffs: np.ndarray, start: np.ndarray):
+    """Geometric bound P(S_n <= 0) <= C * rho^n for a payoff chain.
+
+    None when the mean is not positive; (0, 0) when no payoff is
+    negative.  Otherwise Chernoff: P(S_n <= 0) <= E[exp(-lam S_n)] for
+    lam >= 0, and the moment term is start' B^(n-1) 1 with
+    B = matrix * exp(-lam payoffs) columnwise.  The spectral radius of B
+    is log-convex in lam, so a ternary search finds the minimizer; the
+    Perron eigenvector turns the matrix power into C * rho^n.
+    """
+    if mean <= 0:
+        return None
+    if payoffs.min() >= 0.0:
+        return 0.0, 0.0
+
+    def tilted(lam: float) -> np.ndarray:
+        return matrix * np.exp(-lam * payoffs)[None, :]
+
+    def radius(lam: float) -> float:
+        return float(np.max(np.abs(np.linalg.eigvals(tilted(lam)))))
+
+    hi = 1.0
+    for _ in range(200):
+        if radius(hi) >= 1.0:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if radius(m1) <= radius(m2):
+            hi = m2
+        else:
+            lo = m1
+    lam = (lo + hi) / 2.0
+    b = tilted(lam)
+    rho = radius(lam)
+    if not (0.0 < rho < 1.0):
+        return None
+    eigvals, eigvecs = np.linalg.eig(b)
+    u = np.abs(eigvecs[:, int(np.argmax(np.abs(eigvals)))])
+    if u.min() <= 1e-12 * u.max():
+        return None
+    c = float(start @ np.exp(-lam * payoffs)) * float(u.max() / u.min()) / rho
+    return rho, c
+
+
+# ---------------------------------------------------------------------------
 # sign flip
 
 
@@ -905,16 +1014,23 @@ def negate_spec(spec: ProcessSpec) -> ProcessSpec:
     IidGaussian only the law is flipped (mean sign), since the normal
     inverse CDF draw is not an odd function of its uniform.
     """
-    if isinstance(spec, IidDiscrete):
-        return IidDiscrete(tuple(-v for v in spec.values), spec.probs)
-    if isinstance(spec, IidGaussian):
-        return IidGaussian(-spec.mean, spec.stddev)
-    if isinstance(spec, MarkovChain):
-        return MarkovChain(spec.transitions, tuple(-v for v in spec.payoffs))
-    if isinstance(spec, MovingAverage):
-        return MovingAverage(spec.coefficients, negate_spec(spec.innovation))
-    if isinstance(spec, Rotation):
-        return Rotation(tuple((b, -v) for b, v in spec.pieces), spec.angle)
-    if isinstance(spec, Mixture):
-        return Mixture(tuple((w, negate_spec(s)) for w, s in spec.components))
-    raise InvalidSpec(f"unknown process kind {type(spec).__name__}")
+    _process_class(spec)
+    return replace(
+        spec,
+        **{f.name: _NEGATE[f.name](getattr(spec, f.name)) for f in fields(spec) if f.name in _NEGATE},
+    )
+
+
+def _negate_all(values: tuple[Real, ...]) -> tuple[Real, ...]:
+    return tuple(-v for v in values)
+
+
+# how each value-bearing field negates; the other fields carry over
+_NEGATE = {
+    "values": _negate_all,
+    "mean": lambda mean: -mean,
+    "payoffs": _negate_all,
+    "innovation": negate_spec,
+    "pieces": lambda pieces: tuple((b, -v) for b, v in pieces),
+    "components": lambda components: tuple((w, negate_spec(s)) for w, s in components),
+}

@@ -38,6 +38,9 @@ _MIX_B = 0x94D049BB133111EB
 
 # 2**-53, for mapping the top 53 bits of a word into (0, 1)
 _U53 = 1.0 / (1 << 53)
+# the largest double below 1: (2**53 - 1 + 0.5) * 2**-53 rounds up to 1.0,
+# so the one word whose top 53 bits are all ones maps here instead
+_BELOW_ONE = 1.0 - _U53
 
 
 def mix64(x: int) -> int:
@@ -89,7 +92,7 @@ def trial_keys(seed: int, stream: int, trials: np.ndarray) -> np.ndarray:
 
 def _word_to_unit(word: int) -> float:
     """Map a 64-bit word to a float in the open interval (0, 1)."""
-    return ((word >> 11) + 0.5) * _U53
+    return min(((word >> 11) + 0.5) * _U53, _BELOW_ONE)
 
 
 def uniform(seed: int, stream: int, trial: int, position: int) -> float:
@@ -113,22 +116,25 @@ def uniform_block(
     pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
     shape = (len(tkeys), len(pos))
     words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(shape, np.uint64))
-    out = scratch.empty(shape)
-    _mix64_inplace(words, out.view(np.uint64))
-    words >>= np.uint64(11)
-    # the top 53 bits fit int64 exactly, and int64 converts to float
-    # faster than uint64; the float add rounds exactly as _word_to_unit
-    np.add(words.view(np.int64), 0.5, out=out)
-    out *= _U53
-    return out
+    return _mixed_to_unit(words, scratch.empty(shape))
 
 
 def uniform_column(seed: int, stream: int, trials: np.ndarray, position: int) -> np.ndarray:
     """One uniform per trial, all at the same position.  Shape (T,)."""
     words = trial_keys(seed, stream, trials)
     words += np.uint64((position & MASK) * GOLDEN & MASK)
-    words = _mix64_inplace(words, np.empty_like(words))
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    return _mixed_to_unit(words, np.empty(len(words)))
+
+
+def _mixed_to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_word_to_unit(mix64(word)) of each word, into out; overwrites the words."""
+    _mix64_inplace(words, out.view(np.uint64))
+    words >>= np.uint64(11)
+    # the top 53 bits fit int64 exactly, and int64 converts to float
+    # faster than uint64; the float add rounds exactly as _word_to_unit
+    np.add(words.view(np.int64), 0.5, out=out)
+    out *= _U53
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def index_position(k: int) -> int:

@@ -21,29 +21,13 @@ Schema errors carry the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .errors import InvalidSpec
-from .processes import (
-    IidDiscrete,
-    IidGaussian,
-    MarkovChain,
-    Mixture,
-    MovingAverage,
-    ProcessSpec,
-    Rotation,
-)
-
-KINDS = (
-    "iid_discrete",
-    "iid_gaussian",
-    "markov_chain",
-    "moving_average",
-    "rotation",
-    "mixture",
-)
+from .processes import IID_SPECS, SPEC_KINDS, ProcessSpec, _process_class
 
 
 def _need(obj: dict, key: str, path: str):
@@ -64,10 +48,10 @@ def _as_list(x, path: str) -> list:
     return x
 
 
-def _parse_rational(x, path: str) -> Fraction:
+def _parse_rational(x, path: str, expected: str = "a rational") -> Fraction:
     """Probability-like entries: ints and strings only, floats refused."""
     if isinstance(x, bool):
-        raise InvalidSpec("expected a rational, got a boolean", path)
+        raise InvalidSpec(f"expected {expected}, got a boolean", path)
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -81,23 +65,14 @@ def _parse_rational(x, path: str) -> Fraction:
             'string like "3/4" or "0.75"',
             path,
         )
-    raise InvalidSpec(f"expected a rational, got {type(x).__name__}", path)
+    raise InvalidSpec(f"expected {expected}, got {type(x).__name__}", path)
 
 
 def _parse_real(x, path: str) -> Union[float, Fraction]:
     """Value-like entries: ints and strings are exact, floats are floats."""
-    if isinstance(x, bool):
-        raise InvalidSpec("expected a number, got a boolean", path)
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InvalidSpec(f"not a rational: {e}", path) from None
-    raise InvalidSpec(f"expected a number, got {type(x).__name__}", path)
+    return _parse_rational(x, path, expected="a number")
 
 
 def _parse_float(x, path: str) -> float:
@@ -106,140 +81,99 @@ def _parse_float(x, path: str) -> float:
     return float(x)
 
 
+def _list_of(read):
+    """Reader of a JSON list whose entries ``read`` parses."""
+
+    def read_list(x, path: str) -> tuple:
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(x, path)))
+
+    return read_list
+
+
+def _piece(x, path: str) -> tuple:
+    piece = _as_list(x, path)
+    if len(piece) != 2:
+        raise InvalidSpec("expected a [breakpoint, value] pair", path)
+    return _parse_float(piece[0], f"{path}[0]"), _parse_real(piece[1], f"{path}[1]")
+
+
+def _component(x, path: str) -> tuple:
+    if not isinstance(x, dict):
+        raise InvalidSpec(f"expected an object, got {type(x).__name__}", path)
+    _no_extras(x, {"weight", "process"}, path)
+    weight = _parse_rational(_need(x, "weight", path), f"{path}.weight")
+    return weight, spec_from_jsonable(_need(x, "process", path), f"{path}.process")
+
+
+def _iid_spec(x, path: str) -> ProcessSpec:
+    spec = spec_from_jsonable(x, path)
+    if not isinstance(spec, IID_SPECS):
+        raise InvalidSpec("innovation must be an iid kind", f"{path}.kind")
+    return spec
+
+
+def _real_jsonable(v):
+    if isinstance(v, Fraction):
+        return str(v)
+    return float(v)
+
+
+def _list_out(write):
+    return lambda xs: [write(x) for x in xs]
+
+
+def _same(x):
+    return x
+
+
+# every field of every kind: (read from JSON at a path, write to JSON)
+_FIELDS = {
+    "values": (_list_of(_parse_real), _list_out(_real_jsonable)),
+    "probs": (_list_of(_parse_rational), _list_out(str)),
+    "mean": (_parse_float, _same),
+    "stddev": (_parse_float, _same),
+    "transitions": (_list_of(_list_of(_parse_rational)), _list_out(_list_out(str))),
+    "payoffs": (_list_of(_parse_real), _list_out(_real_jsonable)),
+    "coefficients": (_list_of(_parse_real), _list_out(_real_jsonable)),
+    "innovation": (_iid_spec, lambda spec: spec_to_jsonable(spec)),
+    "pieces": (_list_of(_piece), _list_out(lambda piece: [piece[0], _real_jsonable(piece[1])])),
+    "angle": (_parse_float, _same),
+    "components": (
+        _list_of(_component),
+        _list_out(lambda comp: {"weight": str(comp[0]), "process": spec_to_jsonable(comp[1])}),
+    ),
+}
+
+
 def spec_from_jsonable(obj, path: str = "$") -> ProcessSpec:
     """Build a process description from parsed JSON, locating any errors."""
     if not isinstance(obj, dict):
         raise InvalidSpec(f"expected an object, got {type(obj).__name__}", path)
     kind = _need(obj, "kind", path)
-    if not isinstance(kind, str) or kind not in KINDS:
+    if not isinstance(kind, str) or kind not in SPEC_KINDS:
         raise InvalidSpec(
-            f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}",
+            f"unknown kind {kind!r}; expected one of {', '.join(SPEC_KINDS)}",
             f"{path}.kind",
         )
-
-    if kind == "iid_discrete":
-        _no_extras(obj, {"kind", "values", "probs"}, path)
-        values = [
-            _parse_real(v, f"{path}.values[{i}]")
-            for i, v in enumerate(_as_list(_need(obj, "values", path), f"{path}.values"))
-        ]
-        probs = [
-            _parse_rational(p, f"{path}.probs[{i}]")
-            for i, p in enumerate(_as_list(_need(obj, "probs", path), f"{path}.probs"))
-        ]
-        return IidDiscrete(tuple(values), tuple(probs))
-
-    if kind == "iid_gaussian":
-        _no_extras(obj, {"kind", "mean", "stddev"}, path)
-        return IidGaussian(
-            _parse_float(_need(obj, "mean", path), f"{path}.mean"),
-            _parse_float(_need(obj, "stddev", path), f"{path}.stddev"),
-        )
-
-    if kind == "markov_chain":
-        _no_extras(obj, {"kind", "transitions", "payoffs"}, path)
-        raw_rows = _as_list(_need(obj, "transitions", path), f"{path}.transitions")
-        rows = tuple(
-            tuple(
-                _parse_rational(p, f"{path}.transitions[{i}][{j}]")
-                for j, p in enumerate(_as_list(row, f"{path}.transitions[{i}]"))
-            )
-            for i, row in enumerate(raw_rows)
-        )
-        payoffs = [
-            _parse_real(v, f"{path}.payoffs[{i}]")
-            for i, v in enumerate(_as_list(_need(obj, "payoffs", path), f"{path}.payoffs"))
-        ]
-        return MarkovChain(rows, tuple(payoffs))
-
-    if kind == "moving_average":
-        _no_extras(obj, {"kind", "coefficients", "innovation"}, path)
-        coefs = [
-            _parse_real(c, f"{path}.coefficients[{i}]")
-            for i, c in enumerate(
-                _as_list(_need(obj, "coefficients", path), f"{path}.coefficients")
-            )
-        ]
-        innovation = spec_from_jsonable(_need(obj, "innovation", path), f"{path}.innovation")
-        if not isinstance(innovation, (IidDiscrete, IidGaussian)):
-            raise InvalidSpec("innovation must be an iid kind", f"{path}.innovation.kind")
-        return MovingAverage(tuple(coefs), innovation)
-
-    if kind == "rotation":
-        _no_extras(obj, {"kind", "pieces", "angle"}, path)
-        pieces = []
-        for i, piece in enumerate(_as_list(_need(obj, "pieces", path), f"{path}.pieces")):
-            here = f"{path}.pieces[{i}]"
-            piece = _as_list(piece, here)
-            if len(piece) != 2:
-                raise InvalidSpec("expected a [breakpoint, value] pair", here)
-            pieces.append(
-                (_parse_float(piece[0], f"{here}[0]"), _parse_real(piece[1], f"{here}[1]"))
-            )
-        if "angle" in obj:
-            return Rotation(tuple(pieces), _parse_float(obj["angle"], f"{path}.angle"))
-        return Rotation(tuple(pieces))
-
-    _no_extras(obj, {"kind", "components"}, path)
-    components = []
-    for i, comp in enumerate(_as_list(_need(obj, "components", path), f"{path}.components")):
-        here = f"{path}.components[{i}]"
-        if not isinstance(comp, dict):
-            raise InvalidSpec(f"expected an object, got {type(comp).__name__}", here)
-        _no_extras(comp, {"weight", "process"}, here)
-        weight = _parse_rational(_need(comp, "weight", here), f"{here}.weight")
-        child = spec_from_jsonable(_need(comp, "process", here), f"{here}.process")
-        components.append((weight, child))
-    return Mixture(tuple(components))
-
-
-def rational_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _real_jsonable(v):
-    if isinstance(v, Fraction):
-        return rational_str(v)
-    return float(v)
+    cls = SPEC_KINDS[kind]
+    _no_extras(obj, {"kind"} | {f.name for f in fields(cls)}, path)
+    # a field with a default may be left out
+    return cls(
+        **{
+            f.name: _FIELDS[f.name][0](_need(obj, f.name, path), f"{path}.{f.name}")
+            for f in fields(cls)
+            if f.name in obj or f.default is MISSING
+        }
+    )
 
 
 def spec_to_jsonable(spec: ProcessSpec) -> dict:
     """Inverse of spec_from_jsonable; round trips exactly."""
-    if isinstance(spec, IidDiscrete):
-        return {
-            "kind": "iid_discrete",
-            "values": [_real_jsonable(v) for v in spec.values],
-            "probs": [rational_str(p) for p in spec.probs],
-        }
-    if isinstance(spec, IidGaussian):
-        return {"kind": "iid_gaussian", "mean": spec.mean, "stddev": spec.stddev}
-    if isinstance(spec, MarkovChain):
-        return {
-            "kind": "markov_chain",
-            "transitions": [[rational_str(p) for p in row] for row in spec.transitions],
-            "payoffs": [_real_jsonable(v) for v in spec.payoffs],
-        }
-    if isinstance(spec, MovingAverage):
-        return {
-            "kind": "moving_average",
-            "coefficients": [_real_jsonable(c) for c in spec.coefficients],
-            "innovation": spec_to_jsonable(spec.innovation),
-        }
-    if isinstance(spec, Rotation):
-        return {
-            "kind": "rotation",
-            "pieces": [[b, _real_jsonable(v)] for b, v in spec.pieces],
-            "angle": spec.angle,
-        }
-    if isinstance(spec, Mixture):
-        return {
-            "kind": "mixture",
-            "components": [
-                {"weight": rational_str(w), "process": spec_to_jsonable(s)}
-                for w, s in spec.components
-            ],
-        }
-    raise InvalidSpec(f"unknown process kind {type(spec).__name__}")
+    _process_class(spec)
+    return {
+        "kind": spec.kind,
+        **{f.name: _FIELDS[f.name][1](getattr(spec, f.name)) for f in fields(spec)},
+    }
 
 
 def format_spec(spec: ProcessSpec) -> str:

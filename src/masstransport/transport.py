@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .processes import PathWindow, Real
+from .processes import PathWindow, Real, _anchored_sums
 
 # tolerance for float consistency gates (absolute, plus relative on the
 # magnitude of the quantities compared)
@@ -76,13 +76,7 @@ class MassRow:
 
 def partial_sums(window: PathWindow) -> tuple[Real, ...]:
     """Anchored partial sums S_lo..S_hi recomputed from the increments."""
-    acc = 0
-    out = [acc]
-    for v in window.values:
-        acc = acc + v
-        out.append(acc)
-    shift = out[-window.lo]
-    return tuple(p - shift for p in out)
+    return _anchored_sums(window.lo, window.values)
 
 
 def _check_sender(window: PathWindow, n: int) -> None:

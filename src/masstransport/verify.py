@@ -9,9 +9,9 @@ Every check exists in two independent lanes wherever the process allows:
 
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
 is cut into fixed-size chunks of trials whatever the thread count, each
-chunk is a pure function of its trial indices, and all reductions run on
-the reassembled full vectors.  Running with 1 or 16 threads produces the
-same bytes.
+chunk is a pure function of its trial indices and fills its own rows of
+one per-trial array, and all reductions run on those full arrays.
+Running with 1 or 16 threads produces the same bytes.
 
 A chunk is one tile: as many whole trials as fit about ``TILE_BYTES`` of
 float64 increments.  Each tile is sampled into memory its thread reuses
@@ -27,19 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import os
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import (
-    DEFAULT_ATOM_CAP,
-    GaussianProcess,
-    IidDiscreteProcess,
-    MarkovProcess,
-    MixtureProcess,
-    Process,
-    exact_window_distribution,
-)
+from .processes import DEFAULT_ATOM_CAP, Process, exact_window_distribution
 from .scratch import Scratch
 from .transport import mass_received_at_zero, mass_row, received_mass_terms, sent_mass_terms
 
@@ -136,12 +129,40 @@ def _chunk_arrays(total: int, width: int) -> list[np.ndarray]:
 
 
 def _run_chunks(total: int, threads: int, worker, width: int = 1):
-    """Apply worker to each fixed chunk of trial indices, in order."""
+    """Apply worker to each fixed chunk of trial indices, in order.
+
+    The pool never has more threads than chunks or than CPUs.
+    """
     chunks = _chunk_arrays(total, width)
-    if threads <= 1 or len(chunks) <= 1:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, chunks))
+
+
+def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
+    """The one Monte Carlo loop: fill ``outs``, one row per trial, by tiles.
+
+    ``step(chunk, tile)`` samples and reduces the trials in ``chunk`` in
+    the scratch memory ``tile`` and returns one array per entry of outs;
+    its rows are copied out before the thread's next tile reuses ``tile``.
+    """
+    scratch = Scratch()
+
+    def worker(chunk: np.ndarray) -> None:
+        rows = slice(int(chunk[0]), int(chunk[0]) + len(chunk))
+        for out, part in zip(outs, step(chunk, scratch.tile())):
+            out[rows] = part
+
+    _run_chunks(len(outs[0]), threads, worker, width)
+
+
+def _estimate(step, trials: int, threads: int, width: int, z: float) -> EstimateCI:
+    """EstimateCI of the one value per trial that ``step`` returns."""
+    samples = np.empty(trials)
+    _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, width, samples)
+    return EstimateCI.from_samples(samples, z)
 
 
 def _anchored_float_sums(block: np.ndarray, anchor_end: bool) -> np.ndarray:
@@ -182,19 +203,15 @@ def mc_identity(
     if trials < 2:
         raise InvalidSpec("need at least 2 trials")
 
-    scratch = Scratch()
-
-    def worker(chunk: np.ndarray):
-        tile = scratch.tile()
+    def step(chunk: np.ndarray, tile):
         left = process.sample_block(seed, chunk, 0, horizon, tile)
         lterms = sent_mass_terms(_anchored_float_sums(left, anchor_end=False))
         right = process.sample_block(seed, chunk + np.uint64(trials), -horizon, 0, tile)
-        rterms = received_mass_terms(_anchored_float_sums(right, anchor_end=True))
-        return lterms, rterms
+        return lterms, received_mass_terms(_anchored_float_sums(right, anchor_end=True))
 
-    parts = _run_chunks(trials, threads, worker, width=2 * horizon)
-    lhs = np.concatenate([p[0] for p in parts], axis=0)
-    rhs = np.concatenate([p[1] for p in parts], axis=0)
+    lhs = np.empty((trials, horizon))
+    rhs = np.empty((trials, horizon))
+    _fill_rows(step, threads, 2 * horizon, lhs, rhs)
     terms = tuple(
         IdentityTerm(
             n,
@@ -240,11 +257,9 @@ def exact_maximal_ergodic(
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    acc = Fraction(0)
-    for window, p in dist.atoms:
-        if any(window.s(k) <= 0 for k in range(1, n_max + 1)):
-            acc += p * window.x(1)
-    return acc
+    return Fraction(
+        dist.expectation(lambda w: w.x(1) if any(w.s(k) <= 0 for k in range(1, n_max + 1)) else 0)
+    )
 
 
 def mc_maximal_ergodic(
@@ -260,15 +275,12 @@ def mc_maximal_ergodic(
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
 
-    scratch = Scratch()
-
-    def worker(chunk: np.ndarray):
-        block = process.sample_block(seed, chunk, 0, n_max, scratch.tile())
+    def step(chunk: np.ndarray, tile):
+        block = process.sample_block(seed, chunk, 0, n_max, tile)
         first = block[:, 0].copy()
         return first * (_min_partial_sum(block) <= 0.0)
 
-    parts = _run_chunks(trials, threads, worker, width=n_max)
-    return EstimateCI.from_samples(np.concatenate(parts), z)
+    return _estimate(step, trials, threads, n_max, z)
 
 
 def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CAP) -> Fraction:
@@ -276,11 +288,7 @@ def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CA
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    acc = Fraction(0)
-    for window, p in dist.atoms:
-        if all(window.s(k) > 0 for k in range(1, n_max + 1)):
-            acc += p
-    return acc
+    return dist.probability(lambda w: all(w.s(k) > 0 for k in range(1, n_max + 1)))
 
 
 def mc_survival(
@@ -296,98 +304,15 @@ def mc_survival(
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
 
-    scratch = Scratch()
+    def step(chunk: np.ndarray, tile):
+        block = process.sample_block(seed, chunk, 0, n_max, tile)
+        return _min_partial_sum(block) > 0.0
 
-    def worker(chunk: np.ndarray):
-        block = process.sample_block(seed, chunk, 0, n_max, scratch.tile())
-        return (_min_partial_sum(block) > 0.0).astype(np.float64)
-
-    parts = _run_chunks(trials, threads, worker, width=n_max)
-    return EstimateCI.from_samples(np.concatenate(parts), z)
+    return _estimate(step, trials, threads, n_max, z)
 
 
 # ---------------------------------------------------------------------------
 # how much of the survival probability a finite horizon can miss
-
-
-def _tilted_decay(matrix: np.ndarray, payoffs: np.ndarray, start: np.ndarray):
-    """Geometric bound P(S_n <= 0) <= C * rho^n for a payoff chain.
-
-    Chernoff: P(S_n <= 0) <= E[exp(-lam S_n)] for lam >= 0, and the
-    moment term is start' B^(n-1) 1 with B = matrix * exp(-lam payoffs)
-    columnwise.  The spectral radius of B is log-convex in lam, so a
-    ternary search finds the minimizer; the Perron eigenvector turns the
-    matrix power into C * rho^n.
-    """
-
-    def tilted(lam: float) -> np.ndarray:
-        return matrix * np.exp(-lam * payoffs)[None, :]
-
-    def radius(lam: float) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(tilted(lam)))))
-
-    hi = 1.0
-    for _ in range(200):
-        if radius(hi) >= 1.0:
-            break
-        hi *= 2.0
-    else:
-        return None
-    lo = 0.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if radius(m1) <= radius(m2):
-            hi = m2
-        else:
-            lo = m1
-    lam = (lo + hi) / 2.0
-    b = tilted(lam)
-    rho = radius(lam)
-    if not (0.0 < rho < 1.0):
-        return None
-    eigvals, eigvecs = np.linalg.eig(b)
-    u = np.abs(eigvecs[:, int(np.argmax(np.abs(eigvals)))])
-    if u.min() <= 1e-12 * u.max():
-        return None
-    c = float(start @ np.exp(-lam * payoffs)) * float(u.max() / u.min()) / rho
-    return rho, c
-
-
-def _ruin_decay(process: Process):
-    """(rho, c) with P(S_n <= 0) <= c * rho^n, or None when unavailable."""
-    if isinstance(process, IidDiscreteProcess):
-        if process.mean() <= 0:
-            return None
-        values = np.array([float(v) for v in process.spec.values])
-        if values.min() >= 0.0:
-            return 0.0, 0.0
-        probs = np.array([float(p) for p in process.spec.probs])
-        return _tilted_decay(np.tile(probs, (len(probs), 1)), values, probs)
-    if isinstance(process, GaussianProcess):
-        mu, sd = process.spec.mean, process.spec.stddev
-        if mu <= 0:
-            return None
-        return math.exp(-mu * mu / (2.0 * sd * sd)), 1.0
-    if isinstance(process, MarkovProcess):
-        if process.mean() <= 0:
-            return None
-        payoffs = np.array([float(v) for v in process.spec.payoffs])
-        if payoffs.min() >= 0.0:
-            return 0.0, 0.0
-        matrix = np.array([[float(p) for p in row] for row in process.spec.transitions])
-        start = np.array([float(p) for p in process.pi])
-        return _tilted_decay(matrix, payoffs, start)
-    if isinstance(process, MixtureProcess):
-        rho, c = 0.0, 0.0
-        for w, child in zip(process.weights, process.children):
-            decay = _ruin_decay(child)
-            if decay is None:
-                return None
-            rho = max(rho, decay[0])
-            c += float(w) * decay[1]
-        return rho, c
-    return None
 
 
 def survival_truncation_bound(process: Process, n_max: int) -> float | None:
@@ -399,7 +324,7 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
     mean iid, Gaussian and Markov processes and mixtures of those; None
     when no geometric tail bound is known for the kind.
     """
-    decay = _ruin_decay(process)
+    decay = process.ruin_decay()
     if decay is None:
         return None
     rho, c = decay

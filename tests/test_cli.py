@@ -328,6 +328,29 @@ def test_threads_env_sets_default(monkeypatch):
     assert args.threads == 1
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+def test_malformed_threads_env_exits_2_naming_it(raw, monkeypatch, capsys):
+    monkeypatch.setenv(THREADS_ENV, raw)
+    code, out, err = run(["sample", "--spec", str(spec_path("two_point"))], capsys)
+    assert code == 2
+    assert out == ""
+    assert THREADS_ENV in err and repr(raw) in err
+
+
+def test_only_gaussian_processes_import_scipy():
+    script = (
+        "import sys; from masstransport import cli, make_process, parse_spec_file; "
+        "[make_process(parse_spec_file(p)) for p in sys.argv[1:-1]]; "
+        "assert ('scipy' in sys.modules) == (sys.argv[-1] == 'yes'), sorted(sys.modules)"
+    )
+    others = [str(spec_path(n)) for n in SPEC_NAMES if n != "gaussian_drift"]
+    for paths, imported in ((others, "no"), ([str(spec_path("gaussian_drift"))], "yes")):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *paths, imported], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [

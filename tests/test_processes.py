@@ -232,6 +232,25 @@ def test_prefix_stability_when_extending_right(corpus):
         np.testing.assert_array_equal(short, long[:, : short.shape[1]])
 
 
+def test_windows_with_different_starts_agree_except_for_chains(corpus):
+    # iid, moving-average and rotation increments depend on their own index
+    # only; a chain restarts from its stationary law at lo + 1, so only its
+    # windows with the same lo are sure to agree.  The bundled mixture has
+    # no chain component.
+    trials = np.arange(200, dtype=np.uint64)
+    for name in SPEC_NAMES:
+        wide = corpus[name].sample_block(3, trials, -6, 10)
+        chain = isinstance(corpus[name].spec, MarkovChain)
+        for lo, hi in ((-2, 10), (0, 4), (-6, 0), (3, 7)):
+            if chain and lo != -6:
+                continue
+            window = corpus[name].sample_block(3, trials, lo, hi)
+            np.testing.assert_array_equal(window, wide[:, lo + 6 : hi + 6], err_msg=name)
+    drift = corpus["markov_drift"]
+    restarted = drift.sample_block(3, trials, -2, 10)
+    assert not np.array_equal(restarted, drift.sample_block(3, trials, -6, 10)[:, 4:])
+
+
 def test_window_values_live_on_support(corpus):
     trials = np.arange(200, dtype=np.uint64)
     block = corpus["p06_walk"].sample_block(1, trials, -3, 3)

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from masstransport import rng as rng_module
 from masstransport.rng import (
+    GOLDEN,
     MASK,
     index_position,
     index_positions,
     mix64,
     mix64_array,
+    trial_key,
     uniform,
     uniform_block,
     uniform_column,
@@ -110,3 +113,56 @@ def test_negative_positions_are_distinct_from_positive():
 @pytest.mark.parametrize("k", [-(1 << 40), -1, 0, 1, 1 << 40])
 def test_index_position_wraps_to_uint64(k):
     assert index_position(k) == k & MASK
+
+
+def _unmix64(y: int) -> int:
+    """Inverse of mix64: undo each xor-shift and multiply in reverse order."""
+
+    def unshift(x: int, shift: int) -> int:
+        out = x
+        for _ in range(64 // shift + 1):
+            out = x ^ (out >> shift)
+        return out
+
+    y = unshift(y, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    y = unshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return unshift(y, 30)
+
+
+def _position_of_word(seed: int, stream: int, trial: int, word: int) -> int:
+    """The position whose draw for (seed, stream, trial) is the given word."""
+    tkey = trial_key(seed, stream, trial)
+    return ((_unmix64(word) - tkey) * pow(GOLDEN, -1, 1 << 64)) & MASK
+
+
+def test_top_word_maps_below_one_in_every_path():
+    # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0; that one word must map to
+    # the largest double below 1 instead, and no other word may move
+    seed, stream, trial = 5, 2, 11
+    below_one = np.nextafter(1.0, 0.0)
+    words = {
+        MASK: below_one,
+        ((1 << 53) - 1) << 11: below_one,
+        ((1 << 53) - 2) << 11: ((1 << 53) - 2 + 0.5) / (1 << 53),
+        1 << 11: 1.5 / (1 << 53),
+        0: 0.5 / (1 << 53),
+    }
+    trials = np.array([trial], dtype=np.uint64)
+    for word, expected in words.items():
+        pos = _position_of_word(seed, stream, trial, word)
+        assert mix64((trial_key(seed, stream, trial) + pos * GOLDEN) & MASK) == word
+        assert uniform(seed, stream, trial, pos) == expected
+        block = uniform_block(seed, stream, trials, np.array([pos, 0, pos], dtype=np.uint64))
+        assert block[0, 0] == block[0, 2] == expected
+        assert uniform_column(seed, stream, trials, pos)[0] == expected
+
+
+@given(st.lists(U64, min_size=1, max_size=64))
+def test_words_below_the_top_keep_their_formula(words):
+    unmixed = np.array([_unmix64(w) for w in words], dtype=np.uint64)
+    units = rng_module._mixed_to_unit(unmixed, np.empty(len(words)))
+    for word, u in zip(words, units):
+        if word >> 11 != (1 << 53) - 1:
+            assert u == ((word >> 11) + 0.5) / (1 << 53) == rng_module._word_to_unit(word)

@@ -265,3 +265,41 @@ def test_mc_results_do_not_depend_on_the_tile_size(corpus, monkeypatch):
             ]
         )
     assert results[0] == results[1] == results[2]
+
+
+# ---------------------------------------------------------------------------
+# thread pool
+# ---------------------------------------------------------------------------
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_exceeds_the_cpu_count(corpus, monkeypatch):
+    # no thread starts here: the recording pool runs every chunk inline
+    monkeypatch.setattr(verify_module, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
+    chunks = verify_module._chunk_arrays(20_000, 1)
+    assert len(chunks) == 5
+    expected = mc_survival(corpus["p06_walk"], 1, 20_000, seed=2)
+    for threads in (2, 3, 1 << 20):
+        lengths = verify_module._run_chunks(20_000, threads, len)
+        assert lengths == [len(c) for c in chunks]
+        assert mc_survival(corpus["p06_walk"], 1, 20_000, seed=2, threads=threads) == expected
+    assert _RecordingPool.sizes == [2, 2, 3, 3, 3, 3]
