@@ -68,14 +68,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, default=default) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
-
-
 def _default_threads() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
@@ -84,39 +76,32 @@ def _default_threads() -> int:
         raise MassTransportError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
-def _load(args):
-    return make_process(parse_spec_file(args.spec))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each takes (args, process) and returns (csv_header, csv_rows, json_payload,
+# passed); main picks the format, writes it and turns passed into the exit
+# code.
 
 
-def cmd_sample(args) -> int:
-    process = _load(args)
+def cmd_sample(args, process):
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
-    if args.format == "csv":
-        rows = []
-        for k in range(window.lo, window.hi + 1):
-            rows.append([k, "" if k == window.lo else window.x(k), window.s(k)])
-        text = _csv_text(["index", "x", "s"], rows)
-    else:
-        text = _json_text(
-            {
-                "lo": window.lo,
-                "hi": window.hi,
-                "seed": args.seed,
-                "trial": args.trial,
-                "values": list(window.values),
-                "sums": list(window.sums),
-            }
-        )
-    _emit(text, args.out)
-    return 0
+    rows = [
+        [k, "" if k == window.lo else window.x(k), window.s(k)]
+        for k in range(window.lo, window.hi + 1)
+    ]
+    payload = {
+        "lo": window.lo,
+        "hi": window.hi,
+        "seed": args.seed,
+        "trial": args.trial,
+        "values": list(window.values),
+        "sums": list(window.sums),
+    }
+    return ["index", "x", "s"], rows, payload, True
 
 
-def cmd_transport(args) -> int:
-    process = _load(args)
+def cmd_transport(args, process):
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
     tol = args.epsilon
     failures: list[str] = []
@@ -135,8 +120,11 @@ def cmd_transport(args) -> int:
             if float(v) < -tol:
                 failures.append(f"sender {n}: negative mass {v} at {m}")
 
-    ladder = None
-    received = None
+    rows = [["record", n, m, window.s(m)] for n in senders for m in records[n].records]
+    for n in senders:
+        rows += [["mass", n, m, v] for m, v in sorted(masses[n].entries.items())]
+        rows.append(["sent_total", n, "", totals[n]])
+    ladder_payload: dict = {}
     if window.lo <= -1:
         ladder = transport.ladder_epochs_before_zero(window)
         received = transport.mass_received_at_zero(window)
@@ -152,43 +140,30 @@ def cmd_transport(args) -> int:
             failures.append(
                 f"received total: ladder form {ladder_total}, sender form {direct_total}"
             )
-
-    if args.format == "csv":
-        rows = []
-        for n in senders:
-            for m in records[n].records:
-                rows.append(["record", n, m, window.s(m)])
-        for n in senders:
-            for m in sorted(masses[n].entries):
-                rows.append(["mass", n, m, masses[n].entries[m]])
-            rows.append(["sent_total", n, "", totals[n]])
-        if ladder is not None:
-            for m in ladder.epochs:
-                rows.append(["ladder", "", m, window.s(m)])
-            for m in sorted(received, reverse=True):
-                rows.append(["received", m, 0, received[m]])
-            rows.append(["received_total", "", 0, sum(received.values(), 0)])
-        text = _csv_text(["kind", "n", "m", "value"], rows)
-    else:
-        payload = {
-            "window": {"lo": window.lo, "hi": window.hi, "values": list(window.values)},
-            "records": {str(n): list(records[n].records) for n in senders},
-            "masses": {
-                str(n): {str(m): v for m, v in sorted(masses[n].entries.items())}
-                for n in senders
-            },
-            "sent_totals": {str(n): totals[n] for n in senders},
-            "passed": not failures,
+        received_total = sum(received.values(), 0)
+        received = sorted(received.items(), reverse=True)
+        rows += [["ladder", "", m, window.s(m)] for m in ladder.epochs]
+        rows += [["received", m, 0, v] for m, v in received]
+        rows.append(["received_total", "", 0, received_total])
+        ladder_payload = {
+            "ladder_epochs": list(ladder.epochs),
+            "received": {str(m): v for m, v in received},
+            "received_total": received_total,
         }
-        if ladder is not None:
-            payload["ladder_epochs"] = list(ladder.epochs)
-            payload["received"] = {str(m): v for m, v in sorted(received.items(), reverse=True)}
-            payload["received_total"] = sum(received.values(), 0)
-        text = _json_text(payload)
-    _emit(text, args.out)
+
+    payload = {
+        "window": {"lo": window.lo, "hi": window.hi, "values": list(window.values)},
+        "records": {str(n): list(records[n].records) for n in senders},
+        "masses": {
+            str(n): {str(m): v for m, v in sorted(masses[n].entries.items())} for n in senders
+        },
+        "sent_totals": {str(n): totals[n] for n in senders},
+        "passed": not failures,
+        **ladder_payload,
+    }
     for f in failures:
         print(f"consistency check failed: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return ["kind", "n", "m", "value"], rows, payload, not failures
 
 
 _IDENTITY_HEADER = [
@@ -204,92 +179,66 @@ _IDENTITY_HEADER = [
 ]
 
 
-def cmd_verify_identity(args) -> int:
-    process = _load(args)
-    csv_rows: list[list] = []
-    json_rows: list[dict] = []
-    all_passed = True
+def _identity_rows(mode: str, terms):
+    """(CSV row, JSON object) per (n, lhs, rhs, passed) term of one mode.
 
+    Exact sides are Fractions.  Monte Carlo sides are EstimateCIs: the CSV
+    row shows their means and intervals, the JSON object nests them whole
+    and adds running sums of the means.
+    """
+    cum_l = cum_r = 0
+    for n, lhs, rhs, ok in terms:
+        if isinstance(lhs, verify.EstimateCI):
+            means = (lhs.mean, rhs.mean)
+            cis = (lhs.ci_low, lhs.ci_high, rhs.ci_low, rhs.ci_high)
+            lhs, rhs = dataclasses.asdict(lhs), dataclasses.asdict(rhs)
+        else:
+            means, cis = (lhs, rhs), ("",) * 4
+        cum_l += means[0]
+        cum_r += means[1]
+        yield [n, *means, *cis, mode, ok], {
+            "n": n,
+            "mode": mode,
+            "lhs": lhs,
+            "rhs": rhs,
+            "cumulative_lhs": cum_l,
+            "cumulative_rhs": cum_r,
+            "pass": ok,
+        }
+
+
+def cmd_verify_identity(args, process):
+    rows: list[tuple[list, dict]] = []
     if args.mode in ("exact", "both"):
-        cum_l, cum_r = Fraction(0), Fraction(0)
+        terms = []
         for n in range(1, args.horizon + 1):
             lhs, rhs = verify.exact_identity(process, n, args.atom_cap)
-            ok = lhs == rhs
-            all_passed &= ok
-            cum_l += lhs
-            cum_r += rhs
-            csv_rows.append([n, lhs, rhs, "", "", "", "", "exact", ok])
-            json_rows.append(
-                {
-                    "n": n,
-                    "mode": "exact",
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "cumulative_lhs": cum_l,
-                    "cumulative_rhs": cum_r,
-                    "pass": ok,
-                }
-            )
-
+            terms.append((n, lhs, rhs, lhs == rhs))
+        rows += _identity_rows("exact", terms)
     if args.mode in ("mc", "both"):
         report = verify.mc_identity(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
         )
-        cum_lf, cum_rf = 0.0, 0.0
-        for term in report.terms:
-            ok = term.passed
-            all_passed &= ok
-            cum_lf += term.lhs.mean
-            cum_rf += term.rhs.mean
-            csv_rows.append(
-                [
-                    term.n,
-                    term.lhs.mean,
-                    term.rhs.mean,
-                    term.lhs.ci_low,
-                    term.lhs.ci_high,
-                    term.rhs.ci_low,
-                    term.rhs.ci_high,
-                    "mc",
-                    ok,
-                ]
-            )
-            json_rows.append(
-                {
-                    "n": term.n,
-                    "mode": "mc",
-                    "lhs": dataclasses.asdict(term.lhs),
-                    "rhs": dataclasses.asdict(term.rhs),
-                    "cumulative_lhs": cum_lf,
-                    "cumulative_rhs": cum_rf,
-                    "pass": ok,
-                }
-            )
+        rows += _identity_rows("mc", [(t.n, t.lhs, t.rhs, t.passed) for t in report.terms])
 
-    if args.format == "csv":
-        text = _csv_text(_IDENTITY_HEADER, csv_rows)
-    else:
-        text = _json_text(
-            {
-                "mode": args.mode,
-                "horizon": args.horizon,
-                "trials": args.trials,
-                "seed": args.seed,
-                "z": args.z,
-                "rows": json_rows,
-                "all_passed": all_passed,
-            }
-        )
-    _emit(text, args.out)
-    return 0 if all_passed else 1
+    passed = all(obj["pass"] for _, obj in rows)
+    payload = {
+        "mode": args.mode,
+        "horizon": args.horizon,
+        "trials": args.trials,
+        "seed": args.seed,
+        "z": args.z,
+        "rows": [obj for _, obj in rows],
+        "all_passed": passed,
+    }
+    return _IDENTITY_HEADER, [row for row, _ in rows], payload, passed
 
 
 _MAXIMAL_HEADER = ["mode", "n_max", "value", "std_error", "ci_low", "ci_high", "pass"]
 
 
-def cmd_verify_maximal(args) -> int:
-    process = _load(args)
-    csv_rows: list[list] = []
+def cmd_verify_maximal(args, process):
+    rows: list[list] = []
     payload: dict = {"n_max": args.horizon, "mode": args.mode}
     all_passed = True
     exact_value = None
@@ -298,7 +247,7 @@ def cmd_verify_maximal(args) -> int:
         exact_value = verify.exact_maximal_ergodic(process, args.horizon, args.atom_cap)
         ok = exact_value <= 0
         all_passed &= ok
-        csv_rows.append(["exact", args.horizon, exact_value, "", "", "", ok])
+        rows.append(["exact", args.horizon, exact_value, "", "", "", ok])
         payload["exact"] = {"value": exact_value, "pass": ok}
 
     if args.mode in ("mc", "both"):
@@ -309,13 +258,11 @@ def cmd_verify_maximal(args) -> int:
         if exact_value is not None:
             ok = ok and verify.agreement_pass(est, float(exact_value))
         all_passed &= ok
-        csv_rows.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
+        rows.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
         payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
 
     payload["all_passed"] = all_passed
-    text = _csv_text(_MAXIMAL_HEADER, csv_rows) if args.format == "csv" else _json_text(payload)
-    _emit(text, args.out)
-    return 0 if all_passed else 1
+    return _MAXIMAL_HEADER, rows, payload, all_passed
 
 
 _SURVIVAL_HEADER = [
@@ -330,17 +277,16 @@ _SURVIVAL_HEADER = [
 ]
 
 
-def cmd_survival(args) -> int:
-    process = _load(args)
+def cmd_survival(args, process):
     bound = verify.survival_truncation_bound(process, args.horizon)
-    csv_rows: list[list] = []
+    rows: list[list] = []
     payload: dict = {"n_max": args.horizon, "mode": args.mode, "truncation_bound": bound}
     all_passed = True
     exact_value = None
 
     if args.mode in ("exact", "both"):
         exact_value = verify.exact_survival(process, args.horizon, args.atom_cap)
-        csv_rows.append(["exact", args.horizon, exact_value, "", "", "", bound, True])
+        rows.append(["exact", args.horizon, exact_value, "", "", "", bound, True])
         payload["exact"] = {"value": exact_value}
 
     if args.mode in ("mc", "both"):
@@ -349,19 +295,16 @@ def cmd_survival(args) -> int:
         )
         ok = True if exact_value is None else verify.agreement_pass(est, float(exact_value))
         all_passed &= ok
-        csv_rows.append(
+        rows.append(
             ["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, bound, ok]
         )
         payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
 
     payload["all_passed"] = all_passed
-    text = _csv_text(_SURVIVAL_HEADER, csv_rows) if args.format == "csv" else _json_text(payload)
-    _emit(text, args.out)
-    return 0 if all_passed else 1
+    return _SURVIVAL_HEADER, rows, payload, all_passed
 
 
-def cmd_birkhoff(args) -> int:
-    process = _load(args)
+def cmd_birkhoff(args, process):
     if args.epsilon is not None:
         report = ergodic.estimate_dip_probability(
             process,
@@ -375,74 +318,40 @@ def cmd_birkhoff(args) -> int:
             threads=args.threads,
         )
         est = report.estimate
-        if args.format == "csv":
-            header = [
-                "epsilon",
-                "n_max",
-                "window_start",
-                "side",
-                "estimate",
-                "std_error",
-                "ci_low",
-                "ci_high",
-                "trials",
-            ]
-            rows = [
-                [
-                    report.epsilon,
-                    report.n_max,
-                    report.window_start,
-                    report.side,
-                    est.mean,
-                    est.std_error,
-                    est.ci_low,
-                    est.ci_high,
-                    est.trials,
-                ]
-            ]
-            text = _csv_text(header, rows)
-        else:
-            text = _json_text(
-                {
-                    "epsilon": report.epsilon,
-                    "n_max": report.n_max,
-                    "window_start": report.window_start,
-                    "side": report.side,
-                    "estimate": dataclasses.asdict(est),
-                }
-            )
-        _emit(text, args.out)
-        return 0
+        lead = {
+            "epsilon": report.epsilon,
+            "n_max": report.n_max,
+            "window_start": report.window_start,
+            "side": report.side,
+        }
+        header = [*lead, "estimate", "std_error", "ci_low", "ci_high", "trials"]
+        row = [*lead.values(), est.mean, est.std_error, est.ci_low, est.ci_high, est.trials]
+        return header, [row], {**lead, "estimate": dataclasses.asdict(est)}, True
 
     report = ergodic.trajectory_batch(
         process, args.n_max, args.trials, args.seed, threads=args.threads
     )
-    if args.format == "csv":
-        rows = []
-        for r in report.rows:
-            for n, avg in zip(report.grid, r.averages):
-                rows.append([r.trial, r.component, n, avg])
-        text = _csv_text(["trial", "component", "n", "avg"], rows)
-    else:
-        text = _json_text(
+    rows = [
+        [r.trial, r.component, n, avg]
+        for r in report.rows
+        for n, avg in zip(report.grid, r.averages)
+    ]
+    payload = {
+        "n_max": report.n_max,
+        "grid": list(report.grid),
+        "trials": len(report.rows),
+        "rows": [
             {
-                "n_max": report.n_max,
-                "grid": list(report.grid),
-                "trials": len(report.rows),
-                "rows": [
-                    {
-                        "trial": r.trial,
-                        "component": r.component,
-                        "target": r.target,
-                        "averages": list(r.averages),
-                        "final_gap": r.final_gap,
-                    }
-                    for r in report.rows
-                ],
+                "trial": r.trial,
+                "component": r.component,
+                "target": r.target,
+                "averages": list(r.averages),
+                "final_gap": r.final_gap,
             }
-        )
-    _emit(text, args.out)
-    return 0
+            for r in report.rows
+        ],
+    }
+    return ["trial", "component", "n", "avg"], rows, payload, True
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        process = make_process(parse_spec_file(args.spec))
+        header, rows, payload, passed = args.fn(args, process)
+        text = _csv_text(header, rows) if args.format == "csv" else _json_text(payload)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as f:
+                f.write(text)
+        return 0 if passed else 1
     except (MassTransportError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -116,6 +116,8 @@ def trajectory_batch(
 ) -> TrajectoryReport:
     """Running averages S_n / n on the grid for each trial."""
     grid = average_grid(n_max)
+    if trials < 0:
+        raise InvalidSpec(f"trials must be non-negative, got {trials}")
     spec = conditional_mean(process)
     targets = np.array([c.mean for c in spec.components], dtype=np.float64)
     starts = np.array((0,) + grid[:-1], dtype=np.intp)

@@ -183,6 +183,8 @@ def _anchored_sums(lo: int, values: Sequence[Real]) -> tuple[Real, ...]:
     for v in values:
         acc = acc + v
         partial.append(acc)
+    if lo == 0:  # already anchored; skips a subtraction per sum
+        return tuple(partial)
     shift = partial[-lo]
     return tuple(p - shift for p in partial)
 
@@ -199,21 +201,23 @@ class PathWindow:
     lo: int
     hi: int
     values: tuple[Real, ...]
-    sums: tuple[Real, ...]
+    # computed from values when left out, checked against them when given
+    sums: tuple[Real, ...] | None = None
 
     def __post_init__(self):
         _check_window(self.lo, self.hi)
         if len(self.values) != self.hi - self.lo:
             raise InvalidSpec("values length does not match window size")
-        if len(self.sums) != self.hi - self.lo + 1:
-            raise InvalidSpec("sums length does not match window size")
-        if self.sums != _anchored_sums(self.lo, self.values):
+        sums = _anchored_sums(self.lo, self.values)
+        if self.sums is None:
+            object.__setattr__(self, "sums", sums)
+        elif self.sums != sums:
             raise InvalidSpec("sums are not the anchored partial sums of values")
 
     @classmethod
     def from_values(cls, lo: int, values: Sequence[Real]) -> "PathWindow":
         vals = tuple(float(v) if isinstance(v, np.floating) else v for v in values)
-        return cls(lo, lo + len(vals), vals, _anchored_sums(lo, vals))
+        return cls(lo, lo + len(vals), vals)
 
     def x(self, k: int) -> Real:
         """Increment X_k for lo < k <= hi."""
@@ -241,13 +245,6 @@ class ExactDistribution:
         acc = 0
         for window, p in self.atoms:
             acc = acc + p * fn(window)
-        return acc
-
-    def probability(self, predicate) -> Fraction:
-        acc = Fraction(0)
-        for window, p in self.atoms:
-            if predicate(window):
-                acc += p
         return acc
 
     def block_law(self, k: int, length: int) -> dict[tuple, Fraction]:
@@ -286,7 +283,6 @@ class Process:
 
     spec: ProcessSpec
     stream: int
-    finite_support: bool
     exact: bool
 
     def mean(self) -> float:
@@ -386,8 +382,6 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, scratch=FRESH) -> np.ndarray:
 
 
 class IidDiscreteProcess(Process):
-    finite_support = True
-
     def __init__(self, spec: IidDiscrete, stream: int, build=None):
         if len(spec.values) == 0:
             raise InvalidSpec("value table is empty", "values")
@@ -439,7 +433,6 @@ class IidDiscreteProcess(Process):
 
 
 class GaussianProcess(Process):
-    finite_support = False
     exact = False
 
     def __init__(self, spec: IidGaussian, stream: int, build=None):
@@ -474,8 +467,6 @@ class GaussianProcess(Process):
 
 
 class MarkovProcess(Process):
-    finite_support = True
-
     def __init__(self, spec: MarkovChain, stream: int, build=None):
         rows = _stochastic_rows(spec.transitions)
         n = len(rows)
@@ -551,8 +542,6 @@ class MarkovProcess(Process):
 
 
 class MovingAverageProcess(Process):
-    finite_support: bool
-
     def __init__(self, spec: MovingAverage, stream: int, build):
         if not isinstance(spec.innovation, IID_SPECS):
             raise InvalidSpec("innovation must be an iid kind", "innovation")
@@ -563,7 +552,6 @@ class MovingAverageProcess(Process):
         self.stream = stream
         self.inner = inner
         self.order = len(spec.coefficients) - 1
-        self.finite_support = inner.finite_support
         self.exact = inner.exact and all(isinstance(c, Fraction) for c in spec.coefficients)
         self._coef_f = [float(c) for c in spec.coefficients]
 
@@ -603,7 +591,6 @@ class MovingAverageProcess(Process):
 
 
 class RotationProcess(Process):
-    finite_support = False
     exact = False
 
     def __init__(self, spec: Rotation, stream: int, build=None):
@@ -657,7 +644,6 @@ class MixtureProcess(Process):
         self.stream = stream
         self.children = children
         self.weights = weights
-        self.finite_support = all(c.finite_support for c in children)
         self.exact = all(c.exact for c in children)
         self._w_cum = _cumulative(weights)
         # each child's first index in the flat list of leaf components
@@ -777,6 +763,8 @@ def make_process(spec: ProcessSpec) -> Process:
 def sample_window(process: Process, lo: int, hi: int, seed: int, trial: int = 0) -> PathWindow:
     """One simulated window; pure in (process, lo, hi, seed, trial)."""
     _check_window(lo, hi)
+    if not 0 <= trial < 1 << 64:
+        raise InvalidSpec(f"trial must lie in [0, 2**64), got {trial}")
     block = process.sample_block(seed, np.array([trial], dtype=np.uint64), lo, hi)
     return PathWindow.from_values(lo, [float(v) for v in block[0]])
 
@@ -786,7 +774,8 @@ def exact_window_distribution(
 ) -> ExactDistribution:
     """Full window law of a finite-support exact process, as rational atoms."""
     _check_window(lo, hi)
-    if not process.finite_support:
+    bound = process.atom_bound(lo, hi)
+    if bound is None:
         raise UnsupportedProcess(
             f"{type(process.spec).__name__} does not have finite support"
         )
@@ -794,8 +783,7 @@ def exact_window_distribution(
         raise UnsupportedProcess(
             "exact enumeration needs rational values; this process carries floats"
         )
-    bound = process.atom_bound(lo, hi)
-    if bound is None or bound > atom_cap:
+    if bound > atom_cap:
         raise ExplosionCap(
             f"enumeration needs up to {bound} atoms, cap is {atom_cap}",
             atoms=bound,

@@ -34,7 +34,13 @@ import numpy as np
 from .errors import InvalidSpec
 from .processes import DEFAULT_ATOM_CAP, Process, exact_window_distribution
 from .scratch import Scratch
-from .transport import mass_received_at_zero, mass_row, received_mass_terms, sent_mass_terms
+from .transport import (
+    first_nonpositive,
+    mass_received_at_zero,
+    mass_row,
+    received_mass_terms,
+    sent_mass_terms,
+)
 
 # default confidence level: two-sided 99%
 Z_DEFAULT = 2.576
@@ -158,8 +164,15 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
     _run_chunks(len(outs[0]), threads, worker, width)
 
 
+def _check_trials(trials: int) -> None:
+    """A standard error needs two samples; fewer is a usage error, not a crash."""
+    if trials < 2:
+        raise InvalidSpec("need at least 2 trials")
+
+
 def _estimate(step, trials: int, threads: int, width: int, z: float) -> EstimateCI:
     """EstimateCI of the one value per trial that ``step`` returns."""
+    _check_trials(trials)
     samples = np.empty(trials)
     _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, width, samples)
     return EstimateCI.from_samples(samples, z)
@@ -200,8 +213,7 @@ def mc_identity(
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
-    if trials < 2:
-        raise InvalidSpec("need at least 2 trials")
+    _check_trials(trials)
 
     def step(chunk: np.ndarray, tile):
         left = process.sample_block(seed, chunk, 0, horizon, tile)
@@ -257,9 +269,7 @@ def exact_maximal_ergodic(
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    return Fraction(
-        dist.expectation(lambda w: w.x(1) if any(w.s(k) <= 0 for k in range(1, n_max + 1)) else 0)
-    )
+    return Fraction(dist.expectation(lambda w: 0 if first_nonpositive(w) is None else w.x(1)))
 
 
 def mc_maximal_ergodic(
@@ -288,7 +298,7 @@ def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CA
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    return dist.probability(lambda w: all(w.s(k) > 0 for k in range(1, n_max + 1)))
+    return Fraction(dist.expectation(lambda w: first_nonpositive(w) is None))
 
 
 def mc_survival(

@@ -118,6 +118,35 @@ def test_atom_cap_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survival", "--trials", "1"],
+        ["verify-maximal", "--trials", "-3"],
+        ["birkhoff", "--epsilon", "0.1", "--trials", "0"],
+        ["birkhoff", "--epsilon", "0.1", "--trials", "1"],
+        ["birkhoff", "--epsilon", "0.1", "--trials", "-3"],
+        ["birkhoff", "--trials", "-3"],
+    ],
+)
+def test_too_few_trials_exit_2_naming_trials(args, capsys):
+    code, out, err = run([*args, "--spec", str(spec_path("p06_walk"))], capsys)
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
+
+
+@pytest.mark.parametrize("command, trial", [("sample", -1), ("transport", 2**64)])
+def test_out_of_range_trial_exits_2_naming_it(command, trial, capsys):
+    argv = [command, "--spec", str(spec_path("two_point")), "--trial"]
+    code, out, err = run([*argv, str(trial)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "trial" in err
+    # the largest counter value is still a valid trial
+    assert run([*argv, str(2**64 - 1)], capsys)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # happy paths and schemas
 # ---------------------------------------------------------------------------
@@ -425,6 +454,102 @@ GOLDEN_COMMANDS = {
         "--seed",
         "2",
     ],
+    # JSON output, pinned separately since its shapes differ from the CSV rows
+    "sample_p06.json": [
+        "sample",
+        "--spec",
+        str(spec_path("p06_walk")),
+        "--seed",
+        "3",
+        "--format",
+        "json",
+    ],
+    "transport_two_point.json": [
+        "transport",
+        "--spec",
+        str(spec_path("two_point")),
+        "--lo",
+        "-6",
+        "--hi",
+        "3",
+        "--seed",
+        "3",
+        "--format",
+        "json",
+    ],
+    "identity_both_p06.json": [
+        "verify-identity",
+        "--spec",
+        str(spec_path("p06_walk")),
+        "--mode",
+        "both",
+        "--horizon",
+        "4",
+        "--trials",
+        "4000",
+        "--seed",
+        "5",
+        "--format",
+        "json",
+    ],
+    "maximal_both_two_point.json": [
+        "verify-maximal",
+        "--spec",
+        str(spec_path("two_point")),
+        "--mode",
+        "both",
+        "--horizon",
+        "6",
+        "--trials",
+        "4000",
+        "--seed",
+        "6",
+        "--format",
+        "json",
+    ],
+    "survival_both_p06.json": [
+        "survival",
+        "--spec",
+        str(spec_path("p06_walk")),
+        "--mode",
+        "both",
+        "--horizon",
+        "8",
+        "--trials",
+        "2000",
+        "--seed",
+        "9",
+        "--format",
+        "json",
+    ],
+    "birkhoff_markov.json": [
+        "birkhoff",
+        "--spec",
+        str(spec_path("markov_drift")),
+        "--n-max",
+        "64",
+        "--trials",
+        "6",
+        "--seed",
+        "1",
+        "--format",
+        "json",
+    ],
+    "birkhoff_dip_p06.json": [
+        "birkhoff",
+        "--spec",
+        str(spec_path("p06_walk")),
+        "--n-max",
+        "256",
+        "--trials",
+        "200",
+        "--epsilon",
+        "0.2",
+        "--seed",
+        "7",
+        "--format",
+        "json",
+    ],
 }
 
 
@@ -436,7 +561,19 @@ def test_golden_outputs_are_stable(name, tmp_path, capsys):
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["identity_mc_p06.csv", "survival_p06.csv", "birkhoff_mixture.csv"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "identity_mc_p06.csv",
+        "survival_p06.csv",
+        "birkhoff_mixture.csv",
+        "identity_both_p06.json",
+        "maximal_both_two_point.json",
+        "survival_both_p06.json",
+        "birkhoff_markov.json",
+        "birkhoff_dip_p06.json",
+    ],
+)
 def test_golden_outputs_ignore_thread_count(name, tmp_path, capsys):
     target = tmp_path / name
     code, _, _ = run(GOLDEN_COMMANDS[name] + ["--threads", "3", "--out", str(target)], capsys)
