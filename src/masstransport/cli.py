@@ -24,11 +24,13 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
-from .errors import MassTransportError
+from .errors import InvalidSpec, MassTransportError
 from .processes import DEFAULT_ATOM_CAP, make_process, sample_window
 from .specio import parse_spec_file
 from . import ergodic, transport, verify
@@ -37,14 +39,10 @@ THREADS_ENV = "MASSTRANSPORT_THREADS"
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
+    if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
@@ -66,6 +64,22 @@ def _json_text(payload) -> str:
         raise TypeError(f"not JSON serializable: {type(x).__name__}")
 
     return json.dumps(payload, indent=2, default=default) + "\n"
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path,
+    so a failed write leaves any old file whole and no partial one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".masstransport-")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _default_threads() -> int:
@@ -102,8 +116,10 @@ def cmd_sample(args, process):
 
 
 def cmd_transport(args, process):
-    window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
     tol = args.epsilon
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidSpec(f"epsilon must be finite and non-negative, got {tol}")
+    window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
     failures: list[str] = []
 
     senders = list(range(window.lo, window.hi))
@@ -208,6 +224,8 @@ def _identity_rows(mode: str, terms):
 
 
 def cmd_verify_identity(args, process):
+    if args.horizon < 1:  # exact mode would otherwise check nothing and pass
+        raise InvalidSpec("horizon must be at least 1")
     rows: list[tuple[list, dict]] = []
     if args.mode in ("exact", "both"):
         terms = []
@@ -476,8 +494,7 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(args.out, "w") as f:
-                f.write(text)
+            _write_atomic(args.out, text)
         return 0 if passed else 1
     except (MassTransportError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

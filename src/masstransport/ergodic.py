@@ -19,12 +19,13 @@ horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+import math
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import Process
+from .processes import ComponentInfo, Process
+from .scratch import check_memory
 from .verify import EstimateCI, Z_DEFAULT, _estimate, _fill_rows
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
@@ -33,20 +34,10 @@ MIN_WINDOW_START = 64
 
 
 @dataclass(frozen=True)
-class MeanComponent:
-    """One ergodic component: its weight and its long-run average target."""
-
-    index: int
-    weight: Fraction
-    mean: float
-    exact_mean: Fraction | None
-
-
-@dataclass(frozen=True)
 class ConditionalMeanSpec:
     """The conditional mean of X_1 given the invariant events, as a table."""
 
-    components: tuple[MeanComponent, ...]
+    components: tuple[ComponentInfo, ...]
 
     def mean(self) -> float:
         return float(sum(float(c.weight) * c.mean for c in self.components))
@@ -57,12 +48,12 @@ class ConditionalMeanSpec:
 
 def conditional_mean(process: Process) -> ConditionalMeanSpec:
     """Per-component long-run targets of S_n / n for this process."""
-    return ConditionalMeanSpec(
-        tuple(
-            MeanComponent(info.index, info.weight, info.process.mean(), info.process.exact_mean())
-            for info in process.components()
-        )
-    )
+    return ConditionalMeanSpec(process.components())
+
+
+def _targets(process: Process) -> np.ndarray:
+    """The float target of S_n / n for each component id."""
+    return np.array([c.mean for c in process.components()], dtype=np.float64)
 
 
 def average_grid(n_max: int) -> tuple[int, ...]:
@@ -77,6 +68,20 @@ def average_grid(n_max: int) -> tuple[int, ...]:
     if grid[-1] != n_max:
         grid.append(n_max)
     return tuple(grid)
+
+
+def _running_averages(grid: tuple[int, ...]):
+    """Map rows of X_1..X_{n_max} to S_n / n on the grid: segment sums, then
+    their running sums, so a row's bits do not depend on the rows beside it."""
+    starts = np.array((0,) + grid[:-1], dtype=np.intp)
+    denom = np.array(grid, dtype=np.float64)
+
+    def averages(block: np.ndarray) -> np.ndarray:
+        sums = np.cumsum(np.add.reduceat(block, starts, axis=1), axis=1)
+        sums /= denom
+        return sums
+
+    return averages
 
 
 @dataclass(frozen=True)
@@ -118,16 +123,13 @@ def trajectory_batch(
     grid = average_grid(n_max)
     if trials < 0:
         raise InvalidSpec(f"trials must be non-negative, got {trials}")
-    spec = conditional_mean(process)
-    targets = np.array([c.mean for c in spec.components], dtype=np.float64)
-    starts = np.array((0,) + grid[:-1], dtype=np.intp)
-    denom = np.array(grid, dtype=np.float64)
+    check_memory(trials, len(grid) + 1, n_max, "n_max")
+    targets = _targets(process)
+    averages_of = _running_averages(grid)
 
     def step(chunk: np.ndarray, tile):
         block = process.sample_block(seed, chunk, 0, n_max, tile)
-        sums = np.cumsum(np.add.reduceat(block, starts, axis=1), axis=1)
-        sums /= denom
-        return sums, process.component_ids(seed, chunk)
+        return averages_of(block), process.component_ids(seed, chunk)
 
     averages = np.empty((trials, len(grid)))
     ids = np.empty(trials, dtype=np.int64)
@@ -144,13 +146,11 @@ def trajectory_batch(
 def trajectory(process: Process, n_max: int, seed: int, trial: int = 0) -> TrajectoryRow:
     """One trajectory's running averages; pure in (process, n_max, seed, trial)."""
     grid = average_grid(n_max)
-    spec = conditional_mean(process)
     trials = np.array([trial], dtype=np.uint64)
-    block = process.sample_block(seed, trials, 0, n_max)
-    sums = np.cumsum(block[0])
+    averages = _running_averages(grid)(process.sample_block(seed, trials, 0, n_max))
     component = int(process.component_ids(seed, trials)[0])
-    averages = tuple(float(sums[n - 1] / n) for n in grid)
-    return TrajectoryRow(trial, component, spec.target(component), averages)
+    target = float(_targets(process)[component])
+    return TrajectoryRow(trial, component, target, tuple(averages[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -185,15 +185,17 @@ def estimate_dip_probability(
     averages under -epsilon, ``side='above'`` for averages over epsilon.
     The probability of either event tends to zero as n_max grows.
     """
-    if epsilon <= 0.0:
-        raise InvalidSpec("epsilon must be positive; the dip event needs a margin")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
     if side not in ("below", "above"):
         raise InvalidSpec(f"side must be 'below' or 'above', got {side!r}")
+    if min_start < 1:
+        raise InvalidSpec(f"min_start (the dip window floor) must be at least 1, got {min_start}")
     start = max(min_start, n_max // 2)
-    if start > n_max:
+    if start > n_max:  # so n_max < 1 is refused too
         raise InvalidSpec(f"n_max={n_max} is below the window floor {min_start}")
-    spec = conditional_mean(process)
-    targets = np.array([c.mean for c in spec.components], dtype=np.float64)
+    check_memory(trials, 1, n_max, "n_max")  # before the window's n are laid out
+    targets = _targets(process)
     # the n of each window column, as a float
     steps = np.arange(start, n_max + 1, dtype=np.float64)
 

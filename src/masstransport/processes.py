@@ -45,7 +45,7 @@ from typing import ClassVar, Iterator, Sequence, Union
 import numpy as np
 
 from . import rng
-from .scratch import FRESH
+from .scratch import FRESH, check_memory
 from .errors import (
     ExplosionCap,
     InvalidSpec,
@@ -176,19 +176,6 @@ IID_SPECS = (IidDiscrete, IidGaussian)
 # path windows and exact distributions
 
 
-def _anchored_sums(lo: int, values: Sequence[Real]) -> tuple[Real, ...]:
-    """Partial sums S_lo..S_hi of the increments X_{lo+1}..X_hi with S_0 = 0."""
-    acc = 0
-    partial = [acc]
-    for v in values:
-        acc = acc + v
-        partial.append(acc)
-    if lo == 0:  # already anchored; skips a subtraction per sum
-        return tuple(partial)
-    shift = partial[-lo]
-    return tuple(p - shift for p in partial)
-
-
 @dataclass(frozen=True)
 class PathWindow:
     """A finite stretch of one trajectory, increments and anchored sums.
@@ -208,7 +195,10 @@ class PathWindow:
         _check_window(self.lo, self.hi)
         if len(self.values) != self.hi - self.lo:
             raise InvalidSpec("values length does not match window size")
-        sums = _anchored_sums(self.lo, self.values)
+        sums = tuple(itertools.accumulate(self.values, initial=0))
+        if self.lo != 0:  # anchor at S_0 = 0; at lo = 0 the sums already are
+            shift = sums[-self.lo]
+            sums = tuple(p - shift for p in sums)
         if self.sums is None:
             object.__setattr__(self, "sums", sums)
         elif self.sums != sums:
@@ -272,6 +262,14 @@ class ComponentInfo:
     weight: Fraction
     process: "Process"
 
+    @property
+    def mean(self) -> float:
+        return self.process.mean()
+
+    @property
+    def exact_mean(self) -> Fraction | None:
+        return self.process.exact_mean()
+
 
 class Process:
     """Runtime form of a ProcessSpec: sampling, enumeration, moments.
@@ -283,12 +281,12 @@ class Process:
 
     spec: ProcessSpec
     stream: int
-    exact: bool
 
     def mean(self) -> float:
         raise NotImplementedError
 
     def exact_mean(self) -> Fraction | None:
+        """The mean as a rational; None (no exact enumeration) when a value is a float."""
         return None
 
     def components(self) -> tuple[ComponentInfo, ...]:
@@ -392,7 +390,6 @@ class IidDiscreteProcess(Process):
             raise InvalidSpec(f"probabilities sum to {sum(probs)}, not 1", "probs")
         self.spec = IidDiscrete(spec.values, probs)
         self.stream = stream
-        self.exact = all(isinstance(v, Fraction) for v in self.spec.values)
         self._values_f = np.array([float(v) for v in self.spec.values], dtype=np.float64)
         self._cum = _cumulative(probs)
 
@@ -400,7 +397,7 @@ class IidDiscreteProcess(Process):
         return float(sum(float(v) * float(p) for v, p in zip(self.spec.values, self.spec.probs)))
 
     def exact_mean(self) -> Fraction | None:
-        if not self.exact:
+        if not all(isinstance(v, Fraction) for v in self.spec.values):
             return None
         return sum((v * p for v, p in zip(self.spec.values, self.spec.probs)), Fraction(0))
 
@@ -433,8 +430,6 @@ class IidDiscreteProcess(Process):
 
 
 class GaussianProcess(Process):
-    exact = False
-
     def __init__(self, spec: IidGaussian, stream: int, build=None):
         # scipy takes most of the package's import time; only this kind needs it
         from scipy.special import ndtri
@@ -479,7 +474,6 @@ class MarkovProcess(Process):
             raise NoStationaryDistribution(
                 "stationary law puts zero weight on some state; drop transient states"
             )
-        self.exact = all(isinstance(v, Fraction) for v in self.spec.payoffs)
         self._payoff_f = np.array([float(v) for v in self.spec.payoffs], dtype=np.float64)
         self._pi_cum = _cumulative(self.pi)
         self._row_cum = rc = _cumulative(rows)
@@ -491,7 +485,7 @@ class MarkovProcess(Process):
         return float(sum(float(p) * float(v) for p, v in zip(self.pi, self.spec.payoffs)))
 
     def exact_mean(self) -> Fraction | None:
-        if not self.exact:
+        if not all(isinstance(v, Fraction) for v in self.spec.payoffs):
             return None
         return sum((p * v for p, v in zip(self.pi, self.spec.payoffs)), Fraction(0))
 
@@ -552,7 +546,6 @@ class MovingAverageProcess(Process):
         self.stream = stream
         self.inner = inner
         self.order = len(spec.coefficients) - 1
-        self.exact = inner.exact and all(isinstance(c, Fraction) for c in spec.coefficients)
         self._coef_f = [float(c) for c in spec.coefficients]
 
     def mean(self) -> float:
@@ -560,7 +553,7 @@ class MovingAverageProcess(Process):
 
     def exact_mean(self) -> Fraction | None:
         im = self.inner.exact_mean()
-        if im is None or not self.exact:
+        if im is None or not all(isinstance(c, Fraction) for c in self.spec.coefficients):
             return None
         return im * sum(self.spec.coefficients, Fraction(0))
 
@@ -591,8 +584,6 @@ class MovingAverageProcess(Process):
 
 
 class RotationProcess(Process):
-    exact = False
-
     def __init__(self, spec: Rotation, stream: int, build=None):
         if len(spec.pieces) == 0:
             raise InvalidSpec("piece list is empty", "pieces")
@@ -644,7 +635,6 @@ class MixtureProcess(Process):
         self.stream = stream
         self.children = children
         self.weights = weights
-        self.exact = all(c.exact for c in children)
         self._w_cum = _cumulative(weights)
         # each child's first index in the flat list of leaf components
         sizes = [len(c.components()) for c in children[:-1]]
@@ -765,8 +755,9 @@ def sample_window(process: Process, lo: int, hi: int, seed: int, trial: int = 0)
     _check_window(lo, hi)
     if not 0 <= trial < 1 << 64:
         raise InvalidSpec(f"trial must lie in [0, 2**64), got {trial}")
+    check_memory(1, 0, hi - lo, f"window [{lo}, {hi}]")
     block = process.sample_block(seed, np.array([trial], dtype=np.uint64), lo, hi)
-    return PathWindow.from_values(lo, [float(v) for v in block[0]])
+    return PathWindow(lo, hi, tuple(block[0].tolist()))
 
 
 def exact_window_distribution(
@@ -779,7 +770,7 @@ def exact_window_distribution(
         raise UnsupportedProcess(
             f"{type(process.spec).__name__} does not have finite support"
         )
-    if not process.exact:
+    if process.exact_mean() is None:
         raise UnsupportedProcess(
             "exact enumeration needs rational values; this process carries floats"
         )
@@ -794,7 +785,7 @@ def exact_window_distribution(
     for values, p in process.enum_paths(lo, hi):
         if p == 0:
             continue
-        atoms.append((PathWindow.from_values(lo, values), p))
+        atoms.append((PathWindow(lo, hi, values), p))
         total += p
     if total != 1:
         raise InvalidSpec(f"enumerated probabilities sum to {total}, not 1")

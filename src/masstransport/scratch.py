@@ -10,14 +10,20 @@ That matters most with several threads: in 20 paired runs of the
 two-thread mc_long benchmark, reused memory was faster in 18, with a
 median wall time of 5.1 s against 6.2 s for fresh arrays, while
 single-threaded criterion 6 gained about 3%, within the spread of its runs.
+
+:func:`check_memory` refuses, before anything is allocated, work whose
+kept results or one trial's row could not fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
+
+from .errors import InvalidSpec
 
 
 class Scratch(threading.local):
@@ -68,3 +74,23 @@ class _Fresh:
 
 
 FRESH = _Fresh()
+
+
+def check_memory(trials: int, per_trial: int, width: int, window: str) -> None:
+    """Refuse a run that the machine's physical memory could not hold.
+
+    A run keeps ``per_trial`` float64 results for each trial, and every
+    tile holds at least one trial's row of ``width`` float64 increments.
+    The error names ``window`` when the row alone is too large, else
+    trials.  Where the platform does not report its memory, nothing is
+    refused.
+    """
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    for field, nbytes in ((window, 8 * width), ("trials", 8 * trials * per_trial)):
+        if nbytes > total:
+            raise InvalidSpec(
+                f"needs {nbytes} bytes, more than the {total} bytes of physical memory", field
+            )

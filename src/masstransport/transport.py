@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .processes import PathWindow, Real, _anchored_sums
+from .processes import PathWindow, Real
 
 # tolerance for float consistency gates (absolute, plus relative on the
 # magnitude of the quantities compared)
@@ -75,8 +75,8 @@ class MassRow:
 
 
 def partial_sums(window: PathWindow) -> tuple[Real, ...]:
-    """Anchored partial sums S_lo..S_hi recomputed from the increments."""
-    return _anchored_sums(window.lo, window.values)
+    """Anchored partial sums S_lo..S_hi of the window."""
+    return window.sums
 
 
 def _check_sender(window: PathWindow, n: int) -> None:
@@ -89,13 +89,10 @@ def records_after(window: PathWindow, n: int) -> RecordList:
     _check_sender(window, n)
     records = []
     running = None
-    for m in range(n + 1, window.hi + 1):
-        cur = window.s(m)
+    for m, cur in enumerate(window.sums[n + 1 - window.lo :], n + 1):
         if running is None or cur <= running:
             records.append(m)
             running = cur
-        else:
-            running = min(running, cur)
     return RecordList(n, tuple(records))
 
 
@@ -131,7 +128,7 @@ def total_sent(window: PathWindow, n: int) -> Real:
     if not window.x(n + 1) > 0:
         return 0
     sn = window.s(n)
-    floor = min(window.s(m) for m in range(n + 1, window.hi + 1))
+    floor = min(window.sums[n + 1 - window.lo :])
     return window.s(n + 1) - max(floor, sn)
 
 
@@ -176,8 +173,8 @@ def mass_received_at_zero(window: PathWindow) -> dict[int, Real]:
 
 def first_nonpositive(window: PathWindow) -> Union[int, None]:
     """Ruin time: the first n >= 1 with S_n <= 0, None if the window shows none."""
-    for n in range(1, window.hi + 1):
-        if window.s(n) <= 0:
+    for n, s in enumerate(window.sums[1 - window.lo :], 1):
+        if s <= 0:
             return n
     return None
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import DEFAULT_ATOM_CAP, Process, exact_window_distribution
-from .scratch import Scratch
+from .scratch import Scratch, check_memory
 from .transport import (
     first_nonpositive,
     mass_received_at_zero,
@@ -164,17 +164,22 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
     _run_chunks(len(outs[0]), threads, worker, width)
 
 
-def _check_trials(trials: int) -> None:
-    """A standard error needs two samples; fewer is a usage error, not a crash."""
+def _check_interval(trials: int, z: float) -> None:
+    """An interval needs two samples and a finite positive z; anything else
+    is a usage error, not a crash or an interval that cannot fail."""
     if trials < 2:
         raise InvalidSpec("need at least 2 trials")
+    if not (math.isfinite(z) and z > 0):
+        raise InvalidSpec(f"z must be finite and positive, got {z}")
 
 
-def _estimate(step, trials: int, threads: int, width: int, z: float) -> EstimateCI:
-    """EstimateCI of the one value per trial that ``step`` returns."""
-    _check_trials(trials)
+def _estimate(step, trials: int, threads: int, n_max: int, z: float) -> EstimateCI:
+    """EstimateCI of the one value per trial that ``step`` returns from
+    rows of n_max increments."""
+    _check_interval(trials, z)
+    check_memory(trials, 1, n_max, "n_max")
     samples = np.empty(trials)
-    _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, width, samples)
+    _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, n_max, samples)
     return EstimateCI.from_samples(samples, z)
 
 
@@ -213,7 +218,8 @@ def mc_identity(
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
-    _check_trials(trials)
+    _check_interval(trials, z)
+    check_memory(trials, 2 * horizon, 2 * horizon, "horizon")
 
     def step(chunk: np.ndarray, tile):
         left = process.sample_block(seed, chunk, 0, horizon, tile)

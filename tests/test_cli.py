@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masstransport import (
     InvalidSpec,
@@ -145,6 +149,67 @@ def test_out_of_range_trial_exits_2_naming_it(command, trial, capsys):
     assert "trial" in err
     # the largest counter value is still a valid trial
     assert run([*argv, str(2**64 - 1)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["birkhoff", "--epsilon", "nan", "--trials", "100"], "epsilon"),
+        (["birkhoff", "--epsilon", "inf", "--trials", "100"], "epsilon"),
+        (["transport", "--epsilon", "-1"], "epsilon"),
+        (["transport", "--epsilon", "nan"], "epsilon"),
+        (["verify-identity", "--z", "-1", "--horizon", "2", "--trials", "100"], "z must"),
+        (["verify-identity", "--z", "nan", "--horizon", "2", "--trials", "100"], "z must"),
+        (["survival", "--z", "inf", "--horizon", "8", "--trials", "100"], "z must"),
+        (["verify-identity", "--mode", "exact", "--horizon", "0"], "horizon"),
+        (["verify-identity", "--mode", "exact", "--horizon", "-3"], "horizon"),
+        (["birkhoff", "--epsilon", "0.1", "--n-max", "1", "--min-n", "0"], "min_start"),
+        (["birkhoff", "--epsilon", "0.1", "--n-max", "0", "--min-n", "0"], "min_start"),
+    ],
+)
+def test_out_of_range_numbers_exit_2_naming_the_field(args, field, capsys):
+    code, out, err = run([*args, "--spec", str(spec_path("p06_walk"))], capsys)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+# sizes no machine holds: each is refused before anything is allocated
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["survival", "--trials", f"{10**15}"], "trials:"),
+        (["verify-identity", "--trials", f"{10**15}"], "trials:"),
+        (["birkhoff", "--trials", f"{10**15}"], "trials:"),
+        (["birkhoff", "--trials", f"{10**15}", "--epsilon", "0.1"], "trials:"),
+        (["survival", "--horizon", f"{10**14}", "--trials", "10"], "n_max:"),
+        (["sample", "--hi", f"{10**14}"], f"window [-4, {10**14}]:"),
+    ],
+)
+def test_runs_larger_than_memory_exit_2_naming_the_field(args, field, capsys):
+    code, out, err = run([*args, "--spec", str(spec_path("p06_walk"))], capsys)
+    assert code == 2
+    assert out == ""
+    assert field in err and "physical memory" in err
+
+
+def test_out_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("old contents\n")
+    argv = ["sample", "--spec", str(spec_path("two_point")), "--out", str(target)]
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and "disk full" in err
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    monkeypatch.undo()
+    assert run(argv, capsys)[0] == 0
+    assert target.read_text().startswith("index,x,s\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +691,67 @@ def test_bundled_spec_files_parse(specs):
     assert set(specs) == set(SPEC_NAMES)
     for name in SPEC_NAMES:
         assert parse_spec_file(spec_path(name)) == specs[name]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: small argument combinations, out-of-range values included
+# ---------------------------------------------------------------------------
+
+MC_COMMANDS = ("verify-identity", "verify-maximal", "survival", "birkhoff")
+BAD_FLOATS = ("nan", "inf", "-inf", "-1", "0")
+
+
+def pick(draw, valid, invalid):
+    """One option value, drawn from the invalid ones about one time in five."""
+    pool = invalid if draw(st.integers(0, 4)) == 0 else valid
+    return str(draw(st.sampled_from(pool)))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("sample", "transport") + MC_COMMANDS))
+    spec = str(spec_path(draw(st.sampled_from(SPEC_NAMES))))
+    argv = [command, "--spec", spec, "--seed", pick(draw, (0, 3), (-1, 2**64))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    if command in ("sample", "transport"):
+        argv += ["--lo", pick(draw, (-6, -1, 0), (2,)), "--hi", pick(draw, (1, 5), (-1, 10**14))]
+        argv += ["--trial", pick(draw, (0, 7, 2**64 - 1), (-1, 2**64))]
+        if command == "transport":  # a zero tolerance is valid
+            argv += ["--epsilon", pick(draw, ("0", "1e-9", "0.5", "1e300"), BAD_FLOATS[:4])]
+        return argv
+    argv += ["--trials", pick(draw, (2, 64), (-1, 0, 1, 10**15))]
+    argv += ["--z", pick(draw, ("1e-300", "2.576", "1e300"), BAD_FLOATS)]
+    if command == "birkhoff":
+        argv += ["--n-max", pick(draw, (1, 70, 300), (-1, 0, 10**14))]
+        argv += ["--min-n", pick(draw, (1, 64, 10**18), (-1, 0))]
+        argv += ["--side", draw(st.sampled_from(("below", "above")))]
+        if draw(st.booleans()):
+            argv += ["--epsilon", pick(draw, ("1e-300", "0.05", "0.5", "1e300"), BAD_FLOATS)]
+        return argv
+    mode = draw(st.sampled_from(("exact", "mc", "both")))
+    # enumeration grows as 2^horizon, so only Monte Carlo draws the huge one
+    huge = (10**14,) if mode == "mc" else ()
+    argv += ["--mode", mode, "--horizon", pick(draw, (1, 4, 6), (-3, 0, *huge))]
+    return argv + ["--atom-cap", pick(draw, (50, 1 << 20), (-1, 0))]
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refusing an argument
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_fuzzed_arguments_end_in_an_exit_code_not_a_traceback(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if argv[0] in MC_COMMANDS:
+        assert run_main([*argv, "--threads", "2"]) == (code, out, err)

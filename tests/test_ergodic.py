@@ -23,6 +23,8 @@ from masstransport import (
 
 from masstransport import verify as verify_module
 
+from conftest import SPEC_NAMES
+
 F = Fraction
 
 
@@ -100,6 +102,15 @@ def test_trajectory_matches_batch_row(corpus):
     single = trajectory(corpus["p06_walk"], 128, seed=9, trial=5)
     assert batch.rows[5].averages == pytest.approx(single.averages)
     assert batch.rows[5].component == single.component
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_trajectory_is_its_batch_row_bit_for_bit(name, corpus):
+    # 4096 is a power of two and 3000 is not, so both grid ends are covered
+    for n_max in (4096, 3000):
+        batch = trajectory_batch(corpus[name], n_max, 16, seed=9)
+        for t, row in enumerate(batch.rows):
+            assert trajectory(corpus[name], n_max, seed=9, trial=t) == row
 
 
 def test_mixture_trajectories_sit_exactly_on_component_means(corpus):
