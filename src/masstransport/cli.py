@@ -26,8 +26,9 @@ import dataclasses
 import io
 import math
 import os
+import stat
 import sys
-import tempfile
+import uuid
 from fractions import Fraction
 
 from .errors import InvalidSpec, MassTransportError
@@ -66,20 +67,42 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, default=default) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path,
-    so a failed write leaves any old file whole and no partial one."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".masstransport-")
+def _write_out(path: str, text: str) -> None:
+    """Write text to path.
+
+    A new file, or a regular file with one link that this user owns, is
+    written to a temporary file beside it that is then renamed over it,
+    so a failed write leaves the old file whole and no partial one; an
+    old file's mode carries over.  Anything else (a symlink, a device, a
+    FIFO, a file with other links or another owner) is written in place,
+    as is a file whose directory takes no new files.
+    """
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is None or (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    ):
+        tmp = os.path.join(os.path.dirname(path) or ".", f".masstransport-{uuid.uuid4().hex}")
+        try:
+            # 0o666 less the umask, as open(path, "w") would give a new file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass  # a directory that takes no new files: write in place
+        else:
+            try:
+                with os.fdopen(fd, "w") as f:
+                    if st is not None:
+                        os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
+                    f.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _default_threads() -> int:
@@ -226,6 +249,7 @@ def _identity_rows(mode: str, terms):
 def cmd_verify_identity(args, process):
     if args.horizon < 1:  # exact mode would otherwise check nothing and pass
         raise InvalidSpec("horizon must be at least 1")
+    verify.check_z(args.z)  # the payload echoes it even where exact mode uses none
     rows: list[tuple[list, dict]] = []
     if args.mode in ("exact", "both"):
         terms = []
@@ -494,7 +518,7 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            _write_atomic(args.out, text)
+            _write_out(args.out, text)
         return 0 if passed else 1
     except (MassTransportError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -149,7 +149,7 @@ def trajectory(process: Process, n_max: int, seed: int, trial: int = 0) -> Traje
     trials = np.array([trial], dtype=np.uint64)
     averages = _running_averages(grid)(process.sample_block(seed, trials, 0, n_max))
     component = int(process.component_ids(seed, trials)[0])
-    target = float(_targets(process)[component])
+    target = process.components()[component].mean
     return TrajectoryRow(trial, component, target, tuple(averages[0].tolist()))
 
 
@@ -210,4 +210,5 @@ def estimate_dip_probability(
             return ratios.min(axis=1) < -epsilon
         return ratios.max(axis=1) > epsilon
 
-    return DipReport(epsilon, n_max, start, side, _estimate(step, trials, threads, n_max, z))
+    estimate = _estimate(step, trials, threads, n_max, z, "n_max")
+    return DipReport(epsilon, n_max, start, side, estimate)

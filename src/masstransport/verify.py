@@ -164,20 +164,29 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
     _run_chunks(len(outs[0]), threads, worker, width)
 
 
-def _check_interval(trials: int, z: float) -> None:
-    """An interval needs two samples and a finite positive z; anything else
-    is a usage error, not a crash or an interval that cannot fail."""
-    if trials < 2:
-        raise InvalidSpec("need at least 2 trials")
+def check_z(z: float) -> None:
+    """A finite positive z; any other gives an interval that cannot fail,
+    or one that always does."""
     if not (math.isfinite(z) and z > 0):
         raise InvalidSpec(f"z must be finite and positive, got {z}")
 
 
-def _estimate(step, trials: int, threads: int, n_max: int, z: float) -> EstimateCI:
+def _check_interval(trials: int, z: float) -> None:
+    """An interval needs two samples and a valid z; anything else is a
+    usage error, not a crash or a meaningless interval."""
+    if trials < 2:
+        raise InvalidSpec("need at least 2 trials")
+    check_z(z)
+
+
+def _estimate(
+    step, trials: int, threads: int, n_max: int, z: float, field: str
+) -> EstimateCI:
     """EstimateCI of the one value per trial that ``step`` returns from
-    rows of n_max increments."""
+    rows of n_max increments; a row too large for memory is refused
+    naming ``field``, the caller's name for n_max."""
     _check_interval(trials, z)
-    check_memory(trials, 1, n_max, "n_max")
+    check_memory(trials, 1, n_max, field)
     samples = np.empty(trials)
     _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, n_max, samples)
     return EstimateCI.from_samples(samples, z)
@@ -296,7 +305,7 @@ def mc_maximal_ergodic(
         first = block[:, 0].copy()
         return first * (_min_partial_sum(block) <= 0.0)
 
-    return _estimate(step, trials, threads, n_max, z)
+    return _estimate(step, trials, threads, n_max, z, "horizon")
 
 
 def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CAP) -> Fraction:
@@ -324,7 +333,7 @@ def mc_survival(
         block = process.sample_block(seed, chunk, 0, n_max, tile)
         return _min_partial_sum(block) > 0.0
 
-    return _estimate(step, trials, threads, n_max, z)
+    return _estimate(step, trials, threads, n_max, z, "horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -163,6 +164,7 @@ def test_out_of_range_trial_exits_2_naming_it(command, trial, capsys):
         (["survival", "--z", "inf", "--horizon", "8", "--trials", "100"], "z must"),
         (["verify-identity", "--mode", "exact", "--horizon", "0"], "horizon"),
         (["verify-identity", "--mode", "exact", "--horizon", "-3"], "horizon"),
+        (["verify-identity", "--mode", "exact", "--z", "nan", "--horizon", "2"], "z must"),
         (["birkhoff", "--epsilon", "0.1", "--n-max", "1", "--min-n", "0"], "min_start"),
         (["birkhoff", "--epsilon", "0.1", "--n-max", "0", "--min-n", "0"], "min_start"),
     ],
@@ -182,7 +184,9 @@ def test_out_of_range_numbers_exit_2_naming_the_field(args, field, capsys):
         (["verify-identity", "--trials", f"{10**15}"], "trials:"),
         (["birkhoff", "--trials", f"{10**15}"], "trials:"),
         (["birkhoff", "--trials", f"{10**15}", "--epsilon", "0.1"], "trials:"),
-        (["survival", "--horizon", f"{10**14}", "--trials", "10"], "n_max:"),
+        (["survival", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
+        (["verify-maximal", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
+        (["birkhoff", "--n-max", f"{10**14}", "--trials", "10", "--epsilon", "0.1"], "n_max:"),
         (["sample", "--hi", f"{10**14}"], f"window [-4, {10**14}]:"),
     ],
 )
@@ -210,6 +214,36 @@ def test_out_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     assert run(argv, capsys)[0] == 0
     assert target.read_text().startswith("index,x,s\n")
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_out_keeps_an_old_files_mode_and_gives_a_new_one_the_umask(tmp_path, capsys):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("old contents\n")
+    old.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        for target in (old, new):
+            argv = ["sample", "--spec", str(spec_path("two_point")), "--out", str(target)]
+            assert run(argv, capsys)[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert old.read_text() == new.read_text()
+
+
+def test_out_writes_through_links_and_devices(tmp_path, capsys):
+    real, link, hard = tmp_path / "real.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+    real.write_text("old contents\n")
+    link.symlink_to(real)
+    os.link(real, hard)
+    for target in (link, hard, "/dev/null"):
+        argv = ["sample", "--spec", str(spec_path("two_point")), "--out", str(target)]
+        assert run(argv, capsys)[0] == 0
+    assert link.is_symlink() and os.path.samefile(real, hard)
+    assert real.read_text().startswith("index,x,s\n")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.csv", "link.csv", "real.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -753,5 +787,7 @@ def test_fuzzed_arguments_end_in_an_exit_code_not_a_traceback(argv):
     code, out, err = run_main(argv)
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
+    if "json" in argv and code != 2:  # strict JSON: no NaN or Infinity
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
     if argv[0] in MC_COMMANDS:
         assert run_main([*argv, "--threads", "2"]) == (code, out, err)
