@@ -253,10 +253,11 @@ def cmd_verify_identity(args, process):
     rows: list[tuple[list, dict]] = []
     if args.mode in ("exact", "both"):
         terms = []
-        for n in range(1, args.horizon + 1):
+        # the largest n first, so a horizon past the cap fails before the rest run
+        for n in range(args.horizon, 0, -1):
             lhs, rhs = verify.exact_identity(process, n, args.atom_cap)
             terms.append((n, lhs, rhs, lhs == rhs))
-        rows += _identity_rows("exact", terms)
+        rows += _identity_rows("exact", terms[::-1])
     if args.mode in ("mc", "both"):
         report = verify.mc_identity(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
@@ -433,13 +434,14 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
         "--mode",
         choices=("exact", "mc", "both"),
         default="mc",
-        help="exact enumeration, Monte Carlo, or both (default mc)",
+        help="exact rational computation, Monte Carlo, or both (default mc)",
     )
     p.add_argument(
         "--atom-cap",
         type=int,
         default=DEFAULT_ATOM_CAP,
-        help="abort exact enumeration beyond this many paths",
+        help="refuse an exact run once its step law's branches plus the states its "
+        f"fold carries, summed over the steps, pass this many (default {DEFAULT_ATOM_CAP})",
     )
 
 

@@ -28,9 +28,5 @@ class UnsupportedProcess(MassTransportError):
 
 
 class ExplosionCap(MassTransportError):
-    """Exact enumeration would exceed the configured atom budget."""
-
-    def __init__(self, message: str, atoms: int | None = None, cap: int | None = None):
-        self.atoms = atoms
-        self.cap = cap
-        super().__init__(message)
+    """An exact run would pass its cap: the step law's branches plus the
+    states its fold carries, summed over the steps (``--atom-cap``)."""

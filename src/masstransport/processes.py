@@ -1,4 +1,4 @@
-"""Stationary increment processes: descriptions, sampling, enumeration.
+"""Stationary increment processes: descriptions, sampling, exact laws.
 
 A process produces a two-sided stationary sequence of increments
 X_k (k in Z) with partial sums anchored at S_0 = 0.  Six kinds are
@@ -15,7 +15,8 @@ supported:
 Probabilities, weights and transition entries are exact rationals
 (``fractions.Fraction``).  Payoff values may be floats or rationals; a
 process whose distribution has finite support and whose values are all
-rationals supports exact enumeration alongside Monte Carlo sampling.
+rationals has a step law (:meth:`Process.step_law`), which one fold
+(:func:`exact_fold`) carries forward exactly, alongside Monte Carlo.
 
 Sampling is counter based (see :mod:`masstransport.rng`): the block of
 increments for a trial is a pure function of (seed, trial, window) and
@@ -29,9 +30,9 @@ while windows with different lo have the same law but not the same
 path.  A mixture follows the contract of the component a trial picks.
 
 Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
-and one :class:`Process` class that validates, samples and enumerates
-it; ``_PROCESSES`` pairs them.  Code elsewhere reads a spec's fields
-through :func:`dataclasses.fields` and never branches on the kind.
+and one :class:`Process` class that validates, samples and folds it;
+``_PROCESSES`` pairs them.  Code elsewhere reads a spec's fields through
+:func:`dataclasses.fields` and never branches on the kind.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import ClassVar, Iterator, Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .errors import (
 
 Real = Union[float, Fraction]
 
-# default ceiling on the number of paths an exact enumeration may touch
+# default cap on step-law branches plus the states an exact fold carries
 DEFAULT_ATOM_CAP = 1 << 20
 
 # default rotation angle: fractional part of the golden ratio
@@ -232,17 +233,12 @@ class ExactDistribution:
 
     def expectation(self, fn) -> Real:
         """Expectation of fn(window); exact when fn returns rationals."""
-        acc = 0
-        for window, p in self.atoms:
-            acc = acc + p * fn(window)
-        return acc
+        return sum(p * fn(window) for window, p in self.atoms)
 
     def block_law(self, k: int, length: int) -> dict[tuple, Fraction]:
         """Marginal law of the increments (X_{k+1}, .., X_{k+length})."""
         if not (self.lo <= k and k + length <= self.hi and length >= 1):
-            raise InvalidSpec(
-                f"block ({k}, {k + length}] not contained in ({self.lo}, {self.hi}]"
-            )
+            raise InvalidSpec(f"block ({k}, {k + length}] not contained in ({self.lo}, {self.hi}]")
         law: dict[tuple, Fraction] = {}
         for window, p in self.atoms:
             block = window.values[k - self.lo : k - self.lo + length]
@@ -272,7 +268,7 @@ class ComponentInfo:
 
 
 class Process:
-    """Runtime form of a ProcessSpec: sampling, enumeration, moments.
+    """Runtime form of a ProcessSpec: sampling, exact laws, moments.
 
     Each kind's constructor takes (spec, stream, build): ``build`` turns
     a child description into a Process with the next stream ids, so only
@@ -286,7 +282,7 @@ class Process:
         raise NotImplementedError
 
     def exact_mean(self) -> Fraction | None:
-        """The mean as a rational; None (no exact enumeration) when a value is a float."""
+        """The mean as a rational; None (no exact law) when a value is a float."""
         return None
 
     def components(self) -> tuple[ComponentInfo, ...]:
@@ -306,13 +302,11 @@ class Process:
         """Which ergodic component each trial follows, shape (T,)."""
         return np.zeros(len(trials), dtype=np.int64)
 
-    def enum_paths(self, lo: int, hi: int) -> Iterator[tuple[tuple[Real, ...], Fraction]]:
-        """All (values, probability) atoms of the window law."""
-        raise UnsupportedProcess(f"{type(self.spec).__name__} has no finite enumeration")
-
-    def atom_bound(self, lo: int, hi: int) -> int | None:
-        """Upper bound on the number of enumeration atoms, None if infinite."""
-        return None
+    def step_law(self, cap: int) -> dict:
+        """The next increment's law: state -> (probability, value, next state)
+        branches, starting from state None.  Exact kinds only; a law of more
+        than ``cap`` branches may be refused with ExplosionCap unbuilt."""
+        raise UnsupportedProcess(f"{type(self.spec).__name__} has no exact step law")
 
     def ruin_decay(self) -> tuple[float, float] | None:
         """(rho, c) with P(S_n <= 0) <= c * rho^n, or None when unavailable."""
@@ -412,16 +406,9 @@ class IidDiscreteProcess(Process):
         # every index is in range, and "clip" writes to out unbuffered
         return self._values_f.take(_inverse_cdf(self._cum, u, scratch), out=u, mode="clip")
 
-    def enum_paths(self, lo, hi):
-        pairs = [(v, p) for v, p in zip(self.spec.values, self.spec.probs) if p > 0]
-        for combo in itertools.product(pairs, repeat=hi - lo):
-            p = Fraction(1)
-            for _, q in combo:
-                p *= q
-            yield tuple(v for v, _ in combo), p
-
-    def atom_bound(self, lo, hi):
-        return len(self.spec.values) ** (hi - lo)
+    def step_law(self, cap):
+        # one state: every draw is fresh
+        return {None: [(p, v, None) for v, p in zip(self.spec.values, self.spec.probs)]}
 
     def ruin_decay(self):
         # an iid walk is a chain whose rows all equal the value law
@@ -509,25 +496,10 @@ class MarkovProcess(Process):
             out[:, j] = self._payoff_f[state]
         return out
 
-    def enum_paths(self, lo, hi):
-        length = hi - lo
-        payoffs = self.spec.payoffs
-        rows = self.spec.transitions
-        stack = [((), s, p) for s, p in enumerate(self.pi) if p > 0]
-        for prefix, state, prob in stack:
-            # depth-first expansion without recursion
-            pending = [(prefix + (payoffs[state],), state, prob)]
-            while pending:
-                values, s, p = pending.pop()
-                if len(values) == length:
-                    yield values, p
-                    continue
-                for t, q in enumerate(rows[s]):
-                    if q > 0:
-                        pending.append((values + (payoffs[t],), t, p * q))
-
-    def atom_bound(self, lo, hi):
-        return len(self.spec.payoffs) ** (hi - lo)
+    def step_law(self, cap):
+        # the state is the chain's: the first is drawn from pi, rows step it
+        rows = {None: self.pi, **dict(enumerate(self.spec.transitions))}
+        return {s: [(p, self.spec.payoffs[t], t) for t, p in enumerate(r)] for s, r in rows.items()}
 
     def ruin_decay(self):
         matrix = np.array([[float(p) for p in row] for row in self.spec.transitions])
@@ -568,19 +540,20 @@ class MovingAverageProcess(Process):
             out += np.multiply(self._coef_f[i], z[:, q - i : q - i + length], out=term)
         return out
 
-    def enum_paths(self, lo, hi):
-        q = self.order
-        coefs = self.spec.coefficients
-        length = hi - lo
-        for innov, p in self.inner.enum_paths(lo - q, hi):
-            values = tuple(
-                sum((coefs[i] * innov[q - i + j] for i in range(q + 1)), 0)
-                for j in range(length)
-            )
-            yield values, p
-
-    def atom_bound(self, lo, hi):
-        return self.inner.atom_bound(lo - self.order, hi)
+    def step_law(self, cap):
+        # the state: the last q innovations' table indices; step one draws q + 1
+        table = self.inner.step_law(cap)[None]
+        k, q = len(table), self.order
+        # k^(q+1) first steps and k^q states of k branches each; as k^(q+1)
+        # >= 2^(q+1) for k > 1, the power never needs more bits than the cap
+        if k > 1 and 2 * k ** min(q + 1, cap.bit_length()) > cap:
+            raise ExplosionCap(f"the step law has more than the cap of {cap} branches")
+        law: dict = {None: []}
+        for draws in itertools.product(range(k), repeat=q + 1):  # oldest first
+            x = sum(c * table[i][1] for c, i in zip(self.spec.coefficients, reversed(draws)))
+            law[None].append((math.prod(table[i][0] for i in draws), x, draws[1:]))
+            law.setdefault(draws[:-1], []).append((table[draws[-1]][0], x, draws[1:]))
+        return law
 
 
 class RotationProcess(Process):
@@ -644,13 +617,10 @@ class MixtureProcess(Process):
         return float(sum(float(w) * c.mean() for w, c in zip(self.weights, self.children)))
 
     def exact_mean(self) -> Fraction | None:
-        acc = Fraction(0)
-        for w, c in zip(self.weights, self.children):
-            m = c.exact_mean()
-            if m is None:
-                return None
-            acc += w * m
-        return acc
+        means = [c.exact_mean() for c in self.children]
+        if None in means:
+            return None
+        return sum((w * m for w, m in zip(self.weights, means)), Fraction(0))
 
     def components(self) -> tuple[ComponentInfo, ...]:
         out = []
@@ -684,21 +654,14 @@ class MixtureProcess(Process):
             seed, trials, out, lambda c, child, t: self._offsets[c] + child.component_ids(seed, t)
         )
 
-    def enum_paths(self, lo, hi):
-        for w, child in zip(self.weights, self.children):
-            if w == 0:
-                continue
-            for values, p in child.enum_paths(lo, hi):
-                yield values, w * p
-
-    def atom_bound(self, lo, hi):
-        total = 0
-        for child in self.children:
-            b = child.atom_bound(lo, hi)
-            if b is None:
-                return None
-            total += b
-        return total
+    def step_law(self, cap):
+        # state (c, s): following child c in its state s; None picks a child
+        law: dict = {None: []}
+        for c, (w, child) in enumerate(zip(self.weights, self.children)):
+            sub = child.step_law(cap)
+            law[None] += [(w * p, x, (c, t)) for p, x, t in sub[None]]
+            law.update(((c, s), [(p, x, (c, t)) for p, x, t in b]) for s, b in sub.items())
+        return law
 
     def ruin_decay(self):
         rho, c = 0.0, 0.0
@@ -760,36 +723,66 @@ def sample_window(process: Process, lo: int, hi: int, seed: int, trial: int = 0)
     return PathWindow(lo, hi, tuple(block[0].tolist()))
 
 
+def exact_fold(
+    process: Process, length: int, start, step, atom_cap: int = DEFAULT_ATOM_CAP
+) -> tuple[dict, int, int]:
+    """Law of a statistic of ``length`` consecutive increments, exactly.
+
+    Runs in integers: an increment x reaches ``step`` as x * scale (scale
+    the lcm of the law's value denominators) and weights are over D^length
+    (D the lcm of its probability denominators).  ``start`` is the
+    statistic of the empty path; ``step(acc, x)`` that of a path extended
+    by x, or None to drop the path.  Paths that meet at a (state,
+    statistic) merge.  Returns ({statistic: weight}, D^length, scale).
+    ``atom_cap`` bounds the law's branches plus the states carried,
+    summed over the steps, so a longer window is refused at once.
+    """
+    if process.exact_mean() is None:
+        name = type(process.spec).__name__
+        raise UnsupportedProcess(f"{name} has no exact law: infinite support or float values")
+    if length > atom_cap:
+        raise ExplosionCap(f"{length} steps carry more than the cap of {atom_cap} states")
+    law = process.step_law(atom_cap)
+    den = math.lcm(*(p.denominator for branches in law.values() for p, _, _ in branches))
+    scale = math.lcm(*(x.denominator for branches in law.values() for _, x, _ in branches))
+    law = {  # zero-probability branches go
+        s: [(p.numerator * den // p.denominator, x.numerator * scale // x.denominator, t)
+            for p, x, t in branches if p]
+        for s, branches in law.items()
+    }
+    used = sum(map(len, law.values()))
+    carried = {(None, start): 1}
+    for k in range(1, length + 1):
+        nxt: dict = {}
+        for (s, acc), w in carried.items():
+            for num, x, t in law[s]:
+                a = step(acc, x)
+                if a is not None:
+                    nxt[t, a] = nxt.get((t, a), 0) + w * num
+        carried = nxt
+        used += len(carried)
+        if used > atom_cap:
+            raise ExplosionCap(f"the exact fold passed the cap of {atom_cap} states at step {k}")
+    out: dict = {}
+    for (_, acc), w in carried.items():
+        out[acc] = out.get(acc, 0) + w
+    return out, den**length, scale
+
+
 def exact_window_distribution(
     process: Process, lo: int, hi: int, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> ExactDistribution:
-    """Full window law of a finite-support exact process, as rational atoms."""
+    """Full window law of an exact process, one atom per distinct window."""
     _check_window(lo, hi)
-    bound = process.atom_bound(lo, hi)
-    if bound is None:
-        raise UnsupportedProcess(
-            f"{type(process.spec).__name__} does not have finite support"
-        )
-    if process.exact_mean() is None:
-        raise UnsupportedProcess(
-            "exact enumeration needs rational values; this process carries floats"
-        )
-    if bound > atom_cap:
-        raise ExplosionCap(
-            f"enumeration needs up to {bound} atoms, cap is {atom_cap}",
-            atoms=bound,
-            cap=atom_cap,
-        )
-    atoms = []
-    total = Fraction(0)
-    for values, p in process.enum_paths(lo, hi):
-        if p == 0:
-            continue
-        atoms.append((PathWindow(lo, hi, values), p))
-        total += p
-    if total != 1:
-        raise InvalidSpec(f"enumerated probabilities sum to {total}, not 1")
-    return ExactDistribution(lo, hi, tuple(atoms))
+    weights, den, scale = exact_fold(process, hi - lo, (), lambda acc, x: (*acc, x), atom_cap)
+    if sum(weights.values()) != den:
+        raise InvalidSpec("the step law's probabilities do not sum to 1")
+    decode = {x: Fraction(x, scale) for x in set().union(*weights)}  # one per distinct value
+    atoms = tuple(
+        (PathWindow(lo, hi, tuple(map(decode.get, key))), Fraction(w, den))
+        for key, w in weights.items()
+    )
+    return ExactDistribution(lo, hi, atoms)
 
 
 def _unit_mod(x: np.ndarray, scratch=FRESH) -> np.ndarray:

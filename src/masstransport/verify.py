@@ -2,8 +2,9 @@
 
 Every check exists in two independent lanes wherever the process allows:
 
-* exact: enumerate the full window law with rational arithmetic and
-  compute the quantity as a Fraction, no tolerances anywhere;
+* exact: fold the step law forward (``processes.exact_fold``), keeping
+  whole windows for the identity but only (S_n, X_1) of the surviving
+  paths for the rest, and compute a Fraction, no tolerances anywhere;
 * Monte Carlo: estimate the same quantity from seeded sampling and
   report a confidence interval.
 
@@ -32,10 +33,9 @@ import os
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import DEFAULT_ATOM_CAP, Process, exact_window_distribution
+from .processes import DEFAULT_ATOM_CAP, Process, exact_fold, exact_window_distribution
 from .scratch import Scratch, check_memory
 from .transport import (
-    first_nonpositive,
     mass_received_at_zero,
     mass_row,
     received_mass_terms,
@@ -185,6 +185,8 @@ def _estimate(
     """EstimateCI of the one value per trial that ``step`` returns from
     rows of n_max increments; a row too large for memory is refused
     naming ``field``, the caller's name for n_max."""
+    if n_max < 1:
+        raise InvalidSpec("n_max must be at least 1")
     _check_interval(trials, z)
     check_memory(trials, 1, n_max, field)
     samples = np.empty(trials)
@@ -255,8 +257,8 @@ def exact_identity(
 ) -> tuple[Fraction, Fraction]:
     """Both sides of E[M(0, n)] = E[M(-n, 0)], exactly.
 
-    The left side enumerates windows [0, n] and reads the sender-side
-    mass row at the origin; the right side enumerates windows [-n, 0] and
+    The left side takes the law of windows [0, n] and reads the sender-side
+    mass row at the origin; the right side takes windows [-n, 0] and
     reads the ladder-epoch form of the received mass.  The two routes
     share no code past the window law, which is the point.
     """
@@ -281,10 +283,10 @@ def exact_maximal_ergodic(
     happens at n_max + 1 must have started upward, so extending the
     horizon only ever adds positive X_1 contributions.
     """
-    if n_max < 1:
-        raise InvalidSpec("n_max must be at least 1")
-    dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    return Fraction(dist.expectation(lambda w: 0 if first_nonpositive(w) is None else w.x(1)))
+    weights, den, scale = _survivors(process, n_max, atom_cap)
+    # E[X_1] less E[X_1; S_n > 0 for all n <= n_max]
+    survived = sum(w * x1 for (_, x1), w in weights.items())
+    return process.exact_mean() - Fraction(survived, den * scale)
 
 
 def mc_maximal_ergodic(
@@ -297,8 +299,6 @@ def mc_maximal_ergodic(
     threads: int = 1,
 ) -> EstimateCI:
     """Estimate E[X_1; some S_n <= 0 with n <= n_max]."""
-    if n_max < 1:
-        raise InvalidSpec("n_max must be at least 1")
 
     def step(chunk: np.ndarray, tile):
         block = process.sample_block(seed, chunk, 0, n_max, tile)
@@ -308,12 +308,22 @@ def mc_maximal_ergodic(
     return _estimate(step, trials, threads, n_max, z, "horizon")
 
 
-def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CAP) -> Fraction:
-    """P(S_n > 0 for all n <= n_max), exactly."""
+def _survivors(process: Process, n_max: int, atom_cap: int) -> tuple[dict, int, int]:
+    """exact_fold over (S_n_max, X_1) of the paths with S_n > 0 for all n <= n_max."""
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
-    dist = exact_window_distribution(process, 0, n_max, atom_cap)
-    return Fraction(dist.expectation(lambda w: first_nonpositive(w) is None))
+
+    def extend(acc, x):  # X_1 is 0 only before the first step: a survivor's is > 0
+        s = acc[0] + x
+        return (s, acc[1] or x) if s > 0 else None
+
+    return exact_fold(process, n_max, (0, 0), extend, atom_cap)
+
+
+def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CAP) -> Fraction:
+    """P(S_n > 0 for all n <= n_max), exactly."""
+    weights, den, _ = _survivors(process, n_max, atom_cap)
+    return Fraction(sum(weights.values()), den)
 
 
 def mc_survival(
@@ -326,8 +336,6 @@ def mc_survival(
     threads: int = 1,
 ) -> EstimateCI:
     """Estimate P(S_n > 0 for all n <= n_max)."""
-    if n_max < 1:
-        raise InvalidSpec("n_max must be at least 1")
 
     def step(chunk: np.ndarray, tile):
         block = process.sample_block(seed, chunk, 0, n_max, tile)

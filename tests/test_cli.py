@@ -123,6 +123,42 @@ def test_atom_cap_exits_2(capsys):
     assert "error:" in err
 
 
+def test_exact_survival_runs_at_its_default_horizon(capsys):
+    code, out, _ = run(["survival", "--spec", str(spec_path("p06_walk")), "--mode", "exact"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    # the walk's survival limit is 1/5; the truncation bias at 1024 is about 2e-13
+    assert rows[0][:2] == ["exact", "1024"]
+    assert 0 <= Fraction(rows[0][2]) - F(1, 5) <= float(rows[0][6])
+
+
+# exact runs that no cap admits: each is refused before its fold runs a step
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survival", "--mode", "exact", "--horizon", f"{10**14}"],
+        ["verify-maximal", "--mode", "both", "--horizon", f"{10**14}"],
+        ["verify-identity", "--mode", "exact", "--horizon", f"{10**14}"],
+    ],
+)
+def test_exact_runs_past_the_cap_exit_2_at_once(args, capsys):
+    code, out, err = run([*args, "--spec", str(spec_path("p06_walk"))], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "states" in err
+
+
+def test_long_moving_average_filter_is_refused_before_its_law_is_built(tmp_path, capsys):
+    spec = tmp_path / "ma21.json"
+    innovation = {"kind": "iid_discrete", "values": [1, -1], "probs": ["1/2", "1/2"]}
+    spec.write_text(
+        json.dumps({"kind": "moving_average", "coefficients": [1] * 21, "innovation": innovation})
+    )
+    code, out, err = run(["survival", "--spec", str(spec), "--mode", "exact", "--horizon", "4"], capsys)
+    assert code == 2
+    assert "branches" in err
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -764,9 +800,7 @@ def cli_argv(draw):
             argv += ["--epsilon", pick(draw, ("1e-300", "0.05", "0.5", "1e300"), BAD_FLOATS)]
         return argv
     mode = draw(st.sampled_from(("exact", "mc", "both")))
-    # enumeration grows as 2^horizon, so only Monte Carlo draws the huge one
-    huge = (10**14,) if mode == "mc" else ()
-    argv += ["--mode", mode, "--horizon", pick(draw, (1, 4, 6), (-3, 0, *huge))]
+    argv += ["--mode", mode, "--horizon", pick(draw, (1, 4, 6), (-3, 0, 10**14))]
     return argv + ["--atom-cap", pick(draw, (50, 1 << 20), (-1, 0))]
 
 

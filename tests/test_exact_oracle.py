@@ -1,0 +1,146 @@
+"""The exact fold against an independent oracle: enumerating every path.
+
+The oracle walks each finite kind path by path: a product over the value
+table, a depth-first walk of the chain, a filter over enumerated
+innovations, and a weighted union of a mixture's children.  It shares
+nothing with the fold but the validated process objects and
+``first_nonpositive``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from masstransport import (
+    IidDiscrete,
+    MarkovChain,
+    Mixture,
+    MovingAverage,
+    PathWindow,
+    exact_maximal_ergodic,
+    exact_survival,
+    exact_window_distribution,
+    first_nonpositive,
+    make_process,
+)
+from masstransport.processes import (
+    IidDiscreteProcess,
+    MarkovProcess,
+    MixtureProcess,
+    MovingAverageProcess,
+)
+
+from conftest import EXACT_NAMES
+
+F = Fraction
+
+# longest window whose law is compared, and the largest survival horizon
+# of the bundled specs; the extra specs, with three-value steps, stop at
+# LAW_MAX there too, which keeps the oracle to about 20000 paths each
+LAW_MAX = 8
+RUIN_MAX = 10
+
+THREE_STATE_CHAIN = MarkovChain(
+    transitions=((F(1, 2), F(1, 4), F(1, 4)), (F(1, 3), F(0), F(2, 3)), (F(1, 5), F(3, 5), F(1, 5))),
+    payoffs=(2, -1, F(1, 2)),
+)
+EXTRA_SPECS = {
+    "three_state_chain": THREE_STATE_CHAIN,
+    "ma_three_values": MovingAverage(
+        coefficients=(F(2, 3), F(-1, 3)),
+        innovation=IidDiscrete(values=(2, 0, -1), probs=(F(1, 3), F(1, 6), F(1, 2))),
+    ),
+    "mixture_with_chain": Mixture(
+        components=(
+            (F(1, 3), THREE_STATE_CHAIN),
+            (F(2, 3), IidDiscrete(values=(1, -1), probs=(F(3, 4), F(1, 4)))),
+        )
+    ),
+}
+
+
+def enum_paths(process, length):
+    """Every (values, probability) path of ``length`` consecutive increments."""
+    if isinstance(process, IidDiscreteProcess):
+        pairs = [(v, p) for v, p in zip(process.spec.values, process.spec.probs) if p > 0]
+        for combo in itertools.product(pairs, repeat=length):
+            p = Fraction(1)
+            for _, q in combo:
+                p *= q
+            yield tuple(v for v, _ in combo), p
+    elif isinstance(process, MarkovProcess):
+        payoffs, rows = process.spec.payoffs, process.spec.transitions
+        pending = [((payoffs[s],), s, p) for s, p in enumerate(process.pi) if p > 0]
+        while pending:
+            values, s, p = pending.pop()
+            if len(values) == length:
+                yield values, p
+                continue
+            for t, q in enumerate(rows[s]):
+                if q > 0:
+                    pending.append((values + (payoffs[t],), t, p * q))
+    elif isinstance(process, MovingAverageProcess):
+        q, coefs = process.order, process.spec.coefficients
+        for innov, p in enum_paths(process.inner, length + q):
+            values = tuple(
+                sum((coefs[i] * innov[q - i + j] for i in range(q + 1)), 0) for j in range(length)
+            )
+            yield values, p
+    elif isinstance(process, MixtureProcess):
+        for w, child in zip(process.weights, process.children):
+            if w > 0:
+                for values, p in enum_paths(child, length):
+                    yield values, w * p
+    else:
+        raise AssertionError(f"no oracle for {type(process).__name__}")
+
+
+@pytest.fixture(scope="module")
+def processes(corpus):
+    procs = {name: corpus[name] for name in EXACT_NAMES}
+    procs.update((name, make_process(spec)) for name, spec in EXTRA_SPECS.items())
+    return procs
+
+
+def oracle_law(process, length):
+    law: dict = {}
+    for values, p in enum_paths(process, length):
+        law[values] = law.get(values, 0) + p
+    return law
+
+
+def test_window_laws_match_the_oracle(processes):
+    for name, proc in processes.items():
+        longest = oracle_law(proc, LAW_MAX)
+        assert sum(longest.values()) == 1, name
+        for length in range(1, LAW_MAX + 1):
+            # a window law is the marginal of the longest one on its prefix
+            want: dict = {}
+            for values, p in longest.items():
+                want[values[:length]] = want.get(values[:length], 0) + p
+            lo = -(length // 2)
+            dist = exact_window_distribution(proc, lo, lo + length)
+            got = {w.values: p for w, p in dist.atoms}
+            assert len(got) == len(dist.atoms), name  # one atom per distinct window
+            assert got == want, (name, length)
+
+
+def test_survival_and_maximal_match_the_oracle(processes):
+    for name, proc in processes.items():
+        horizon = RUIN_MAX if name in EXACT_NAMES else LAW_MAX
+        # P(ruin at n) and E[X_1; ruin at n], ruin the first n with S_n <= 0
+        by_ruin = {n: [F(0), F(0)] for n in range(1, horizon + 1)}
+        for values, p in enum_paths(proc, horizon):
+            ruin = first_nonpositive(PathWindow(0, horizon, values))
+            if ruin is not None:
+                by_ruin[ruin][0] += p
+                by_ruin[ruin][1] += p * values[0]
+        survival, maximal = F(1), F(0)
+        for n in range(1, horizon + 1):
+            survival -= by_ruin[n][0]
+            maximal += by_ruin[n][1]
+            assert exact_survival(proc, n) == survival, (name, n)
+            assert exact_maximal_ergodic(proc, n) == maximal, (name, n)

@@ -118,7 +118,8 @@ def test_maximal_is_nondecreasing_yet_never_positive(corpus):
 
 def test_maximal_nonpositive_for_exact_corpus(corpus):
     for name in EXACT_NAMES:
-        assert exact_maximal_ergodic(corpus[name], 6) <= 0, name
+        for n in (6, 64):
+            assert exact_maximal_ergodic(corpus[name], n) <= 0, (name, n)
 
 
 def test_mc_maximal_matches_exact(corpus):
@@ -182,7 +183,7 @@ def test_truncation_bound_dominates_exact_bias(corpus):
     # The bias of stopping the survival probe at N is the chance of a
     # first ruin after N; the printed geometric bound must sit above it.
     limit = F(1, 5)
-    for n in (4, 8, 12):
+    for n in (4, 8, 12, 256, 1024):
         bias = exact_survival(corpus["p06_walk"], n) - limit
         bound = survival_truncation_bound(corpus["p06_walk"], n)
         assert bias >= 0
