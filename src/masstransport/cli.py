@@ -252,12 +252,8 @@ def cmd_verify_identity(args, process):
     verify.check_z(args.z)  # the payload echoes it even where exact mode uses none
     rows: list[tuple[list, dict]] = []
     if args.mode in ("exact", "both"):
-        terms = []
-        # the largest n first, so a horizon past the cap fails before the rest run
-        for n in range(args.horizon, 0, -1):
-            lhs, rhs = verify.exact_identity(process, n, args.atom_cap)
-            terms.append((n, lhs, rhs, lhs == rhs))
-        rows += _identity_rows("exact", terms[::-1])
+        pairs = verify.exact_identity(process, args.horizon, args.atom_cap)
+        rows += _identity_rows("exact", [(n, a, b, a == b) for n, (a, b) in enumerate(pairs, 1)])
     if args.mode in ("mc", "both"):
         report = verify.mc_identity(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads

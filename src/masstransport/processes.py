@@ -737,6 +737,8 @@ def exact_fold(
     ``atom_cap`` bounds the law's branches plus the states carried,
     summed over the steps, so a longer window is refused at once.
     """
+    if atom_cap < 1:
+        raise InvalidSpec(f"atom_cap must be at least 1, got {atom_cap}")
     if process.exact_mean() is None:
         name = type(process.spec).__name__
         raise UnsupportedProcess(f"{name} has no exact law: infinite support or float values")
@@ -769,14 +771,20 @@ def exact_fold(
     return out, den**length, scale
 
 
+def window_fold(process: Process, n: int, atom_cap: int = DEFAULT_ATOM_CAP) -> tuple[dict, int, int]:
+    """({window: weight}, D^n, scale): exact_fold of n increments, one law wherever they sit."""
+    weights, den, scale = exact_fold(process, n, (), lambda acc, x: (*acc, x), atom_cap)
+    if sum(weights.values()) != den:
+        raise InvalidSpec("the step law's probabilities do not sum to 1")
+    return weights, den, scale
+
+
 def exact_window_distribution(
     process: Process, lo: int, hi: int, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> ExactDistribution:
     """Full window law of an exact process, one atom per distinct window."""
     _check_window(lo, hi)
-    weights, den, scale = exact_fold(process, hi - lo, (), lambda acc, x: (*acc, x), atom_cap)
-    if sum(weights.values()) != den:
-        raise InvalidSpec("the step law's probabilities do not sum to 1")
+    weights, den, scale = window_fold(process, hi - lo, atom_cap)
     decode = {x: Fraction(x, scale) for x in set().union(*weights)}  # one per distinct value
     atoms = tuple(
         (PathWindow(lo, hi, tuple(map(decode.get, key))), Fraction(w, den))

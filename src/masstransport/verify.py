@@ -2,9 +2,9 @@
 
 Every check exists in two independent lanes wherever the process allows:
 
-* exact: fold the step law forward (``processes.exact_fold``), keeping
-  whole windows for the identity but only (S_n, X_1) of the surviving
-  paths for the rest, and compute a Fraction, no tolerances anywhere;
+* exact: fold the step law forward in integers (``processes.exact_fold``),
+  keeping one law of whole windows for every n of the identity but only
+  (S_n, X_1) of the surviving paths for the rest: Fractions, no tolerances;
 * Monte Carlo: estimate the same quantity from seeded sampling and
   report a confidence interval.
 
@@ -33,7 +33,8 @@ import os
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import DEFAULT_ATOM_CAP, Process, exact_fold, exact_window_distribution
+from .processes import DEFAULT_ATOM_CAP, PathWindow, Process, exact_fold, window_fold
+from .processes import exact_window_distribution  # noqa: F401  perfbench/spans.py patches verify.exact_window_distribution
 from .scratch import Scratch, check_memory
 from .transport import (
     mass_received_at_zero,
@@ -253,22 +254,27 @@ def mc_identity(
 
 
 def exact_identity(
-    process: Process, n: int, atom_cap: int = DEFAULT_ATOM_CAP
-) -> tuple[Fraction, Fraction]:
-    """Both sides of E[M(0, n)] = E[M(-n, 0)], exactly.
+    process: Process, horizon: int, atom_cap: int = DEFAULT_ATOM_CAP
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Both sides of E[M(0, n)] = E[M(-n, 0)] for n = 1..horizon, exactly.
 
-    The left side takes the law of windows [0, n] and reads the sender-side
-    mass row at the origin; the right side takes windows [-n, 0] and
-    reads the ladder-epoch form of the received mass.  The two routes
-    share no code past the window law, which is the point.
+    One law of ``horizon`` increments serves both sides.  The left reads
+    each window as [0, horizon], where entry n of the mass row sent from 0
+    sees S_1..S_n only; the right reads it as [-horizon, 0], where entry -n
+    of the received mass (ladder-epoch form) sees S_-n..S_0 only.  The two
+    routes share nothing past the window law, which is the point.  Masses
+    are in units of increments times ``scale`` > 0, which keeps every sign.
     """
-    if n < 1:
-        raise InvalidSpec("n must be at least 1")
-    left = exact_window_distribution(process, 0, n, atom_cap)
-    lhs = left.expectation(lambda w: mass_row(w, 0).get(n))
-    right = exact_window_distribution(process, -n, 0, atom_cap)
-    rhs = right.expectation(lambda w: mass_received_at_zero(w).get(-n, 0))
-    return Fraction(lhs), Fraction(rhs)
+    if horizon < 1:
+        raise InvalidSpec("horizon must be at least 1")
+    weights, den, scale = window_fold(process, horizon, atom_cap)
+    lhs, rhs = [0] * horizon, [0] * horizon
+    for key, w in weights.items():
+        for m, mass in mass_row(PathWindow(0, horizon, key), 0).entries.items():
+            lhs[m - 1] += w * mass
+        for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():
+            rhs[-m - 1] += w * mass
+    return tuple((Fraction(a, den * scale), Fraction(b, den * scale)) for a, b in zip(lhs, rhs))
 
 
 def exact_maximal_ergodic(

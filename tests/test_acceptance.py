@@ -84,8 +84,7 @@ def test_criterion_1_exact_identity(corpus, capsys):
     t0 = time.perf_counter()
     ok = True
     for name in ("two_point", "two_point_chain"):
-        for n in range(1, 9):
-            lhs, rhs = exact_identity(corpus[name], n)
+        for n, (lhs, rhs) in enumerate(exact_identity(corpus[name], 8), 1):
             ok &= lhs == rhs
             if n == 2:
                 ok &= lhs == F(1, 4)

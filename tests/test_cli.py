@@ -203,6 +203,9 @@ def test_out_of_range_trial_exits_2_naming_it(command, trial, capsys):
         (["verify-identity", "--mode", "exact", "--z", "nan", "--horizon", "2"], "z must"),
         (["birkhoff", "--epsilon", "0.1", "--n-max", "1", "--min-n", "0"], "min_start"),
         (["birkhoff", "--epsilon", "0.1", "--n-max", "0", "--min-n", "0"], "min_start"),
+        (["verify-identity", "--mode", "exact", "--horizon", "3", "--atom-cap", "-5"], "atom_cap"),
+        (["survival", "--mode", "exact", "--horizon", "3", "--atom-cap", "0"], "atom_cap"),
+        (["verify-maximal", "--mode", "exact", "--horizon", "3", "--atom-cap", "-1"], "atom_cap"),
     ],
 )
 def test_out_of_range_numbers_exit_2_naming_the_field(args, field, capsys):

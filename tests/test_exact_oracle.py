@@ -3,8 +3,10 @@
 The oracle walks each finite kind path by path: a product over the value
 table, a depth-first walk of the chain, a filter over enumerated
 innovations, and a weighted union of a mixture's children.  It shares
-nothing with the fold but the validated process objects and
-``first_nonpositive``.
+nothing with the fold but the validated process objects and the scalar
+functions of one path (``first_nonpositive``, ``mass_row`` and
+``mass_received_at_zero``), which it reads in ``Fraction``s on windows of
+each length n rather than in integers on one window of the longest.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from masstransport import (
     Mixture,
     MovingAverage,
     PathWindow,
+    exact_identity,
     exact_maximal_ergodic,
     exact_survival,
     exact_window_distribution,
     first_nonpositive,
     make_process,
+    mass_received_at_zero,
+    mass_row,
 )
 from masstransport.processes import (
     IidDiscreteProcess,
@@ -126,6 +131,17 @@ def test_window_laws_match_the_oracle(processes):
             got = {w.values: p for w, p in dist.atoms}
             assert len(got) == len(dist.atoms), name  # one atom per distinct window
             assert got == want, (name, length)
+
+
+def test_identity_matches_the_oracle(processes):
+    for name, proc in processes.items():
+        got = exact_identity(proc, LAW_MAX)
+        for n in range(1, LAW_MAX + 1):
+            lhs = rhs = F(0)
+            for values, p in enum_paths(proc, n):
+                lhs += p * mass_row(PathWindow(0, n, values), 0).get(n)
+                rhs += p * mass_received_at_zero(PathWindow(-n, 0, values)).get(-n, 0)
+            assert got[n - 1] == (lhs, rhs), (name, n)
 
 
 def test_survival_and_maximal_match_the_oracle(processes):

@@ -47,18 +47,18 @@ def constant_process(value):
 def test_identity_frozen_values_two_point(corpus):
     # Hand enumeration for X in {+2, -1} fair: M(0, 1) is always 0 and
     # M(0, 2) = 1 exactly on the up-down path of probability 1/4.
-    assert exact_identity(corpus["two_point"], 1) == (F(0), F(0))
-    assert exact_identity(corpus["two_point"], 2) == (F(1, 4), F(1, 4))
+    assert exact_identity(corpus["two_point"], 1)[-1] == (F(0), F(0))
+    assert exact_identity(corpus["two_point"], 2)[-1] == (F(1, 4), F(1, 4))
 
 
 def test_identity_frozen_values_chain_twin(corpus):
-    assert exact_identity(corpus["two_point_chain"], 2) == (F(1, 4), F(1, 4))
+    assert exact_identity(corpus["two_point_chain"], 2)[-1] == (F(1, 4), F(1, 4))
 
 
 def test_identity_holds_for_every_exact_process(corpus):
     for name in EXACT_NAMES:
         for n in range(1, 6):
-            lhs, rhs = exact_identity(corpus[name], n)
+            lhs, rhs = exact_identity(corpus[name], n)[-1]
             assert lhs == rhs, f"{name} n={n}: {lhs} != {rhs}"
 
 
@@ -70,7 +70,7 @@ def test_identity_rejects_bad_horizon(corpus):
 def test_mc_identity_matches_exact_values(corpus):
     report = mc_identity(corpus["two_point"], 4, 20_000, seed=3)
     assert report.all_passed
-    truth = {n: float(exact_identity(corpus["two_point"], n)[0]) for n in range(1, 5)}
+    truth = {n: float(exact_identity(corpus["two_point"], n)[-1][0]) for n in range(1, 5)}
     for term in report.terms:
         assert agreement_pass(term.lhs, truth[term.n])
         assert agreement_pass(term.rhs, truth[term.n])
