@@ -34,6 +34,7 @@ from typing import Union
 import numpy as np
 
 from .processes import PathWindow, Real
+from .scratch import FRESH
 
 # tolerance for float consistency gates (absolute, plus relative on the
 # magnitude of the quantities compared)
@@ -183,37 +184,45 @@ def first_nonpositive(window: PathWindow) -> Union[int, None]:
 # vectorized mass profiles over float sum matrices
 
 
-def sent_mass_terms(sums: np.ndarray) -> np.ndarray:
+def sent_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     """Per-receiver masses M(0, m) from the origin, one trial per row.
 
     ``sums`` has shape (T, H+1) holding S_0..S_H; the result has shape
     (T, H) with column m-1 equal to M(0, m).  Column 0 is identically
-    zero: the first record receives nothing.
+    zero: the first record receives nothing.  The result and the
+    temporaries behind it come from ``scratch``.
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
-    mask = sums[:, 1] > sums[:, 0]
-    v = np.maximum(np.minimum.accumulate(sums[:, 1:], axis=1), sums[:, :1])
-    terms = np.zeros_like(v)
-    terms[:, 1:] = v[:, :-1] - v[:, 1:]
-    return terms * mask[:, None]
+    t, h = sums.shape[0], sums.shape[1] - 1
+    mask = np.greater(sums[:, 1], sums[:, 0], out=scratch.empty((t,), bool))
+    v = np.minimum.accumulate(sums[:, 1:], axis=1, out=scratch.empty((t, h)))
+    np.maximum(v, sums[:, :1], out=v)
+    terms = scratch.empty((t, h))
+    terms[:, 0] = 0.0
+    np.subtract(v[:, :-1], v[:, 1:], out=terms[:, 1:])
+    terms *= mask[:, None]
+    return terms
 
 
-def received_mass_terms(sums: np.ndarray) -> np.ndarray:
+def received_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     """Per-sender masses M(-n, 0) into the origin, one trial per row.
 
     ``sums`` has shape (T, H+1) holding S_{-H}..S_0; the result has
     shape (T, H) with column n-1 equal to M(-n, 0).  Column 0 (the
-    sender -1) is identically zero.
+    sender -1) is identically zero.  The result and the temporaries
+    behind it come from ``scratch``.
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
-    h = sums.shape[1] - 1
-    mask = sums[:, -1] <= sums[:, -2]
-    # suffix minima N_m = min(S_m .. S_{-1}) for m = -H .. -1
-    suffix = np.minimum.accumulate(sums[:, :-1][:, ::-1], axis=1)[:, ::-1]
-    capped = np.maximum(suffix, 0.0)
-    terms = np.zeros((sums.shape[0], h), dtype=sums.dtype)
-    # column n-1 is the sender m = -n; for n >= 2, term = max(N_{m+1}, 0) - max(N_m, 0)
-    terms[:, 1:] = (capped[:, 1:] - capped[:, :-1])[:, ::-1]
-    return terms * mask[:, None]
+    t, h = sums.shape[0], sums.shape[1] - 1
+    mask = np.less_equal(sums[:, -1], sums[:, -2], out=scratch.empty((t,), bool))
+    # column n-1 holds max(N_{-n}, 0), N_m = min(S_m .. S_{-1}) the suffix minimum
+    capped = np.minimum.accumulate(sums[:, -2::-1], axis=1, out=scratch.empty((t, h)))
+    np.maximum(capped, 0.0, out=capped)
+    terms = scratch.empty((t, h))
+    terms[:, 0] = 0.0
+    # for n >= 2, M(-n, 0) = max(N_{-n+1}, 0) - max(N_{-n}, 0)
+    np.subtract(capped[:, :-1], capped[:, 1:], out=terms[:, 1:])
+    terms *= mask[:, None]
+    return terms

@@ -11,8 +11,9 @@ Every check exists in two independent lanes wherever the process allows:
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
 is cut into fixed-size chunks of trials whatever the thread count, each
 chunk is a pure function of its trial indices and fills its own rows of
-one per-trial array, and all reductions run on those full arrays.
-Running with 1 or 16 threads produces the same bytes.
+one per-trial array, and all reductions run on those full arrays (the
+identity keeps one contiguous row of all trials for each n).  Running
+with 1 or 16 threads produces the same bytes.
 
 A chunk is one tile: as many whole trials as fit about ``TILE_BYTES`` of
 float64 increments.  Each tile is sampled into memory its thread reuses
@@ -75,12 +76,23 @@ class EstimateCI:
     ci_high: float
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, z: float = Z_DEFAULT) -> "EstimateCI":
+    def from_samples(
+        cls, samples: np.ndarray, z: float = Z_DEFAULT, scratch: np.ndarray | None = None
+    ) -> "EstimateCI":
+        """Mean and standard error of float64 ``samples``, equal bit for bit
+        to ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+
+        It takes np.std's steps with the same ufuncs in the same order, but
+        sums the samples once for both.  The deviations go into ``scratch``,
+        a float64 array as long as ``samples``, when one is given.
+        """
         n = len(samples)
         if n < 2:
             raise ValueError("need at least 2 samples for a standard error")
-        mean = float(np.mean(samples))
-        std_error = float(np.std(samples, ddof=1) / math.sqrt(n))
+        mean = float(np.add.reduce(samples)) / n
+        dev = np.subtract(samples, mean, out=scratch)
+        dev *= dev
+        std_error = math.sqrt(float(np.add.reduce(dev)) / (n - 1)) / math.sqrt(n)
         return cls(mean, std_error, n, z, mean - z * std_error, mean + z * std_error)
 
     def covers(self, x: float) -> bool:
@@ -195,13 +207,12 @@ def _estimate(
     return EstimateCI.from_samples(samples, z)
 
 
-def _anchored_float_sums(block: np.ndarray, anchor_end: bool) -> np.ndarray:
-    """Partial sum matrix with a leading zero column; optionally re-anchor
-    so the last column (the origin of a left window) is zero."""
-    sums = np.concatenate(
-        [np.zeros((block.shape[0], 1), dtype=np.float64), np.cumsum(block, axis=1)],
-        axis=1,
-    )
+def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) -> np.ndarray:
+    """Partial sum matrix with a leading zero column, in ``scratch``; optionally
+    re-anchor so the last column (the origin of a left window) is zero."""
+    sums = scratch.empty((block.shape[0], block.shape[1] + 1))
+    sums[:, 0] = 0.0
+    np.cumsum(block, axis=1, out=sums[:, 1:])
     if anchor_end:
         sums -= sums[:, -1:]
     return sums
@@ -231,22 +242,26 @@ def mc_identity(
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
     _check_interval(trials, z)
-    check_memory(trials, 2 * horizon, 2 * horizon, "horizon")
+    # the terms of both sides, plus the deviations of one estimate at a time
+    check_memory(trials, 2 * horizon + 1, 2 * horizon, "horizon")
 
     def step(chunk: np.ndarray, tile):
         left = process.sample_block(seed, chunk, 0, horizon, tile)
-        lterms = sent_mass_terms(_anchored_float_sums(left, anchor_end=False))
+        lterms = sent_mass_terms(_anchored_float_sums(left, tile, anchor_end=False), tile)
         right = process.sample_block(seed, chunk + np.uint64(trials), -horizon, 0, tile)
-        return lterms, received_mass_terms(_anchored_float_sums(right, anchor_end=True))
+        rterms = received_mass_terms(_anchored_float_sums(right, tile, anchor_end=True), tile)
+        return lterms, rterms
 
-    lhs = np.empty((trials, horizon))
-    rhs = np.empty((trials, horizon))
-    _fill_rows(step, threads, 2 * horizon, lhs, rhs)
+    # position-major: row n-1 holds every trial's term for n, contiguously
+    lhs = np.empty((horizon, trials))
+    rhs = np.empty((horizon, trials))
+    _fill_rows(step, threads, 2 * horizon, lhs.T, rhs.T)
+    dev = np.empty(trials)
     terms = tuple(
         IdentityTerm(
             n,
-            EstimateCI.from_samples(lhs[:, n - 1], z),
-            EstimateCI.from_samples(rhs[:, n - 1], z),
+            EstimateCI.from_samples(lhs[n - 1], z, dev),
+            EstimateCI.from_samples(rhs[n - 1], z, dev),
         )
         for n in range(1, horizon + 1)
     )
@@ -263,17 +278,20 @@ def exact_identity(
     sees S_1..S_n only; the right reads it as [-horizon, 0], where entry -n
     of the received mass (ladder-epoch form) sees S_-n..S_0 only.  The two
     routes share nothing past the window law, which is the point.  Masses
-    are in units of increments times ``scale`` > 0, which keeps every sign.
+    are in units of increments times ``scale`` > 0, which keeps every sign,
+    so a window that sends or receives nothing is skipped before it is built.
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
     weights, den, scale = window_fold(process, horizon, atom_cap)
     lhs, rhs = [0] * horizon, [0] * horizon
     for key, w in weights.items():
-        for m, mass in mass_row(PathWindow(0, horizon, key), 0).entries.items():
-            lhs[m - 1] += w * mass
-        for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():
-            rhs[-m - 1] += w * mass
+        if key[0] > 0:  # X_1 <= 0 sends nothing
+            for m, mass in mass_row(PathWindow(0, horizon, key), 0).entries.items():
+                lhs[m - 1] += w * mass
+        if key[-1] <= 0:  # X_0 > 0 receives nothing
+            for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():
+                rhs[-m - 1] += w * mass
     return tuple((Fraction(a, den * scale), Fraction(b, den * scale)) for a, b in zip(lhs, rhs))
 
 

@@ -27,6 +27,7 @@ from masstransport import (
     sent_mass_terms,
     total_sent,
 )
+from masstransport.scratch import Scratch
 
 F = Fraction
 
@@ -307,6 +308,27 @@ def test_received_mass_terms_match_scalar_rows():
         assert terms[t, 0] == 0.0
         for n in range(1, 10):
             assert close(terms[t, n - 1], received.get(-n, 0.0))
+
+
+def test_mass_terms_in_reused_scratch_equal_fresh_ones():
+    # consecutive tiles of different shapes reuse the same slots; each
+    # tile's two results must equal fresh ones bit for bit, and the second
+    # call must not overwrite the first one's result
+    rng = np.random.default_rng(5)
+    scratch = Scratch()
+    tiles = ((200, 9, False), (37, 1, False), (500, 16, True), (3, 1, True))
+    for trials, horizon, gaussian in tiles:
+        if gaussian:
+            sums = np.zeros((trials, horizon + 1))
+            sums[:, 1:] = np.cumsum(rng.standard_normal((trials, horizon)), axis=1)
+        else:
+            sums = _random_sums(trials, horizon, seed=horizon)
+        left = sums - sums[:, -1:]
+        tile = scratch.tile()
+        sent = sent_mass_terms(sums, tile)
+        received = received_mass_terms(left, tile)
+        assert sent.tobytes() == sent_mass_terms(sums).tobytes()
+        assert received.tobytes() == received_mass_terms(left).tobytes()
 
 
 def test_vectorized_rejects_flat_matrices():

@@ -7,6 +7,7 @@ enumeration over the window law before being frozen into the assertions.
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from masstransport import (
     mc_identity,
     mc_maximal_ergodic,
     mc_survival,
+    received_mass_terms,
+    sent_mass_terms,
     sign_pass,
     survival_truncation_bound,
 )
 
+from masstransport import scratch as scratch_module
 from masstransport import verify as verify_module
 
 from conftest import EXACT_NAMES
@@ -228,6 +232,66 @@ def test_estimate_ci_from_samples():
     assert est.ci_low == pytest.approx(0.5 - 2.0 * est.std_error)
     assert est.ci_high == pytest.approx(0.5 + 2.0 * est.std_error)
     assert est.covers(0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8191, 8193, 10**6])
+def test_from_samples_equals_numpy_bit_for_bit(n):
+    # one shared sum for the mean and the deviations must give np.mean and
+    # np.std(ddof=1) exactly, on contiguous rows and on strided columns
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((n, 3)) * 1e3 + 7.0
+    block[:, 1] = rng.integers(-2, 3, n) * 0.5
+    for samples in (block[:, 0], block[:, 1], np.ascontiguousarray(block[:, 2])):
+        want_mean = float(np.mean(samples))
+        want_se = float(np.std(samples, ddof=1) / math.sqrt(n))
+        for scratch in (None, np.empty(n)):
+            est = EstimateCI.from_samples(samples, 2.0, scratch)
+            assert (est.mean, est.std_error) == (want_mean, want_se)
+
+
+def _mc_identity_by_columns(process, horizon, trials, seed):
+    """mc_identity's estimates the old way: (trials, horizon) arrays of
+    terms sampled in one block, np.mean and np.std per column."""
+    idx = np.arange(trials, dtype=np.uint64)
+
+    def sums(block):
+        return np.concatenate([np.zeros((trials, 1)), np.cumsum(block, axis=1)], axis=1)
+
+    lhs = sent_mass_terms(sums(process.sample_block(seed, idx, 0, horizon)))
+    right = sums(process.sample_block(seed, idx + np.uint64(trials), -horizon, 0))
+    rhs = received_mass_terms(right - right[:, -1:])
+
+    def estimate(column):
+        mean = float(np.mean(column))
+        return mean, float(np.std(column, ddof=1) / math.sqrt(trials))
+
+    return [(estimate(lhs[:, n]), estimate(rhs[:, n])) for n in range(horizon)]
+
+
+@pytest.mark.parametrize(
+    "name", ["p06_walk", "two_point_chain", "moving_average", "gaussian_drift"]
+)
+def test_mc_identity_equals_per_column_reference(corpus, name):
+    # 5000 trials span at least two tiles at every horizon here
+    for horizon in (1, 8, 64):
+        want = _mc_identity_by_columns(corpus[name], horizon, 5_000, 3)
+        for threads in (1, 2):
+            report = mc_identity(corpus[name], horizon, 5_000, seed=3, z=2.0, threads=threads)
+            got = [
+                ((t.lhs.mean, t.lhs.std_error), (t.rhs.mean, t.rhs.std_error))
+                for t in report.terms
+            ]
+            assert got == want, (horizon, threads)
+
+
+def test_mc_identity_memory_check_counts_the_deviation_buffer(corpus, monkeypatch):
+    # 100 trials at horizon 4 keep 2 * 4 terms and one deviation per trial:
+    # 7200 bytes, refused by a 7000-byte machine that would hold the terms
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 7000}
+    monkeypatch.setattr(scratch_module.os, "sysconf", memory.get)
+    with pytest.raises(InvalidSpec) as err:
+        mc_identity(corpus["p06_walk"], 4, 100, seed=0)
+    assert err.value.where == "trials"
 
 
 def test_ci_overlap_is_symmetric():
