@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import ComponentInfo, Process
-from .scratch import check_memory
+from .scratch import check_memory, order_of, scan
 from .verify import EstimateCI, Z_DEFAULT, _estimate, _fill_rows
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
@@ -203,8 +203,9 @@ def estimate_dip_probability(
         block = process.sample_block(seed, chunk, 0, n_max, tile)
         ids = process.component_ids(seed, chunk)
         # only the window's columns are centered and scaled
-        ratios = np.cumsum(block, axis=1, out=block)[:, start - 1 :]
-        ratios -= np.multiply(targets[ids][:, None], steps, out=tile.empty(ratios.shape))
+        ratios = scan(np.add, block, block)[:, start - 1 :]
+        shift = tile.empty(ratios.shape, order=order_of(block))
+        ratios -= np.multiply(targets[ids][:, None], steps, out=shift)
         ratios /= steps
         if side == "below":
             return ratios.min(axis=1) < -epsilon

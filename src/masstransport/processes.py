@@ -46,7 +46,7 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from . import rng
-from .scratch import FRESH, check_memory
+from .scratch import FRESH, check_memory, order_of, scan, tile_order
 from .errors import (
     ExplosionCap,
     InvalidSpec,
@@ -295,6 +295,7 @@ class Process:
 
         The block and the temporaries behind it come from ``scratch``
         (see :mod:`masstransport.scratch`); by default they are new arrays.
+        The block is stored in ``tile_order(T, hi-lo)``.
         """
         raise NotImplementedError
 
@@ -343,16 +344,19 @@ def _count_cuts(cuts: np.ndarray, x: np.ndarray, side: str, scratch=FRESH) -> np
     count is an intp array, the index type ``take`` reads without a
     conversion pass.
     """
+    order = order_of(x)
     if len(cuts) > _SCAN_MAX:
-        return np.searchsorted(cuts, x, side=side)
+        # searched in x's memory order, so the count keeps x's layout
+        flat = np.searchsorted(cuts, x.ravel("K"), side=side)
+        return flat.reshape(x.shape, order=order)
     below = np.less if side == "left" else np.less_equal
-    count = scratch.empty(x.shape, np.intp)
+    count = scratch.empty(x.shape, np.intp, order)
     if len(cuts) == 0:
         count.fill(0)
         return count
     below(cuts[0], x, out=count)
     if len(cuts) > 1:
-        hit = scratch.empty(x.shape, bool)
+        hit = scratch.empty(x.shape, bool, order)
         for c in cuts[1:]:
             count += below(c, x, out=hit)
     return count
@@ -363,6 +367,17 @@ def _cumulative(weights) -> np.ndarray:
     cum = np.cumsum(np.array(weights, dtype=np.float64), axis=-1)
     cum[..., -1] = 1.0
     return cum
+
+
+def _lookup(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[index]`` written into ``out``, both contiguous in one order.
+
+    ``take`` reads and writes in memory order over the flat views; given a
+    trial-contiguous out it would copy through a C-ordered buffer instead.
+    Every index is in range, and "clip" writes to out unbuffered.
+    """
+    table.take(index.ravel("K"), out=out.ravel("K"), mode="clip")
+    return out
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray, scratch=FRESH) -> np.ndarray:
@@ -397,14 +412,13 @@ class IidDiscreteProcess(Process):
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         if len(self._values_f) == 1:
-            out = scratch.empty((len(trials), hi - lo))
+            out = scratch.empty((len(trials), hi - lo), order=tile_order(len(trials), hi - lo))
             out.fill(self._values_f[0])
             return out
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        # every index is in range, and "clip" writes to out unbuffered
-        return self._values_f.take(_inverse_cdf(self._cum, u, scratch), out=u, mode="clip")
+        return _lookup(self._values_f, _inverse_cdf(self._cum, u, scratch), u)
 
     def step_law(self, cap):
         # one state: every draw is fresh
@@ -464,6 +478,8 @@ class MarkovProcess(Process):
         self._payoff_f = np.array([float(v) for v in self.spec.payoffs], dtype=np.float64)
         self._pi_cum = _cumulative(self.pi)
         self._row_cum = rc = _cumulative(rows)
+        # column c < n - 1 of the cumulative rows, by state; the last is 1.0
+        self._cut_columns = [np.ascontiguousarray(col) for col in rc.T[:-1]]
         # a two-state column can swap the states only if some u has
         # row_cum[0, 0] < u <= row_cum[1, 0]
         self._swaps = n == 2 and rc[0, 0] < rc[1, 0]
@@ -482,19 +498,13 @@ class MarkovProcess(Process):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        length = hi - lo
-        state = _inverse_cdf(self._pi_cum, u[:, 0])
+        first = _inverse_cdf(self._pi_cum, u[:, 0], scratch)
         if len(self._payoff_f) == 2:
             rc = self._row_cum
-            states = _two_state_path(state, u, rc[0, 0], rc[1, 0], self._swaps, scratch)
-            return self._payoff_f.take(states, out=u, mode="clip")
-        out = np.empty((len(trials), length), dtype=np.float64)
-        out[:, 0] = self._payoff_f[state]
-        for j in range(1, length):
-            rows = self._row_cum[state]
-            state = np.sum(rows < u[:, j, None], axis=1)
-            out[:, j] = self._payoff_f[state]
-        return out
+            states = _two_state_path(first, u, rc[0, 0], rc[1, 0], self._swaps, scratch)
+        else:
+            states = _chain_path(first, u, self._cut_columns, scratch)
+        return _lookup(self._payoff_f, states, u)
 
     def step_law(self, cap):
         # the state is the chain's: the first is drawn from pi, rows step it
@@ -533,9 +543,9 @@ class MovingAverageProcess(Process):
         q = self.order
         z = self.inner.sample_block(seed, trials, lo - q, hi, scratch)
         length = hi - lo
-        out = scratch.empty((len(trials), length))
+        out = scratch.empty((len(trials), length), order=order_of(z))
         np.multiply(self._coef_f[0], z[:, q : q + length], out=out)
-        term = scratch.empty(out.shape)
+        term = scratch.empty(out.shape, order=order_of(z))
         for i in range(1, q + 1):
             out += np.multiply(self._coef_f[i], z[:, q - i : q - i + length], out=term)
         return out
@@ -590,10 +600,11 @@ class RotationProcess(Process):
         phase = rng.uniform_column(seed, self.stream, trials, 0)
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(np.float64)
         offsets = _unit_mod(ks * self.spec.angle)
-        t = np.add(phase[:, None], offsets[None, :], out=scratch.empty((len(trials), hi - lo)))
+        shape = (len(trials), hi - lo)
+        t = scratch.empty(shape, order=tile_order(*shape))
+        np.add(phase[:, None], offsets[None, :], out=t)
         _unit_mod(t, scratch)
-        count = _count_cuts(self._breaks, t, "right", scratch)
-        return self._by_count.take(count, out=t, mode="clip")
+        return _lookup(self._by_count, _count_cuts(self._breaks, t, "right", scratch), t)
 
 
 class MixtureProcess(Process):
@@ -643,7 +654,9 @@ class MixtureProcess(Process):
         return out
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
-        out = scratch.empty((len(trials), hi - lo))
+        # a child's block of fewer trials may take the other order
+        shape = (len(trials), hi - lo)
+        out = scratch.empty(shape, order=tile_order(*shape))
         return self._by_pick(
             seed, trials, out, lambda c, child, t: child.sample_block(seed, t, lo, hi, scratch)
         )
@@ -800,7 +813,7 @@ def _unit_mod(x: np.ndarray, scratch=FRESH) -> np.ndarray:
     x - floor(x) is the same exact value rounded once by the subtraction.
     On [1, 2) that is the exact x - 1.
     """
-    x -= np.floor(x, out=scratch.empty(x.shape))
+    x -= np.floor(x, out=scratch.empty(x.shape, order=order_of(x)))
     return x
 
 
@@ -818,23 +831,47 @@ def _two_state_path(first, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndar
     cut0 < cut1; ``swaps=False`` skips their bookkeeping and is exact
     only when cut0 >= cut1.
     """
-    a = np.less(cut0, u, out=scratch.empty(u.shape, bool))
-    b = np.less(cut1, u, out=scratch.empty(u.shape, bool))
+    order = order_of(u)
+    a = np.less(cut0, u, out=scratch.empty(u.shape, bool, order))
+    b = np.less(cut1, u, out=scratch.empty(u.shape, bool, order))
     a[:, 0] = b[:, 0] = first
     cols2 = np.arange(0, 2 * u.shape[1], 2, dtype=np.intp)
-    code = np.add(cols2, a, out=scratch.empty(u.shape, np.intp))
+    code = np.add(cols2, a, out=scratch.empty(u.shape, np.intp, order))
     if swaps:
         # parity of the swap columns up to j; on a set column, storing
         # value ^ parity there lets the current parity undo it later
-        flips = np.greater(a, b, out=scratch.empty(u.shape, bool))
-        np.logical_xor.accumulate(flips, axis=1, out=flips)
+        flips = np.greater(a, b, out=scratch.empty(u.shape, bool, order))
+        scan(np.logical_xor, flips, flips)
         code ^= flips
     code *= np.equal(a, b, out=a)
-    np.maximum.accumulate(code, axis=1, out=code)
+    scan(np.maximum, code, code)
     code &= 1
     if swaps:
         code ^= flips
     return code
+
+
+def _chain_path(first, u, cut_columns, scratch=FRESH) -> np.ndarray:
+    """State path of a chain of any size, shape of u, as intp states.
+
+    Column 0 holds the initial states ``first``; column j >= 1 steps each
+    state s to the number of cumulative row entries row_cum[s, c] below
+    u[:, j], counted over ``cut_columns`` (row_cum[:, c] for every c but
+    the last, which is exactly 1 and above every u).  One column at a
+    time, as the chain steps, in contiguous columns on a trial-contiguous
+    tile.
+    """
+    order = order_of(u)
+    states = scratch.empty(u.shape, np.intp, order)
+    cut = scratch.empty(u.shape[:1])
+    hit = scratch.empty(u.shape[:1], bool)
+    states[:, 0] = first
+    for j in range(1, u.shape[1]):
+        prev, cur = states[:, j - 1], states[:, j]
+        cur.fill(0)
+        for column in cut_columns:
+            cur += np.less(column.take(prev, out=cut, mode="clip"), u[:, j], out=hit)
+    return states
 
 
 def _check_window(lo: int, hi: int) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scratch import FRESH
+from .scratch import FRESH, tile_order
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -108,15 +108,16 @@ def uniform_block(
     """Uniforms in (0, 1) for every (trial, position) pair.
 
     ``trials`` has shape (T,), ``positions`` shape (L,); the result has
-    shape (T, L).  Row t column j equals
+    shape (T, L), stored in ``tile_order(T, L)``.  Row t column j equals
     ``uniform(seed, stream, trials[t], positions[j])`` bit for bit.  The
     result and the words behind it come from ``scratch``.
     """
     tkeys = trial_keys(seed, stream, trials)
     pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
     shape = (len(tkeys), len(pos))
-    words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(shape, np.uint64))
-    return _mixed_to_unit(words, scratch.empty(shape))
+    order = tile_order(*shape)
+    words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(shape, np.uint64, order))
+    return _mixed_to_unit(words, scratch.empty(shape, order=order))
 
 
 def uniform_column(seed: int, stream: int, trials: np.ndarray, position: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .processes import PathWindow, Real
-from .scratch import FRESH
+from .scratch import FRESH, order_of, scan
 
 # tolerance for float consistency gates (absolute, plus relative on the
 # magnitude of the quantities compared)
@@ -190,15 +190,16 @@ def sent_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     ``sums`` has shape (T, H+1) holding S_0..S_H; the result has shape
     (T, H) with column m-1 equal to M(0, m).  Column 0 is identically
     zero: the first record receives nothing.  The result and the
-    temporaries behind it come from ``scratch``.
+    temporaries behind it come from ``scratch``, in the order of ``sums``.
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
     t, h = sums.shape[0], sums.shape[1] - 1
+    order = order_of(sums)
     mask = np.greater(sums[:, 1], sums[:, 0], out=scratch.empty((t,), bool))
-    v = np.minimum.accumulate(sums[:, 1:], axis=1, out=scratch.empty((t, h)))
+    v = scan(np.minimum, sums[:, 1:], scratch.empty((t, h), order=order))
     np.maximum(v, sums[:, :1], out=v)
-    terms = scratch.empty((t, h))
+    terms = scratch.empty((t, h), order=order)
     terms[:, 0] = 0.0
     np.subtract(v[:, :-1], v[:, 1:], out=terms[:, 1:])
     terms *= mask[:, None]
@@ -211,16 +212,17 @@ def received_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     ``sums`` has shape (T, H+1) holding S_{-H}..S_0; the result has
     shape (T, H) with column n-1 equal to M(-n, 0).  Column 0 (the
     sender -1) is identically zero.  The result and the temporaries
-    behind it come from ``scratch``.
+    behind it come from ``scratch``, in the order of ``sums``.
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
     t, h = sums.shape[0], sums.shape[1] - 1
+    order = order_of(sums)
     mask = np.less_equal(sums[:, -1], sums[:, -2], out=scratch.empty((t,), bool))
     # column n-1 holds max(N_{-n}, 0), N_m = min(S_m .. S_{-1}) the suffix minimum
-    capped = np.minimum.accumulate(sums[:, -2::-1], axis=1, out=scratch.empty((t, h)))
+    capped = scan(np.minimum, sums[:, -2::-1], scratch.empty((t, h), order=order))
     np.maximum(capped, 0.0, out=capped)
-    terms = scratch.empty((t, h))
+    terms = scratch.empty((t, h), order=order)
     terms[:, 0] = 0.0
     # for n >= 2, M(-n, 0) = max(N_{-n+1}, 0) - max(N_{-n}, 0)
     np.subtract(capped[:, :-1], capped[:, 1:], out=terms[:, 1:])

@@ -17,10 +17,14 @@ with 1 or 16 threads produces the same bytes.
 
 A chunk is one tile: as many whole trials as fit about ``TILE_BYTES`` of
 float64 increments.  Each tile is sampled into memory its thread reuses
-from tile to tile (see :mod:`masstransport.scratch`) and reduced to
-per-trial values while it is still in cache.  Every draw is keyed by its
-absolute (trial, position) and every per-trial value is reduced along
-its own row, so the tile size changes no output either.
+from tile to tile and reduced to per-trial values while it is still in
+cache.  A tile of more trials than positions (every short horizon) is
+stored trial-contiguous, and its running sums and minima step one
+position at a time over all its trials; a tile of a few long trials is
+stored trial by trial (see :mod:`masstransport.scratch`).  Every draw is
+keyed by its absolute (trial, position) and every per-trial value is
+reduced along its own positions in order, so neither the tile size nor
+the layout changes any output.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from .errors import InvalidSpec
 from .processes import DEFAULT_ATOM_CAP, PathWindow, Process, exact_fold, window_fold
 from .processes import exact_window_distribution  # noqa: F401  perfbench/spans.py patches verify.exact_window_distribution
-from .scratch import Scratch, check_memory
+from .scratch import Scratch, check_memory, order_of, scan
 from .transport import (
     mass_received_at_zero,
     mass_row,
@@ -57,9 +61,11 @@ AGREEMENT_SIGMAS = 4.0
 # about TILE_BYTES.  A tile and the scratch arrays behind it then stay in
 # cache; smaller tiles pay more per-tile call overhead, larger ones spill
 # out of L2.  512 KiB was the fastest of 256 KiB, 512 KiB and 1 MiB for
-# criterion 6 on the 2-core Xeon of CHANGES.md.  Chunking only groups
-# trials; every draw is keyed by its absolute trial index, so results
-# cannot depend on these numbers.
+# criterion 6 on the 2-core Xeon of CHANGES.md.  The chunk's shape also
+# picks the tile's memory order (``scratch.tile_order``): short windows
+# give CHUNK_TRIALS trials of a few positions, stored trial-contiguous.
+# Chunking only groups trials; every draw is keyed by its absolute trial
+# index, so results cannot depend on these numbers.
 CHUNK_TRIALS = 4096
 TILE_BYTES = 512 << 10
 
@@ -161,11 +167,15 @@ def _run_chunks(total: int, threads: int, worker, width: int = 1):
 
 
 def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
-    """The one Monte Carlo loop: fill ``outs``, one row per trial, by tiles.
+    """The one Monte Carlo loop: fill ``outs``, indexed by trial along
+    axis 0, by tiles.
 
     ``step(chunk, tile)`` samples and reduces the trials in ``chunk`` in
     the scratch memory ``tile`` and returns one array per entry of outs;
-    its rows are copied out before the thread's next tile reuses ``tile``.
+    its chunk's entries are copied out before the thread's next tile
+    reuses ``tile``.  An out may be a transposed view, as the identity's
+    position-major terms are; a trial-contiguous part then copies into
+    contiguous runs of it.
     """
     scratch = Scratch()
 
@@ -208,11 +218,12 @@ def _estimate(
 
 
 def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) -> np.ndarray:
-    """Partial sum matrix with a leading zero column, in ``scratch``; optionally
-    re-anchor so the last column (the origin of a left window) is zero."""
-    sums = scratch.empty((block.shape[0], block.shape[1] + 1))
+    """Partial sum matrix with a leading zero column, in ``scratch`` in the
+    block's order; optionally re-anchor so the last column (the origin of a
+    left window) is zero."""
+    sums = scratch.empty((block.shape[0], block.shape[1] + 1), order=order_of(block))
     sums[:, 0] = 0.0
-    np.cumsum(block, axis=1, out=sums[:, 1:])
+    scan(np.add, block, sums[:, 1:])
     if anchor_end:
         sums -= sums[:, -1:]
     return sums
@@ -220,7 +231,7 @@ def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) 
 
 def _min_partial_sum(block: np.ndarray) -> np.ndarray:
     """min(S_1..S_n) per row of increments; the sums overwrite the block."""
-    return np.cumsum(block, axis=1, out=block).min(axis=1)
+    return scan(np.add, block, block).min(axis=1)
 
 
 def mc_identity(

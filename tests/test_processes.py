@@ -29,13 +29,16 @@ from masstransport import (
 from masstransport import rng
 from masstransport.processes import (
     GOLDEN_ANGLE,
+    _chain_path,
     _count_cuts,
     _inverse_cdf,
     _two_state_path,
     _unit_mod,
 )
+from masstransport.scratch import Scratch, order_of
 
 from conftest import EXACT_NAMES, SPEC_NAMES
+from test_exact_oracle import THREE_STATE_CHAIN
 
 F = Fraction
 
@@ -448,3 +451,48 @@ def test_two_state_paths_match_the_chain_step():
             np.testing.assert_array_equal(
                 _two_state_path(first, u, c0, c1, swaps=False), expected
             )
+
+
+def test_chains_of_three_states_match_the_chain_step():
+    # Blocks of many short trials (trial-contiguous) and of few long ones
+    # (position-contiguous), sampled into one reused scratch tile after
+    # tile: each equals the column-by-column step from the same uniforms.
+    proc = make_process(THREE_STATE_CHAIN)
+    row_cum = proc._row_cum
+    tile = Scratch()
+    blocks = []
+    for first_trial, count, lo, hi, order in (
+        (0, 300, -20, 20, "F"),
+        (300, 300, -20, 20, "F"),
+        (600, 12, -150, 150, "C"),
+        (612, 40, 0, 40, "C"),
+    ):
+        trials = np.arange(first_trial, first_trial + count, dtype=np.uint64)
+        u = rng.uniform_block(6, proc.stream, trials, rng.index_positions(lo + 1, hi))
+        first = np.searchsorted(proc._pi_cum, u[:, 0], side="left")
+        states = _chain_by_columns(row_cum, first, u)
+        assert set(np.unique(states)) == {0, 1, 2}
+        block = proc.sample_block(6, trials, lo, hi, tile.tile())
+        assert order_of(block) == order
+        np.testing.assert_array_equal(block, proc._payoff_f[states])
+        blocks.append(block)
+    # the tiles of equal shape reused one array: nothing was allocated anew
+    assert blocks[0] is blocks[1]
+
+
+def test_chain_paths_match_the_chain_step_on_the_cuts():
+    # draws exactly on, just below and just above every cumulative entry,
+    # in blocks of either memory order
+    proc = make_process(THREE_STATE_CHAIN)
+    row_cum = proc._row_cum
+    cuts = np.unique(row_cum[:, :-1])
+    pool = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0), [0.05, 0.95]])
+    rs = np.random.default_rng(3)
+    for shape in ((200, 30), (30, 200)):
+        u = rs.choice(pool, size=shape)
+        first = rs.integers(0, 3, shape[0])
+        expected = _chain_by_columns(row_cum, first, u)
+        for order in ("C", "F"):
+            got = _chain_path(first, np.asarray(u, order=order), proc._cut_columns)
+            assert order_of(got) == order
+            np.testing.assert_array_equal(got, expected)
