@@ -38,15 +38,11 @@ from .processes import (
 )
 from .transport import (
     DEFAULT_TOLERANCE,
-    LadderList,
-    MassRow,
-    RecordList,
     close,
     first_nonpositive,
     ladder_epochs_before_zero,
     mass_received_at_zero,
     mass_row,
-    partial_sums,
     received_mass_terms,
     records_after,
     sent_mass_terms,
@@ -54,8 +50,6 @@ from .transport import (
 )
 from .verify import (
     EstimateCI,
-    IdentityReport,
-    IdentityTerm,
     agreement_pass,
     ci_overlap,
     exact_identity,
@@ -68,12 +62,10 @@ from .verify import (
     survival_truncation_bound,
 )
 from .ergodic import (
-    ConditionalMeanSpec,
     DipReport,
     TrajectoryReport,
     TrajectoryRow,
     average_grid,
-    conditional_mean,
     estimate_dip_probability,
     trajectory,
     trajectory_batch,
@@ -104,10 +96,6 @@ __all__ = [
     "negate_spec",
     "DEFAULT_ATOM_CAP",
     "DEFAULT_TOLERANCE",
-    "RecordList",
-    "LadderList",
-    "MassRow",
-    "partial_sums",
     "received_mass_terms",
     "records_after",
     "sent_mass_terms",
@@ -118,8 +106,6 @@ __all__ = [
     "close",
     "first_nonpositive",
     "EstimateCI",
-    "IdentityTerm",
-    "IdentityReport",
     "agreement_pass",
     "ci_overlap",
     "exact_identity",
@@ -130,12 +116,10 @@ __all__ = [
     "mc_survival",
     "sign_pass",
     "survival_truncation_bound",
-    "ConditionalMeanSpec",
     "TrajectoryRow",
     "TrajectoryReport",
     "DipReport",
     "average_grid",
-    "conditional_mean",
     "trajectory",
     "trajectory_batch",
     "estimate_dip_probability",

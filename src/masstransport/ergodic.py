@@ -4,7 +4,7 @@ The limit of S_n / n is the mean of the ergodic component the trajectory
 lives on.  For the kinds in this package the component structure is
 explicit: a mixture picks one component per trajectory and every other
 kind is a single component, so the conditional mean given the invariant
-events is just the per-component mean table.
+events is just the per-component mean table, ``process.components()``.
 
 Two diagnostics are provided.  ``trajectory_batch`` tracks S_n / n along
 a geometric grid of n and reports the terminal gap to the component
@@ -24,31 +24,13 @@ import math
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import ComponentInfo, Process
+from .processes import Process
 from .scratch import check_memory, order_of, scan
 from .verify import EstimateCI, Z_DEFAULT, _estimate, _fill_rows
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
 MIN_WINDOW_START = 64
-
-
-@dataclass(frozen=True)
-class ConditionalMeanSpec:
-    """The conditional mean of X_1 given the invariant events, as a table."""
-
-    components: tuple[ComponentInfo, ...]
-
-    def mean(self) -> float:
-        return float(sum(float(c.weight) * c.mean for c in self.components))
-
-    def target(self, index: int) -> float:
-        return self.components[index].mean
-
-
-def conditional_mean(process: Process) -> ConditionalMeanSpec:
-    """Per-component long-run targets of S_n / n for this process."""
-    return ConditionalMeanSpec(process.components())
 
 
 def _targets(process: Process) -> np.ndarray:

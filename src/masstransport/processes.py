@@ -63,21 +63,28 @@ DEFAULT_ATOM_CAP = 1 << 20
 GOLDEN_ANGLE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _coerce_real(v) -> Real:
-    """Normalize payoff-like values: ints become exact, floats stay floats."""
+def _coerce_real(v, where: str | None = None) -> Real:
+    """Normalize payoff-like values: ints become exact, floats stay floats.
+    Either must be finite as a float, since sampling runs in floats."""
     if isinstance(v, bool):
-        raise InvalidSpec("boolean is not a valid numeric value")
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    raise InvalidSpec(f"expected a number, got {type(v).__name__}")
+        raise InvalidSpec("boolean is not a valid numeric value", where)
+    if isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    elif isinstance(v, (float, np.floating)):
+        v = float(v)
+    else:
+        raise InvalidSpec(f"expected a number, got {type(v).__name__}", where)
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # a rational past the float range
+        finite = False
+    if not finite:
+        raise InvalidSpec("expected a finite number within the float range", where)
+    return v
 
 
-def _coerce_reals(vs) -> tuple[Real, ...]:
-    return tuple(_coerce_real(v) for v in vs)
+def _coerce_reals(vs, where: str) -> tuple[Real, ...]:
+    return tuple(_coerce_real(v, f"{where}[{i}]") for i, v in enumerate(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +100,7 @@ class IidDiscrete:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_reals(self.values))
+        object.__setattr__(self, "values", _coerce_reals(self.values, "values"))
         object.__setattr__(self, "probs", tuple(self.probs))
 
 
@@ -116,7 +123,7 @@ class MarkovChain:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(tuple(row) for row in self.transitions))
-        object.__setattr__(self, "payoffs", _coerce_reals(self.payoffs))
+        object.__setattr__(self, "payoffs", _coerce_reals(self.payoffs, "payoffs"))
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,7 @@ class MovingAverage:
     innovation: Union[IidDiscrete, IidGaussian]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", _coerce_reals(self.coefficients))
+        object.__setattr__(self, "coefficients", _coerce_reals(self.coefficients, "coefficients"))
 
 
 @dataclass(frozen=True)
@@ -149,11 +156,10 @@ class Rotation:
     angle: float = GOLDEN_ANGLE
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple((float(b), _coerce_real(v)) for b, v in self.pieces),
+        pieces = tuple(
+            (float(b), _coerce_real(v, f"pieces[{i}][1]")) for i, (b, v) in enumerate(self.pieces)
         )
+        object.__setattr__(self, "pieces", pieces)
 
 
 @dataclass(frozen=True)
@@ -321,7 +327,10 @@ def _check_prob(x, where: str) -> Fraction:
         raise InvalidSpec(
             f"probabilities must be rationals, not {type(x).__name__}", where
         )
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (ValueError, OverflowError):  # a nan or infinite float
+        raise InvalidSpec(f"probability {x} is not finite", where) from None
     if not (0 <= x <= 1):
         raise InvalidSpec(f"probability {x} outside [0, 1]", where)
     return x
@@ -934,8 +943,7 @@ def stationary_distribution(
 
     Solves pi P = pi, sum pi = 1 by rational elimination.  Raises
     NoStationaryDistribution when the fixed space is not one dimensional
-    (reducible chains with several closed classes) or the fixed vector
-    cannot be normalized to a probability vector.
+    (reducible chains with several closed classes).
     """
     return _stationary_law(_stochastic_rows(transitions))
 
@@ -956,13 +964,9 @@ def _stationary_law(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, .
     x[free] = Fraction(1)
     for r, c in enumerate(pivots):
         x[c] = -a[r][free]
+    # a stochastic P has a stationary law, which spans this 1-d space: x is a nonzero multiple
     total = sum(x)
-    if total == 0:
-        raise NoStationaryDistribution("fixed vector has zero total weight")
-    pi = tuple(v / total for v in x)
-    if any(p < 0 for p in pi):
-        raise NoStationaryDistribution("fixed vector is not a probability vector")
-    return pi
+    return tuple(v / total for v in x)
 
 
 # ---------------------------------------------------------------------------

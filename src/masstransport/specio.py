@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InvalidSpec
-from .processes import IID_SPECS, SPEC_KINDS, ProcessSpec, _process_class
+from .processes import IID_SPECS, SPEC_KINDS, ProcessSpec, _coerce_real, _process_class
 
 
 def _need(obj: dict, key: str, path: str):
@@ -69,16 +69,17 @@ def _parse_rational(x, path: str, expected: str = "a rational") -> Fraction:
 
 
 def _parse_real(x, path: str) -> Union[float, Fraction]:
-    """Value-like entries: ints and strings are exact, floats are floats."""
-    if isinstance(x, float):
-        return x
-    return _parse_rational(x, path, expected="a number")
+    """Value-like entries: ints and strings are exact, floats are floats;
+    each must be finite as a float (JSON's NaN and Infinity are not)."""
+    if not isinstance(x, float):
+        x = _parse_rational(x, path, expected="a number")
+    return _coerce_real(x, path)
 
 
 def _parse_float(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise InvalidSpec(f"expected a number, got {type(x).__name__}", path)
-    return float(x)
+    return float(_coerce_real(x, path))
 
 
 def _list_of(read):
@@ -182,10 +183,11 @@ def format_spec(spec: ProcessSpec) -> str:
 
 def parse_spec_text(text: str, source: str = "<string>") -> ProcessSpec:
     try:
-        obj = json.loads(text)
+        return spec_from_jsonable(json.loads(text))
     except json.JSONDecodeError as e:
         raise InvalidSpec(f"invalid JSON in {source}: {e}") from None
-    return spec_from_jsonable(obj)
+    except RecursionError:  # both readers recurse once per level of nesting
+        raise InvalidSpec(f"{source} nests too deeply to read") from None
 
 
 def parse_spec_file(path: Union[str, Path]) -> ProcessSpec:

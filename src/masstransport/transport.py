@@ -2,8 +2,12 @@
 
 All functions operate on a :class:`~masstransport.processes.PathWindow`
 and are generic over the number type: float windows give float masses,
-rational windows give exact rational masses.  Conventions, for a sender
-n inside the window:
+rational windows give exact rational masses.  Both sides of the
+identity come back in one plain shape: records and ladder epochs as
+tuples of indices, the mass a site sends (``mass_row``) and the mass
+the origin receives (``mass_received_at_zero``) as ``{index: mass}``
+dicts; an absent index gets nothing, so read one with ``.get(m, 0)``.
+Conventions, for a sender n inside the window:
 
 * m > n is a record after n when S_m equals min(S_{n+1}, .., S_m);
   ties count, and n+1 is always a record.
@@ -28,7 +32,6 @@ the scalar definitions in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -46,46 +49,12 @@ def close(a: float, b: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     return abs(a - b) <= tolerance * max(1.0, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
-class RecordList:
-    """Record times after ``sender``, in increasing order."""
-
-    sender: int
-    records: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LadderList:
-    """Ladder epochs looking left from the origin, in decreasing order."""
-
-    epochs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MassRow:
-    """Mass shipped by ``sender`` to each receiving index."""
-
-    sender: int
-    entries: dict[int, Real]
-
-    def total(self) -> Real:
-        return sum(self.entries.values(), 0)
-
-    def get(self, m: int) -> Real:
-        return self.entries.get(m, 0)
-
-
-def partial_sums(window: PathWindow) -> tuple[Real, ...]:
-    """Anchored partial sums S_lo..S_hi of the window."""
-    return window.sums
-
-
 def _check_sender(window: PathWindow, n: int) -> None:
     if not (window.lo <= n < window.hi):
         raise IndexError(f"sender {n} outside [{window.lo}, {window.hi})")
 
 
-def records_after(window: PathWindow, n: int) -> RecordList:
+def records_after(window: PathWindow, n: int) -> tuple[int, ...]:
     """All records after n that the window can see, starting with n+1."""
     _check_sender(window, n)
     records = []
@@ -94,11 +63,11 @@ def records_after(window: PathWindow, n: int) -> RecordList:
         if running is None or cur <= running:
             records.append(m)
             running = cur
-    return RecordList(n, tuple(records))
+    return tuple(records)
 
 
-def mass_row(window: PathWindow, n: int) -> MassRow:
-    """Mass shipped by n to each of its records inside the window.
+def mass_row(window: PathWindow, n: int) -> dict[int, Real]:
+    """Mass shipped by n to each of its records inside the window, as {m: mass}.
 
     The row is empty when X_{n+1} <= 0.  Otherwise entry j >= 1 of the
     record enumeration gets max(S_{r_{j-1}}, S_n) - max(S_{r_j}, S_n);
@@ -106,16 +75,16 @@ def mass_row(window: PathWindow, n: int) -> MassRow:
     """
     _check_sender(window, n)
     if not window.x(n + 1) > 0:
-        return MassRow(n, {})
+        return {}
     sn = window.s(n)
-    records = records_after(window, n).records
-    entries: dict[int, Real] = {}
+    records = records_after(window, n)
+    out: dict[int, Real] = {}
     prev = max(window.s(records[0]), sn)
     for m in records[1:]:
         cur = max(window.s(m), sn)
-        entries[m] = prev - cur
+        out[m] = prev - cur
         prev = cur
-    return MassRow(n, entries)
+    return out
 
 
 def total_sent(window: PathWindow, n: int) -> Real:
@@ -133,7 +102,7 @@ def total_sent(window: PathWindow, n: int) -> Real:
     return window.s(n + 1) - max(floor, sn)
 
 
-def ladder_epochs_before_zero(window: PathWindow) -> LadderList:
+def ladder_epochs_before_zero(window: PathWindow) -> tuple[int, ...]:
     """Epochs -1 = m_0 > m_1 > .. with S_m strictly under every later sum.
 
     Needs lo <= -1.  The enumeration stops at the window edge; epochs the
@@ -148,7 +117,7 @@ def ladder_epochs_before_zero(window: PathWindow) -> LadderList:
         if cur < running:
             epochs.append(m)
         running = min(running, cur)
-    return LadderList(tuple(epochs))
+    return tuple(epochs)
 
 
 def mass_received_at_zero(window: PathWindow) -> dict[int, Real]:
@@ -162,7 +131,7 @@ def mass_received_at_zero(window: PathWindow) -> dict[int, Real]:
         raise IndexError(f"window [{window.lo}, {window.hi}] has nothing before 0")
     if window.x(0) > 0:
         return {}
-    epochs = ladder_epochs_before_zero(window).epochs
+    epochs = ladder_epochs_before_zero(window)
     out: dict[int, Real] = {}
     prev = max(window.s(epochs[0]), 0)
     for m in epochs[1:]:

@@ -8,6 +8,10 @@ Every check exists in two independent lanes wherever the process allows:
 * Monte Carlo: estimate the same quantity from seeded sampling and
   report a confidence interval.
 
+Both identity lanes return one (E[M(0, n)], E[M(-n, 0)]) pair per n:
+Fractions that must be equal, or EstimateCIs whose intervals must
+overlap (``ci_overlap``).
+
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
 is cut into fixed-size chunks of trials whatever the thread count, each
 chunk is a pure function of its trial indices and fills its own rows of
@@ -119,32 +123,6 @@ def agreement_pass(est: EstimateCI, target: float, sigmas: float = AGREEMENT_SIG
     return abs(est.mean - target) <= sigmas * max(est.std_error, 1e-300)
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
-    """Estimates of E[M(0, n)] and E[M(-n, 0)] for one n."""
-
-    n: int
-    lhs: EstimateCI
-    rhs: EstimateCI
-
-    @property
-    def passed(self) -> bool:
-        return ci_overlap(self.lhs, self.rhs)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    horizon: int
-    trials: int
-    seed: int
-    z: float
-    terms: tuple[IdentityTerm, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(t.passed for t in self.terms)
-
-
 def _chunk_arrays(total: int, width: int) -> list[np.ndarray]:
     size = max(1, min(CHUNK_TRIALS, TILE_BYTES // (8 * max(1, width))))
     return [
@@ -242,13 +220,13 @@ def mc_identity(
     *,
     z: float = Z_DEFAULT,
     threads: int = 1,
-) -> IdentityReport:
-    """Estimate both sides of E[M(0, n)] = E[M(-n, 0)] for n = 1..horizon.
+) -> tuple[tuple[EstimateCI, EstimateCI], ...]:
+    """Estimates of (E[M(0, n)], E[M(-n, 0)]) for n = 1..horizon.
 
     The left side uses windows [0, horizon] on trials 0..trials-1, the
     right side windows [-horizon, 0] on trials trials..2*trials-1, so the
     two estimates are independent and each n passes when the confidence
-    intervals overlap.
+    intervals overlap (``ci_overlap``).
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
@@ -268,15 +246,10 @@ def mc_identity(
     rhs = np.empty((horizon, trials))
     _fill_rows(step, threads, 2 * horizon, lhs.T, rhs.T)
     dev = np.empty(trials)
-    terms = tuple(
-        IdentityTerm(
-            n,
-            EstimateCI.from_samples(lhs[n - 1], z, dev),
-            EstimateCI.from_samples(rhs[n - 1], z, dev),
-        )
-        for n in range(1, horizon + 1)
+    return tuple(
+        (EstimateCI.from_samples(a, z, dev), EstimateCI.from_samples(b, z, dev))
+        for a, b in zip(lhs, rhs)
     )
-    return IdentityReport(horizon, trials, seed, z, terms)
 
 
 def exact_identity(
@@ -298,7 +271,7 @@ def exact_identity(
     lhs, rhs = [0] * horizon, [0] * horizon
     for key, w in weights.items():
         if key[0] > 0:  # X_1 <= 0 sends nothing
-            for m, mass in mass_row(PathWindow(0, horizon, key), 0).entries.items():
+            for m, mass in mass_row(PathWindow(0, horizon, key), 0).items():
                 lhs[m - 1] += w * mass
         if key[-1] <= 0:  # X_0 > 0 receives nothing
             for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():

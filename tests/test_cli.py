@@ -88,6 +88,54 @@ def test_probabilities_not_summing_exit_2(tmp_path, capsys):
     assert "sum" in err
 
 
+IID = '{"kind": "iid_discrete", "values": [1, -1], "probs": ["1/2", "1/2"]}'
+
+
+# JSON's NaN and Infinity parse as floats: each is refused at its path
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"kind": "iid_discrete", "values": [NaN, -1], "probs": ["1/2", "1/2"]}', "$.values[0]"),
+        ('{"kind": "markov_chain", "transitions": [[1]], "payoffs": [Infinity]}', "$.payoffs[0]"),
+        (
+            f'{{"kind": "moving_average", "coefficients": [1, -Infinity], "innovation": {IID}}}',
+            "$.coefficients[1]",
+        ),
+        ('{"kind": "rotation", "pieces": [[0, 1], [0.5, NaN]]}', "$.pieces[1][1]"),
+        (
+            f'{{"kind": "mixture", "components": [{{"weight": "1/2", "process": {IID}}}, '
+            '{"weight": "1/2", "process": {"kind": "markov_chain", "transitions": [[1]], '
+            '"payoffs": [NaN]}}]}',
+            "$.components[1].process.payoffs[0]",
+        ),
+        ('{"kind": "iid_gaussian", "mean": NaN, "stddev": 1}', "$.mean"),
+        ('{"kind": "iid_gaussian", "mean": 0, "stddev": Infinity}', "$.stddev"),
+        ('{"kind": "rotation", "pieces": [[0, 1]], "angle": NaN}', "$.angle"),
+    ],
+)
+def test_non_finite_spec_numbers_exit_2_naming_the_path(text, path, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("survival", "verify-maximal"):
+        code, out, err = run([command, "--trials", "100", "--spec", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert f"{path}: expected a finite number" in err
+
+
+def test_deep_nesting_exits_2_naming_the_spec_file(tmp_path, capsys):
+    mixture = '{"kind": "mixture", "components": [{"weight": 1, "process": '
+    texts = {
+        "mixture.json": mixture * 200 + IID + "}]}" * 200,
+        "arrays.json": "[" * 10**5 + "]" * 10**5,
+    }
+    for name, text in texts.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        code, out, err = run(["sample", "--spec", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert f"error: {bad} nests too deeply" in err
+
+
 def test_exact_mode_on_gaussian_exits_2(capsys):
     code, _, err = run(
         [

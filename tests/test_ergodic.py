@@ -13,7 +13,6 @@ from masstransport import (
     MarkovChain,
     Mixture,
     average_grid,
-    conditional_mean,
     estimate_dip_probability,
     make_process,
     negate_spec,
@@ -38,32 +37,33 @@ def constant_process(value):
 
 
 def test_single_component_mean(corpus):
-    spec = conditional_mean(corpus["two_point"])
-    assert len(spec.components) == 1
-    assert spec.components[0].weight == 1
-    assert spec.components[0].exact_mean == F(1, 2)
-    assert spec.mean() == 0.5
+    process = corpus["two_point"]
+    components = process.components()
+    assert len(components) == 1
+    assert components[0].weight == 1
+    assert components[0].exact_mean == F(1, 2)
+    assert process.mean() == 0.5
 
 
 def test_mixture_component_table(corpus):
-    spec = conditional_mean(corpus["mixture"])
-    table = [(c.weight, c.exact_mean) for c in spec.components]
+    process = corpus["mixture"]
+    components = process.components()
+    table = [(c.weight, c.exact_mean) for c in components]
     assert table == [(F(1, 2), F(1)), (F(1, 2), F(-2))]
-    assert spec.mean() == pytest.approx(-0.5)
-    assert spec.target(0) == 1.0 and spec.target(1) == -2.0
+    assert process.mean() == pytest.approx(-0.5)
+    assert components[0].mean == 1.0 and components[1].mean == -2.0
 
 
 def test_chain_mean_weights_payoffs_by_stationary_law():
     chain = make_process(
         MarkovChain(transitions=((F(0), F(1)), (F(1), F(0))), payoffs=(3, -1))
     )
-    spec = conditional_mean(chain)
-    assert spec.components[0].exact_mean == F(1)
+    assert chain.components()[0].exact_mean == F(1)
 
 
 def test_moving_average_and_rotation_means(corpus):
-    assert conditional_mean(corpus["moving_average"]).components[0].exact_mean == 0
-    assert conditional_mean(corpus["rotation"]).mean() == pytest.approx(0.0, abs=1e-12)
+    assert corpus["moving_average"].components()[0].exact_mean == 0
+    assert corpus["rotation"].mean() == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_identity_matches_the_oracle(processes):
         for n in range(1, LAW_MAX + 1):
             lhs = rhs = F(0)
             for values, p in enum_paths(proc, n):
-                lhs += p * mass_row(PathWindow(0, n, values), 0).get(n)
+                lhs += p * mass_row(PathWindow(0, n, values), 0).get(n, 0)
                 rhs += p * mass_received_at_zero(PathWindow(-n, 0, values)).get(-n, 0)
             assert got[n - 1] == (lhs, rhs), (name, n)
 

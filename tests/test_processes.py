@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,26 @@ def test_exact_half_probabilities_accepted():
 def test_negative_probability_rejected():
     with pytest.raises(InvalidSpec):
         make_process(IidDiscrete(values=(1, -1), probs=(F(3, 2), F(-1, 2))))
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_probability_rejected(p):
+    with pytest.raises(InvalidSpec, match="probs"):
+        make_process(IidDiscrete(values=(1, -1), probs=(p, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda x: IidDiscrete(values=(1, x), probs=(F(1, 2), F(1, 2))), "values[1]"),
+        (lambda x: MarkovChain(transitions=((F(1),),), payoffs=(x,)), "payoffs[0]"),
+        (lambda x: Rotation(pieces=((0.0, 1), (0.5, x))), "pieces[1][1]"),
+    ],
+)
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), np.float64("-inf"), 10**400])
+def test_values_must_be_finite_floats(build, where, x):
+    with pytest.raises(InvalidSpec, match=re.escape(where)):
+        build(x)
 
 
 def test_length_mismatch_rejected():

@@ -21,7 +21,6 @@ from masstransport import (
     ladder_epochs_before_zero,
     mass_received_at_zero,
     mass_row,
-    partial_sums,
     received_mass_terms,
     records_after,
     sent_mass_terms,
@@ -44,49 +43,49 @@ def window(lo, values):
 def test_hand_case_two_up_two_down():
     # X_1..X_3 = 2, -1, -1: sums 0, 2, 1, 0.
     w = window(0, [F(2), F(-1), F(-1)])
-    assert partial_sums(w) == (0, 2, 1, 0)
-    assert records_after(w, 0).records == (1, 2, 3)
+    assert w.sums == (0, 2, 1, 0)
+    assert records_after(w, 0) == (1, 2, 3)
     row = mass_row(w, 0)
-    assert row.entries == {2: 1, 3: 1}
-    assert row.total() == 2 == total_sent(w, 0)
+    assert row == {2: 1, 3: 1}
+    assert sum(row.values(), 0) == 2 == total_sent(w, 0)
     assert first_nonpositive(w) == 3
 
 
 def test_hand_case_truncated_window_withholds_tail():
     w = window(0, [F(2), F(-1)])
-    assert records_after(w, 0).records == (1, 2)
+    assert records_after(w, 0) == (1, 2)
     row = mass_row(w, 0)
-    assert row.entries == {2: 1}
+    assert row == {2: 1}
     assert total_sent(w, 0) == 1
 
 
 def test_hand_case_rising_path_sends_nothing_yet():
     # X_1, X_2 = 2, 5: the minimum to the right of 1 never drops back.
     w = window(0, [F(2), F(5)])
-    assert records_after(w, 0).records == (1,)
-    assert mass_row(w, 0).entries == {}
+    assert records_after(w, 0) == (1,)
+    assert mass_row(w, 0) == {}
     assert total_sent(w, 0) == 0
 
 
 def test_hand_case_nonpositive_first_step_sends_nothing():
     w = window(0, [F(0), F(3)])
-    assert mass_row(w, 0).entries == {}
+    assert mass_row(w, 0) == {}
     assert total_sent(w, 0) == 0
 
 
 def test_hand_case_tied_record_gets_zero_mass():
     # sums 0, 1, 1: the tie at m = 2 is a record but carries no mass.
     w = window(0, [F(1), F(0)])
-    assert records_after(w, 0).records == (1, 2)
-    assert mass_row(w, 0).entries == {2: 0}
+    assert records_after(w, 0) == (1, 2)
+    assert mass_row(w, 0) == {2: 0}
     assert total_sent(w, 0) == 0
 
 
 def test_hand_case_received_single_epoch():
     # X_{-1}, X_0 = 1, -2: sums S_{-2}, S_{-1}, S_0 = 1, 2, 0.
     w = window(-2, [F(1), F(-2)])
-    assert partial_sums(w) == (1, 2, 0)
-    assert ladder_epochs_before_zero(w).epochs == (-1, -2)
+    assert w.sums == (1, 2, 0)
+    assert ladder_epochs_before_zero(w) == (-1, -2)
     assert mass_received_at_zero(w) == {-2: 1}
 
 
@@ -98,15 +97,15 @@ def test_hand_case_positive_origin_receives_nothing():
 def test_hand_case_tied_left_sum_is_not_an_epoch():
     # S_{-2} = S_{-1} = 1: the strict inequality excludes -2.
     w = window(-2, [F(0), F(-1)])
-    assert ladder_epochs_before_zero(w).epochs == (-1,)
+    assert ladder_epochs_before_zero(w) == (-1,)
     assert mass_received_at_zero(w) == {}
 
 
 def test_hand_case_deep_left_minimum():
     # X_{-1}, X_0 = 5, -1: sums -4, 1, 0; epoch -2 ships 1.
     w = window(-2, [F(5), F(-1)])
-    assert partial_sums(w) == (-4, 1, 0)
-    assert ladder_epochs_before_zero(w).epochs == (-1, -2)
+    assert w.sums == (-4, 1, 0)
+    assert ladder_epochs_before_zero(w) == (-1, -2)
     assert mass_received_at_zero(w) == {-2: 1}
 
 
@@ -114,8 +113,8 @@ def test_hand_case_monotone_descent_left():
     # Rising sums to the left: every m is an epoch, but the received
     # amounts stop once the running maximum with zero saturates.
     w = window(-3, [F(-1), F(-1), F(-1)])
-    assert partial_sums(w) == (3, 2, 1, 0)
-    assert ladder_epochs_before_zero(w).epochs == (-1,)
+    assert w.sums == (3, 2, 1, 0)
+    assert ladder_epochs_before_zero(w) == (-1,)
     assert mass_received_at_zero(w) == {}
 
 
@@ -171,7 +170,7 @@ def float_windows(draw, min_len=2, max_len=10, max_lo=0):
 @given(rational_windows())
 def test_records_structure(w):
     for n in range(w.lo, w.hi):
-        records = records_after(w, n).records
+        records = records_after(w, n)
         assert records[0] == n + 1
         assert all(a < b for a, b in zip(records, records[1:]))
         # sums along the record subsequence never increase
@@ -183,15 +182,15 @@ def test_records_structure(w):
 def test_mass_rows_are_nonnegative_and_live_on_records(w):
     for n in range(w.lo, w.hi):
         row = mass_row(w, n)
-        records = records_after(w, n).records
-        assert set(row.entries) <= set(records[1:])
-        assert all(v >= 0 for v in row.entries.values())
+        records = records_after(w, n)
+        assert set(row) <= set(records[1:])
+        assert all(v >= 0 for v in row.values())
 
 
 @given(rational_windows())
 def test_row_total_matches_closed_form_exactly(w):
     for n in range(w.lo, w.hi):
-        assert mass_row(w, n).total() == total_sent(w, n)
+        assert sum(mass_row(w, n).values(), 0) == total_sent(w, n)
 
 
 @given(rational_windows())
@@ -221,7 +220,7 @@ def test_receiver_route_equals_sender_route_exactly(w):
     # entry at 0 of m's own mass row.
     received = mass_received_at_zero(w)
     for m in range(w.lo, 0):
-        assert received.get(m, 0) == mass_row(w, m).get(0)
+        assert received.get(m, 0) == mass_row(w, m).get(0, 0)
 
 
 @given(rational_windows(max_lo=-1))
@@ -243,8 +242,8 @@ def test_sent_mass_is_local_in_the_horizon(w):
         for n in range(w.lo, hi2):
             srow = mass_row(short, n)
             lrow = mass_row(w, n)
-            for m in srow.entries:
-                assert srow.get(m) == lrow.get(m)
+            for m in srow:
+                assert srow.get(m, 0) == lrow.get(m, 0)
 
 
 @given(rational_windows(min_len=3, max_lo=-2))
@@ -265,10 +264,10 @@ def test_received_mass_is_local_in_the_left_edge(w):
 @settings(max_examples=60)
 def test_float_lane_matches_at_tolerance(w):
     for n in range(w.lo, w.hi):
-        assert close(mass_row(w, n).total(), total_sent(w, n))
+        assert close(sum(mass_row(w, n).values(), 0), total_sent(w, n))
     received = mass_received_at_zero(w)
     for m in range(w.lo, 0):
-        assert close(received.get(m, 0.0), mass_row(w, m).get(0))
+        assert close(received.get(m, 0.0), mass_row(w, m).get(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def test_sent_mass_terms_match_scalar_rows():
         row = mass_row(w, 0)
         assert terms[t, 0] == 0.0
         for m in range(1, 10):
-            assert close(terms[t, m - 1], row.get(m))
+            assert close(terms[t, m - 1], row.get(m, 0))
 
 
 def test_received_mass_terms_match_scalar_rows():

@@ -72,25 +72,24 @@ def test_identity_rejects_bad_horizon(corpus):
 
 
 def test_mc_identity_matches_exact_values(corpus):
-    report = mc_identity(corpus["two_point"], 4, 20_000, seed=3)
-    assert report.all_passed
+    pairs = mc_identity(corpus["two_point"], 4, 20_000, seed=3)
+    assert all(ci_overlap(lhs, rhs) for lhs, rhs in pairs)
     truth = {n: float(exact_identity(corpus["two_point"], n)[-1][0]) for n in range(1, 5)}
-    for term in report.terms:
-        assert agreement_pass(term.lhs, truth[term.n])
-        assert agreement_pass(term.rhs, truth[term.n])
+    for n, (lhs, rhs) in enumerate(pairs, 1):
+        assert agreement_pass(lhs, truth[n])
+        assert agreement_pass(rhs, truth[n])
 
 
 def test_mc_identity_sides_are_independent(corpus):
-    report = mc_identity(corpus["p06_walk"], 3, 5_000, seed=1)
-    for term in report.terms:
-        if term.lhs.std_error > 0:
-            assert term.lhs.mean != term.rhs.mean
+    for lhs, rhs in mc_identity(corpus["p06_walk"], 3, 5_000, seed=1):
+        if lhs.std_error > 0:
+            assert lhs.mean != rhs.mean
 
 
 def test_mc_identity_is_thread_invariant(corpus):
     a = mc_identity(corpus["gaussian_drift"], 5, 6_000, seed=7, threads=1)
     b = mc_identity(corpus["gaussian_drift"], 5, 6_000, seed=7, threads=4)
-    for ta, tb in zip(a.terms, b.terms):
+    for ta, tb in zip(a, b):
         assert ta == tb
 
 
@@ -276,11 +275,8 @@ def test_mc_identity_equals_per_column_reference(corpus, name):
     for horizon in (1, 8, 64):
         want = _mc_identity_by_columns(corpus[name], horizon, 5_000, 3)
         for threads in (1, 2):
-            report = mc_identity(corpus[name], horizon, 5_000, seed=3, z=2.0, threads=threads)
-            got = [
-                ((t.lhs.mean, t.lhs.std_error), (t.rhs.mean, t.rhs.std_error))
-                for t in report.terms
-            ]
+            pairs = mc_identity(corpus[name], horizon, 5_000, seed=3, z=2.0, threads=threads)
+            got = [((a.mean, a.std_error), (b.mean, b.std_error)) for a, b in pairs]
             assert got == want, (horizon, threads)
 
 
@@ -323,7 +319,7 @@ def test_mc_results_do_not_depend_on_the_tile_size(corpus, monkeypatch):
         monkeypatch.setattr(verify_module, "TILE_BYTES", tile)
         results.append(
             [
-                mc_identity(corpus["moving_average"], 150, 3_000, seed=4, threads=2).terms,
+                mc_identity(corpus["moving_average"], 150, 3_000, seed=4, threads=2),
                 mc_maximal_ergodic(corpus["rotation"], 300, 3_000, seed=4),
                 mc_survival(corpus["markov_drift"], 300, 3_000, seed=4),
                 mc_survival(corpus["gaussian_drift"], 300, 3_000, seed=4, threads=2),
