@@ -440,8 +440,8 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
         "--atom-cap",
         type=int,
         default=DEFAULT_ATOM_CAP,
-        help="refuse an exact run once its step law's branches plus the states its "
-        f"fold carries, summed over the steps, pass this many (default {DEFAULT_ATOM_CAP})",
+        help="refuse an exact run once its step laws' branches plus the states its "
+        f"folds carry, summed over the steps, pass this many (default {DEFAULT_ATOM_CAP})",
     )
 
 

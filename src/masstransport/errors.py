@@ -28,5 +28,5 @@ class UnsupportedProcess(MassTransportError):
 
 
 class ExplosionCap(MassTransportError):
-    """An exact run would pass its cap: the step law's branches plus the
-    states its fold carries, summed over the steps (``--atom-cap``)."""
+    """An exact run would pass its cap: its step laws' branches plus the
+    states its folds carry, summed over the steps (``--atom-cap``)."""

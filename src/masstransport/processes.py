@@ -157,7 +157,8 @@ class Rotation:
 
     def __post_init__(self):
         pieces = tuple(
-            (float(b), _coerce_real(v, f"pieces[{i}][1]")) for i, (b, v) in enumerate(self.pieces)
+            (float(_coerce_real(b, f"pieces[{i}][0]")), _coerce_real(v, f"pieces[{i}][1]"))
+            for i, (b, v) in enumerate(self.pieces)
         )
         object.__setattr__(self, "pieces", pieces)
 
@@ -444,11 +445,11 @@ class GaussianProcess(Process):
         # scipy takes most of the package's import time; only this kind needs it
         from scipy.special import ndtri
 
-        if not math.isfinite(spec.mean):
-            raise InvalidSpec("mean must be finite", "mean")
-        if not (math.isfinite(spec.stddev) and spec.stddev > 0):
-            raise InvalidSpec("stddev must be finite and positive", "stddev")
-        self.spec = IidGaussian(float(spec.mean), float(spec.stddev))
+        mean = float(_coerce_real(spec.mean, "mean"))
+        stddev = float(_coerce_real(spec.stddev, "stddev"))
+        if not stddev > 0:
+            raise InvalidSpec("stddev must be positive", "stddev")
+        self.spec = IidGaussian(mean, stddev)
         self.stream = stream
         self._ndtri = ndtri
 
@@ -746,18 +747,30 @@ def sample_window(process: Process, lo: int, hi: int, seed: int, trial: int = 0)
 
 
 def exact_fold(
-    process: Process, length: int, start, step, atom_cap: int = DEFAULT_ATOM_CAP
-) -> tuple[dict, int, int]:
-    """Law of a statistic of ``length`` consecutive increments, exactly.
+    process: Process,
+    length: int,
+    start,
+    step,
+    atom_cap: int = DEFAULT_ATOM_CAP,
+    *,
+    read=None,
+    laws=lambda law: (law,),
+) -> list[tuple]:
+    """Laws of a statistic of ``length`` consecutive increments, exactly.
 
+    Folds each step law of ``laws(process.step_law(..))`` (by default the
+    process's own alone) and returns one (result, D^length, scale) per law.
     Runs in integers: an increment x reaches ``step`` as x * scale (scale
     the lcm of the law's value denominators) and weights are over D^length
     (D the lcm of its probability denominators).  ``start`` is the
     statistic of the empty path; ``step(acc, x)`` that of a path extended
     by x, or None to drop the path.  Paths that meet at a (state,
-    statistic) merge.  Returns ({statistic: weight}, D^length, scale).
-    ``atom_cap`` bounds the law's branches plus the states carried,
-    summed over the steps, so a longer window is refused at once.
+    statistic) merge.  The result is the final {statistic: weight}; with
+    ``read``, it is instead the list of sum(weight * read(statistic)) after
+    each step k = 1..length, each times D^(length-k), so every entry is
+    over D^length too.  ``atom_cap`` bounds the laws' branches plus the
+    states carried, summed over the steps of every fold, so a longer
+    window is refused at once.
     """
     if atom_cap < 1:
         raise InvalidSpec(f"atom_cap must be at least 1, got {atom_cap}")
@@ -766,36 +779,70 @@ def exact_fold(
         raise UnsupportedProcess(f"{name} has no exact law: infinite support or float values")
     if length > atom_cap:
         raise ExplosionCap(f"{length} steps carry more than the cap of {atom_cap} states")
-    law = process.step_law(atom_cap)
-    den = math.lcm(*(p.denominator for branches in law.values() for p, _, _ in branches))
-    scale = math.lcm(*(x.denominator for branches in law.values() for _, x, _ in branches))
-    law = {  # zero-probability branches go
-        s: [(p.numerator * den // p.denominator, x.numerator * scale // x.denominator, t)
-            for p, x, t in branches if p]
-        for s, branches in law.items()
-    }
-    used = sum(map(len, law.values()))
-    carried = {(None, start): 1}
-    for k in range(1, length + 1):
-        nxt: dict = {}
-        for (s, acc), w in carried.items():
-            for num, x, t in law[s]:
-                a = step(acc, x)
-                if a is not None:
-                    nxt[t, a] = nxt.get((t, a), 0) + w * num
-        carried = nxt
-        used += len(carried)
-        if used > atom_cap:
-            raise ExplosionCap(f"the exact fold passed the cap of {atom_cap} states at step {k}")
-    out: dict = {}
-    for (_, acc), w in carried.items():
-        out[acc] = out.get(acc, 0) + w
-    return out, den**length, scale
+    results, used = [], 0
+    for law in laws(process.step_law(atom_cap)):
+        den = math.lcm(*(p.denominator for branches in law.values() for p, _, _ in branches))
+        scale = math.lcm(*(x.denominator for branches in law.values() for _, x, _ in branches))
+        law = {  # zero-probability branches go
+            s: [(p.numerator * den // p.denominator, x.numerator * scale // x.denominator, t)
+                for p, x, t in branches if p]
+            for s, branches in law.items()
+        }
+        used += sum(map(len, law.values()))
+        carried = {(None, start): 1}
+        reads = []
+        for k in range(1, length + 1):
+            nxt: dict = {}
+            for (s, acc), w in carried.items():
+                for num, x, t in law[s]:
+                    a = step(acc, x)
+                    if a is not None:
+                        nxt[t, a] = nxt.get((t, a), 0) + w * num
+            carried = nxt
+            used += len(carried)
+            if used > atom_cap:
+                raise ExplosionCap(f"the exact fold passed the cap of {atom_cap} states at step {k}")
+            if read is not None:
+                reads.append(sum(w * read(acc) for (_, acc), w in carried.items()))
+        if read is None:
+            out: dict = {}
+            for (_, acc), w in carried.items():
+                out[acc] = out.get(acc, 0) + w
+        else:
+            out = [r * den ** (length - k) for k, r in enumerate(reads, 1)]
+        results.append((out, den**length, scale))
+    return results
+
+
+def reversed_law(law: dict) -> dict:
+    """The step law of the same process read backward in time.
+
+    pi, the law of the state the None step lands in, is stationary.  A
+    branch s -> t with value x, s in pi's support, steps back from t to s
+    with the same value and weight pi(s) p / pi(t); the start row takes it
+    with weight pi(s) p and lands in s.  So k steps of the result emit
+    X_k, .., X_1 of the forward law.  Zero-probability branches go.  A law
+    whose None step lands in None is iid: its row from None already is the
+    start row, so its branches are not appended to it twice.
+    """
+    pi: dict = {}
+    for p, _, t in law[None]:
+        pi[t] = pi.get(t, 0) + p
+    back: dict = {None: []}
+    for s, branches in law.items():
+        if not pi.get(s):  # the start of a non-iid law, or a state never reached
+            continue
+        for p, x, t in branches:
+            if p:
+                back[None].append((pi[s] * p, x, s))
+                if t is not None:
+                    back.setdefault(t, []).append((pi[s] * p / pi[t], x, s))
+    return back
 
 
 def window_fold(process: Process, n: int, atom_cap: int = DEFAULT_ATOM_CAP) -> tuple[dict, int, int]:
     """({window: weight}, D^n, scale): exact_fold of n increments, one law wherever they sit."""
-    weights, den, scale = exact_fold(process, n, (), lambda acc, x: (*acc, x), atom_cap)
+    [(weights, den, scale)] = exact_fold(process, n, (), lambda acc, x: (*acc, x), atom_cap)
     if sum(weights.values()) != den:
         raise InvalidSpec("the step law's probabilities do not sum to 1")
     return weights, den, scale

@@ -3,8 +3,9 @@
 Every check exists in two independent lanes wherever the process allows:
 
 * exact: fold the step law forward in integers (``processes.exact_fold``),
-  keeping one law of whole windows for every n of the identity but only
-  (S_n, X_1) of the surviving paths for the rest: Fractions, no tolerances;
+  keeping (state, U) for Lindley's recursion on each side of the identity
+  and (S_n, X_1) of the surviving paths for the rest: Fractions, no
+  tolerances;
 * Monte Carlo: estimate the same quantity from seeded sampling and
   report a confidence interval.
 
@@ -42,15 +43,13 @@ import os
 import numpy as np
 
 from .errors import InvalidSpec
-from .processes import DEFAULT_ATOM_CAP, PathWindow, Process, exact_fold, window_fold
-from .processes import exact_window_distribution  # noqa: F401  perfbench/spans.py patches verify.exact_window_distribution
+from .processes import DEFAULT_ATOM_CAP, Process, exact_fold, reversed_law
 from .scratch import Scratch, check_memory, order_of, scan
-from .transport import (
-    mass_received_at_zero,
-    mass_row,
-    received_mass_terms,
-    sent_mass_terms,
-)
+from .transport import received_mass_terms, sent_mass_terms
+
+# perfbench/spans.py patches these names here; nothing in this module calls them
+from .processes import exact_window_distribution  # noqa: F401
+from .transport import mass_received_at_zero, mass_row  # noqa: F401
 
 # default confidence level: two-sided 99%
 Z_DEFAULT = 2.576
@@ -257,26 +256,46 @@ def exact_identity(
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     """Both sides of E[M(0, n)] = E[M(-n, 0)] for n = 1..horizon, exactly.
 
-    One law of ``horizon`` increments serves both sides.  The left reads
-    each window as [0, horizon], where entry n of the mass row sent from 0
-    sees S_1..S_n only; the right reads it as [-horizon, 0], where entry -n
-    of the received mass (ladder-epoch form) sees S_-n..S_0 only.  The two
-    routes share nothing past the window law, which is the point.  Masses
-    are in units of increments times ``scale`` > 0, which keeps every sign,
-    so a window that sends or receives nothing is skipped before it is built.
+    Both are 0 at n = 1.  For n >= 2 the ``transport`` closed forms make
+    each side a difference of one expectation over n - 1 and over n
+    consecutive increments:
+
+    * E[M(-n, 0)] = A_{n-1} - A_n, with A_k = E[max(-U_k, 0)].  U_k, the
+      largest sum of increments ending at X_k, follows Lindley's recursion
+      U_k = X_k + max(U_{k-1}, 0); -U_k is the suffix minimum
+      min(S_-k, .., S_-1) shifted by k.  The indicator X_0 <= 0 is implied:
+      U_k < 0 only if X_k < 0.
+    * E[M(0, n)] = B_{n-1} - B_n, with B_k = E[max(min(S_1, .., S_k), 0)]
+      (X_1 > 0 is implied again).  Read backward from X_k, that minimum is
+      the smallest sum of increments ending at X_1, so B_k is A_k of the
+      walk reversed in time (``reversed_law``) and negated.
+
+    So each side is one ``exact_fold`` over (state, U), reading A_k after
+    every step: O(horizon) values of U per state and step for an integer
+    walk, O(horizon^2) in all.  The two sides share only the step law, and
+    ``atom_cap`` bounds both folds together.
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
-    weights, den, scale = window_fold(process, horizon, atom_cap)
-    lhs, rhs = [0] * horizon, [0] * horizon
-    for key, w in weights.items():
-        if key[0] > 0:  # X_1 <= 0 sends nothing
-            for m, mass in mass_row(PathWindow(0, horizon, key), 0).items():
-                lhs[m - 1] += w * mass
-        if key[-1] <= 0:  # X_0 > 0 receives nothing
-            for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():
-                rhs[-m - 1] += w * mass
-    return tuple((Fraction(a, den * scale), Fraction(b, den * scale)) for a, b in zip(lhs, rhs))
+
+    def lindley(u, x):
+        return x + max(u, 0)
+
+    def deficit(u):
+        return max(-u, 0)
+
+    def sides(law):  # sending (the walk backward and negated), then receiving
+        back = {s: [(p, -x, t) for p, x, t in b] for s, b in reversed_law(law).items()}
+        return back, law
+
+    sent, received = (
+        [Fraction(a - b, den * scale) for a, b in zip(reads, reads[1:])]
+        for reads, den, scale in exact_fold(
+            process, horizon, 0, lindley, atom_cap, read=deficit, laws=sides
+        )
+    )
+    zero = Fraction(0)
+    return ((zero, zero), *zip(sent, received))
 
 
 def exact_maximal_ergodic(
@@ -325,7 +344,8 @@ def _survivors(process: Process, n_max: int, atom_cap: int) -> tuple[dict, int, 
         s = acc[0] + x
         return (s, acc[1] or x) if s > 0 else None
 
-    return exact_fold(process, n_max, (0, 0), extend, atom_cap)
+    [survivors] = exact_fold(process, n_max, (0, 0), extend, atom_cap)
+    return survivors
 
 
 def exact_survival(process: Process, n_max: int, atom_cap: int = DEFAULT_ATOM_CAP) -> Fraction:

@@ -27,7 +27,7 @@ from masstransport import (
 )
 from masstransport.cli import THREADS_ENV, build_parser, main
 
-from conftest import SPEC_NAMES, spec_path
+from conftest import EXACT_NAMES, SPEC_NAMES, spec_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -419,6 +419,25 @@ def test_identity_exact_csv_has_rational_cells(capsys):
     by_n = {r[0]: r for r in rows}
     assert by_n["2"][1] == "1/4" and by_n["2"][2] == "1/4"
     assert all(r[3] == "" and r[8] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("name", EXACT_NAMES)
+def test_exact_identity_passes_at_long_horizons(name, capsys):
+    argv = ["verify-identity", "--spec", str(spec_path(name)), "--mode", "exact"]
+    code, out, _ = run([*argv, "--horizon", "128", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == list(range(1, 129))
+    assert all(r["pass"] for r in rows)
+
+
+def test_identity_both_modes_pass_at_the_default_horizon(capsys):
+    argv = ["verify-identity", "--spec", str(spec_path("markov_drift")), "--mode", "both"]
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["mode"] for r in payload["rows"]] == ["exact"] * 8 + ["mc"] * 8
+    assert payload["all_passed"] is True
 
 
 def test_identity_mc_json_includes_cumulative_sums(capsys):

@@ -1,12 +1,17 @@
-"""The exact fold against an independent oracle: enumerating every path.
+"""The exact fold against independent oracles.
 
-The oracle walks each finite kind path by path: a product over the value
-table, a depth-first walk of the chain, a filter over enumerated
+The first oracle walks each finite kind path by path: a product over the
+value table, a depth-first walk of the chain, a filter over enumerated
 innovations, and a weighted union of a mixture's children.  It shares
 nothing with the fold but the validated process objects and the scalar
 functions of one path (``first_nonpositive``, ``mass_row`` and
 ``mass_received_at_zero``), which it reads in ``Fraction``s on windows of
 each length n rather than in integers on one window of the longest.
+
+The second, ``window_identity``, reads the identity off one integer fold
+of whole windows with the scalar transport functions.  ``exact_identity``,
+which folds Lindley's recursion forward and over the reversed law
+(``reversed_law``) instead, must equal it Fraction for Fraction.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 from masstransport import (
+    DEFAULT_ATOM_CAP,
     IidDiscrete,
     MarkovChain,
     Mixture,
@@ -36,15 +42,19 @@ from masstransport.processes import (
     MarkovProcess,
     MixtureProcess,
     MovingAverageProcess,
+    exact_fold,
+    reversed_law,
+    window_fold,
 )
 
 from conftest import EXACT_NAMES
 
 F = Fraction
 
-# longest window whose law is compared, and the largest survival horizon
-# of the bundled specs; the extra specs, with three-value steps, stop at
-# LAW_MAX there too, which keeps the oracle to about 20000 paths each
+# longest window whose law is compared, and the largest survival and
+# window-oracle identity horizon of the bundled specs; the extra specs, with
+# three-value steps, stop at LAW_MAX there too, which keeps the oracle to
+# about 20000 paths each
 LAW_MAX = 8
 RUIN_MAX = 10
 
@@ -57,6 +67,11 @@ EXTRA_SPECS = {
     "ma_three_values": MovingAverage(
         coefficients=(F(2, 3), F(-1, 3)),
         innovation=IidDiscrete(values=(2, 0, -1), probs=(F(1, 3), F(1, 6), F(1, 2))),
+    ),
+    # the zero-probability innovation leaves unreachable states in the step law
+    "ma_zero_innovation": MovingAverage(
+        coefficients=(1, F(-1, 2), F(1, 4)),
+        innovation=IidDiscrete(values=(2, 7, -1), probs=(F(1, 4), F(0), F(3, 4))),
     ),
     "mixture_with_chain": Mixture(
         components=(
@@ -160,3 +175,65 @@ def test_survival_and_maximal_match_the_oracle(processes):
             maximal += by_ruin[n][1]
             assert exact_survival(proc, n) == survival, (name, n)
             assert exact_maximal_ergodic(proc, n) == maximal, (name, n)
+
+
+def window_identity(process, horizon):
+    """Both sides of the identity for n <= horizon from one law of whole
+    windows, read as [0, horizon] by ``mass_row`` and as [-horizon, 0] by
+    ``mass_received_at_zero``; masses are in units of increments times scale."""
+    weights, den, scale = window_fold(process, horizon)
+    lhs, rhs = [0] * horizon, [0] * horizon
+    for key, w in weights.items():
+        for m, mass in mass_row(PathWindow(0, horizon, key), 0).items():
+            lhs[m - 1] += w * mass
+        for m, mass in mass_received_at_zero(PathWindow(-horizon, 0, key)).items():
+            rhs[-m - 1] += w * mass
+    return [(F(a, den * scale), F(b, den * scale)) for a, b in zip(lhs, rhs)]
+
+
+def test_identity_matches_the_window_fold(processes):
+    for name, proc in processes.items():
+        horizon = RUIN_MAX if name in EXACT_NAMES else LAW_MAX
+        want = window_identity(proc, horizon)
+        for h in range(1, horizon + 1):
+            assert list(exact_identity(proc, h)) == want[:h], (name, h)
+
+
+def fold_windows(process, length, laws):
+    """{window: probability} of ``length`` increments of the one law ``laws`` makes."""
+    [(weights, den, _)] = exact_fold(process, length, (), lambda acc, x: (*acc, x), laws=laws)
+    return {key: F(w, den) for key, w in weights.items()}
+
+
+def test_reversed_laws_emit_windows_backward(processes):
+    for name, proc in processes.items():
+        forward = fold_windows(proc, LAW_MAX, lambda law: (law,))
+        backward = fold_windows(proc, LAW_MAX, lambda law: (reversed_law(law),))
+        assert backward == {key[::-1]: p for key, p in forward.items()}, name
+
+
+def test_reversal_maps_an_iid_law_to_itself(processes):
+    law = processes["p06_walk"].step_law(DEFAULT_ATOM_CAP)
+    assert reversed_law(law) == law
+
+
+def test_reversal_maps_a_two_state_chain_to_itself(processes):
+    # pi_0 P_01 = pi_1 P_10 for every two-state chain: it is reversible
+    for name in ("markov_drift", "two_point_chain"):
+        proc = processes[name]
+        back = reversed_law(proc.step_law(DEFAULT_ATOM_CAP))
+        for i, row in enumerate(proc.spec.transitions):
+            assert {j: p for p, _, j in back[i]} == dict(enumerate(row)), (name, i)
+        forward = fold_windows(proc, LAW_MAX, lambda law: (law,))
+        assert fold_windows(proc, LAW_MAX, lambda law: (reversed_law(law),)) == forward, name
+
+
+def test_reversal_of_a_three_state_chain_steps_by_pi_j_p_ji_over_pi_i(processes):
+    proc = processes["three_state_chain"]
+    pi, rows, payoffs = proc.pi, proc.spec.transitions, proc.spec.payoffs
+    back = reversed_law(proc.step_law(DEFAULT_ATOM_CAP))
+    for i in range(3):
+        # leaving i backward emits X = payoffs[i]; the zero entry P_11 is dropped
+        want = {(j, payoffs[i]): pi[j] * rows[j][i] / pi[i] for j in range(3) if rows[j][i]}
+        assert {(j, x): p for p, x, j in back[i]} == want, i
+    assert {j: p for p, _, j in back[0]} != dict(enumerate(rows[0]))  # not reversible

@@ -85,6 +85,19 @@ def test_values_must_be_finite_floats(build, where, x):
         build(x)
 
 
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda x: Rotation(pieces=((x, 1),)), "pieces[0][0]"),
+        (lambda x: make_process(IidGaussian(mean=x, stddev=1)), "mean"),
+        (lambda x: make_process(IidGaussian(mean=0, stddev=x)), "stddev"),
+    ],
+)
+def test_float_fields_past_the_float_range_are_refused(build, where):
+    with pytest.raises(InvalidSpec, match=re.escape(where)):
+        build(10**400)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(InvalidSpec):
         make_process(IidDiscrete(values=(1, -1, 0), probs=(F(1, 2), F(1, 2))))
