@@ -21,7 +21,6 @@ from .errors import (
 )
 from .processes import (
     DEFAULT_ATOM_CAP,
-    ExactDistribution,
     IidDiscrete,
     IidGaussian,
     MarkovChain,
@@ -87,7 +86,6 @@ __all__ = [
     "Rotation",
     "Mixture",
     "PathWindow",
-    "ExactDistribution",
     "Process",
     "make_process",
     "sample_window",

@@ -65,7 +65,10 @@ def _json_text(payload) -> str:
             return str(x)
         raise TypeError(f"not JSON serializable: {type(x).__name__}")
 
-    return json.dumps(payload, indent=2, default=default) + "\n"
+    try:
+        return json.dumps(payload, indent=2, default=default, allow_nan=False) + "\n"
+    except ValueError as e:  # NaN or infinity: float sums of the spec's values overflowed
+        raise MassTransportError(f"the result holds NaN or infinity, not valid JSON ({e})") from e
 
 
 def _write_out(path: str, text: str) -> None:

@@ -4,7 +4,8 @@ The limit of S_n / n is the mean of the ergodic component the trajectory
 lives on.  For the kinds in this package the component structure is
 explicit: a mixture picks one component per trajectory and every other
 kind is a single component, so the conditional mean given the invariant
-events is just the per-component mean table, ``process.components()``.
+events is just the per-component mean table, read from the
+``(weight, process)`` pairs of ``process.components()``.
 
 Two diagnostics are provided.  ``trajectory_batch`` tracks S_n / n along
 a geometric grid of n and reports the terminal gap to the component
@@ -35,7 +36,7 @@ MIN_WINDOW_START = 64
 
 def _targets(process: Process) -> np.ndarray:
     """The float target of S_n / n for each component id."""
-    return np.array([c.mean for c in process.components()], dtype=np.float64)
+    return np.array([c.mean() for _, c in process.components()], dtype=np.float64)
 
 
 def average_grid(n_max: int) -> tuple[int, ...]:
@@ -131,7 +132,7 @@ def trajectory(process: Process, n_max: int, seed: int, trial: int = 0) -> Traje
     trials = np.array([trial], dtype=np.uint64)
     averages = _running_averages(grid)(process.sample_block(seed, trials, 0, n_max))
     component = int(process.component_ids(seed, trials)[0])
-    target = process.components()[component].mean
+    target = process.components()[component][1].mean()
     return TrajectoryRow(trial, component, target, tuple(averages[0].tolist()))
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import ClassVar, Sequence, Union
 
@@ -196,8 +196,7 @@ class PathWindow:
     lo: int
     hi: int
     values: tuple[Real, ...]
-    # computed from values when left out, checked against them when given
-    sums: tuple[Real, ...] | None = None
+    sums: tuple[Real, ...] = field(init=False)
 
     def __post_init__(self):
         _check_window(self.lo, self.hi)
@@ -207,10 +206,7 @@ class PathWindow:
         if self.lo != 0:  # anchor at S_0 = 0; at lo = 0 the sums already are
             shift = sums[-self.lo]
             sums = tuple(p - shift for p in sums)
-        if self.sums is None:
-            object.__setattr__(self, "sums", sums)
-        elif self.sums != sums:
-            raise InvalidSpec("sums are not the anchored partial sums of values")
+        object.__setattr__(self, "sums", sums)
 
     @classmethod
     def from_values(cls, lo: int, values: Sequence[Real]) -> "PathWindow":
@@ -230,48 +226,8 @@ class PathWindow:
         return self.sums[k - self.lo]
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Finite law of a path window: atoms (window, probability), summing to 1."""
-
-    lo: int
-    hi: int
-    atoms: tuple[tuple[PathWindow, Fraction], ...]
-
-    def expectation(self, fn) -> Real:
-        """Expectation of fn(window); exact when fn returns rationals."""
-        return sum(p * fn(window) for window, p in self.atoms)
-
-    def block_law(self, k: int, length: int) -> dict[tuple, Fraction]:
-        """Marginal law of the increments (X_{k+1}, .., X_{k+length})."""
-        if not (self.lo <= k and k + length <= self.hi and length >= 1):
-            raise InvalidSpec(f"block ({k}, {k + length}] not contained in ({self.lo}, {self.hi}]")
-        law: dict[tuple, Fraction] = {}
-        for window, p in self.atoms:
-            block = window.values[k - self.lo : k - self.lo + length]
-            law[block] = law.get(block, Fraction(0)) + p
-        return law
-
-
 # ---------------------------------------------------------------------------
 # runtime processes
-
-
-@dataclass(frozen=True)
-class ComponentInfo:
-    """One ergodic component of a process with its mixture weight."""
-
-    index: int
-    weight: Fraction
-    process: "Process"
-
-    @property
-    def mean(self) -> float:
-        return self.process.mean()
-
-    @property
-    def exact_mean(self) -> Fraction | None:
-        return self.process.exact_mean()
 
 
 class Process:
@@ -292,8 +248,9 @@ class Process:
         """The mean as a rational; None (no exact law) when a value is a float."""
         return None
 
-    def components(self) -> tuple[ComponentInfo, ...]:
-        return (ComponentInfo(0, Fraction(1), self),)
+    def components(self) -> tuple[tuple[Fraction, "Process"], ...]:
+        """(weight, process) for each ergodic component, as a Mixture spec lists them."""
+        return ((Fraction(1), self),)
 
     def sample_block(
         self, seed: int, trials: np.ndarray, lo: int, hi: int, scratch=FRESH
@@ -643,12 +600,10 @@ class MixtureProcess(Process):
             return None
         return sum((w * m for w, m in zip(self.weights, means)), Fraction(0))
 
-    def components(self) -> tuple[ComponentInfo, ...]:
-        out = []
-        for w, c in zip(self.weights, self.children):
-            for info in c.components():
-                out.append(ComponentInfo(len(out), w * info.weight, info.process))
-        return tuple(out)
+    def components(self) -> tuple[tuple[Fraction, Process], ...]:
+        return tuple(
+            (w * v, leaf) for w, c in zip(self.weights, self.children) for v, leaf in c.components()
+        )
 
     def _picks(self, seed, trials):
         u = rng.uniform_column(seed, self.stream, trials, 0)
@@ -850,16 +805,16 @@ def window_fold(process: Process, n: int, atom_cap: int = DEFAULT_ATOM_CAP) -> t
 
 def exact_window_distribution(
     process: Process, lo: int, hi: int, atom_cap: int = DEFAULT_ATOM_CAP
-) -> ExactDistribution:
-    """Full window law of an exact process, one atom per distinct window."""
+) -> tuple[tuple[PathWindow, Fraction], ...]:
+    """Full window law of an exact process: one (window, probability) atom
+    per distinct window, the probabilities summing to 1."""
     _check_window(lo, hi)
     weights, den, scale = window_fold(process, hi - lo, atom_cap)
     decode = {x: Fraction(x, scale) for x in set().union(*weights)}  # one per distinct value
-    atoms = tuple(
+    return tuple(
         (PathWindow(lo, hi, tuple(map(decode.get, key))), Fraction(w, den))
         for key, w in weights.items()
     )
-    return ExactDistribution(lo, hi, atoms)
 
 
 def _unit_mod(x: np.ndarray, scratch=FRESH) -> np.ndarray:

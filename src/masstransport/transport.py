@@ -25,9 +25,10 @@ load bearing: the received-mass formula is the closed form of a case
 analysis on the sender's records, and it only collapses this way when
 ties are resolved in favour of the latest minimum on both sides.
 
-The module also carries vectorized per-column forms of the two mass
-profiles, used by the Monte Carlo estimators; they are checked against
-the scalar definitions in the test suite.
+The Monte Carlo estimators use one vectorized mass profile, the mass the
+origin sends, and its mirror: the mass it receives is the sent profile of
+the sums read backward from the origin.  Both are checked against the
+scalar definitions in the test suite.
 """
 
 from __future__ import annotations
@@ -178,22 +179,14 @@ def sent_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
 def received_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     """Per-sender masses M(-n, 0) into the origin, one trial per row.
 
-    ``sums`` has shape (T, H+1) holding S_{-H}..S_0; the result has
-    shape (T, H) with column n-1 equal to M(-n, 0).  Column 0 (the
-    sender -1) is identically zero.  The result and the temporaries
-    behind it come from ``scratch``, in the order of ``sums``.
+    ``sums`` has shape (T, H+1) holding S_{-H}..S_0 with S_0 = 0; the
+    result has shape (T, H) with column n-1 equal to M(-n, 0), in the
+    memory and order ``sent_mass_terms`` gives.  It is that function of
+    the mirrored sums S_0, S_{-1}, .., S_{-H}: their first step is up
+    exactly when X_0 < 0, and their running minima are the suffix minima
+    of the ladder-epoch form.  That form also ships when X_0 = 0, but
+    then every term is 0.
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
-    t, h = sums.shape[0], sums.shape[1] - 1
-    order = order_of(sums)
-    mask = np.less_equal(sums[:, -1], sums[:, -2], out=scratch.empty((t,), bool))
-    # column n-1 holds max(N_{-n}, 0), N_m = min(S_m .. S_{-1}) the suffix minimum
-    capped = scan(np.minimum, sums[:, -2::-1], scratch.empty((t, h), order=order))
-    np.maximum(capped, 0.0, out=capped)
-    terms = scratch.empty((t, h), order=order)
-    terms[:, 0] = 0.0
-    # for n >= 2, M(-n, 0) = max(N_{-n+1}, 0) - max(N_{-n}, 0)
-    np.subtract(capped[:, :-1], capped[:, 1:], out=terms[:, 1:])
-    terms *= mask[:, None]
-    return terms
+    return sent_mass_terms(sums[:, ::-1], scratch)

@@ -112,14 +112,14 @@ def ci_overlap(a: EstimateCI, b: EstimateCI) -> bool:
     return a.ci_low <= b.ci_high and b.ci_low <= a.ci_high
 
 
-def sign_pass(est: EstimateCI, slack: float = SIGN_SLACK) -> bool:
+def sign_pass(est: EstimateCI) -> bool:
     """One-sided check that the estimated mean is <= 0 up to noise."""
-    return est.mean <= slack * est.std_error
+    return est.mean <= SIGN_SLACK * est.std_error
 
 
-def agreement_pass(est: EstimateCI, target: float, sigmas: float = AGREEMENT_SIGMAS) -> bool:
+def agreement_pass(est: EstimateCI, target: float) -> bool:
     """Two-sided check that an estimate is within a few sigma of a known value."""
-    return abs(est.mean - target) <= sigmas * max(est.std_error, 1e-300)
+    return abs(est.mean - target) <= AGREEMENT_SIGMAS * max(est.std_error, 1e-300)
 
 
 def _chunk_arrays(total: int, width: int) -> list[np.ndarray]:

@@ -71,8 +71,7 @@ def window_corpus(process, total, seed):
 
 
 def exact_corpus(process):
-    dist = exact_window_distribution(process, -3, 2)
-    return [w for w, _ in dist.atoms]
+    return [w for w, _ in exact_window_distribution(process, -3, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,9 @@ def test_window_laws_match_the_oracle(processes):
             for values, p in longest.items():
                 want[values[:length]] = want.get(values[:length], 0) + p
             lo = -(length // 2)
-            dist = exact_window_distribution(proc, lo, lo + length)
-            got = {w.values: p for w, p in dist.atoms}
-            assert len(got) == len(dist.atoms), name  # one atom per distinct window
+            atoms = exact_window_distribution(proc, lo, lo + length)
+            got = {w.values: p for w, p in atoms}
+            assert len(got) == len(atoms), name  # one atom per distinct window
             assert got == want, (name, length)
 
 

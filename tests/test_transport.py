@@ -275,38 +275,51 @@ def test_float_lane_matches_at_tolerance(w):
 # ---------------------------------------------------------------------------
 
 
-def _random_sums(trials, horizon, seed):
+STEPS = (-1.0, 1.0, 2.0, -0.5)
+
+
+def _random_sums(trials, horizon, seed, steps=STEPS):
     rng = np.random.default_rng(seed)
-    steps = rng.choice([-1.0, 1.0, 2.0, -0.5], size=(trials, horizon))
+    steps = rng.choice(steps, size=(trials, horizon))
     sums = np.zeros((trials, horizon + 1))
     sums[:, 1:] = np.cumsum(steps, axis=1)
     return sums
 
 
+def _in_both_layouts(sums):
+    """The sums stored trial by trial, then trial-contiguous, as tiles are."""
+    return (sums, np.asfortranarray(sums))
+
+
 def test_sent_mass_terms_match_scalar_rows():
-    sums = _random_sums(200, 9, seed=1)
-    terms = sent_mass_terms(sums)
-    assert terms.shape == (200, 9)
-    for t in range(200):
-        w = PathWindow.from_values(0, list(np.diff(sums[t])))
-        row = mass_row(w, 0)
-        assert terms[t, 0] == 0.0
-        for m in range(1, 10):
-            assert close(terms[t, m - 1], row.get(m, 0))
+    # with zero steps, some senders have X_1 = 0, on the edge of the mask
+    for steps in (STEPS, STEPS + (0.0,)):
+        for sums in _in_both_layouts(_random_sums(200, 9, seed=1, steps=steps)):
+            terms = sent_mass_terms(sums)
+            assert terms.shape == (200, 9)
+            for t in range(200):
+                w = PathWindow.from_values(0, list(np.diff(sums[t])))
+                row = mass_row(w, 0)
+                assert terms[t, 0] == 0.0
+                for m in range(1, 10):
+                    assert close(terms[t, m - 1], row.get(m, 0))
 
 
 def test_received_mass_terms_match_scalar_rows():
-    sums = _random_sums(200, 9, seed=2)
-    # reinterpret columns as S_{-9}..S_0 by re-anchoring at the last one
-    sums = sums - sums[:, -1:]
-    terms = received_mass_terms(sums)
-    assert terms.shape == (200, 9)
-    for t in range(200):
-        w = PathWindow.from_values(-9, list(np.diff(sums[t])))
-        received = mass_received_at_zero(w)
-        assert terms[t, 0] == 0.0
-        for n in range(1, 10):
-            assert close(terms[t, n - 1], received.get(-n, 0.0))
+    # with zero steps, some windows have X_0 = 0: the ladder-epoch form
+    # ships when X_0 <= 0, the mirrored sent form when X_0 < 0
+    for steps in (STEPS, STEPS + (0.0,)):
+        right = _random_sums(200, 9, seed=2, steps=steps)
+        # reinterpret columns as S_{-9}..S_0 by re-anchoring at the last one
+        for sums in _in_both_layouts(right - right[:, -1:]):
+            terms = received_mass_terms(sums)
+            assert terms.shape == (200, 9)
+            for t in range(200):
+                w = PathWindow.from_values(-9, list(np.diff(sums[t])))
+                received = mass_received_at_zero(w)
+                assert terms[t, 0] == 0.0
+                for n in range(1, 10):
+                    assert close(terms[t, n - 1], received.get(-n, 0.0))
 
 
 def test_mass_terms_in_reused_scratch_equal_fresh_ones():
