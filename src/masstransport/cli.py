@@ -41,6 +41,11 @@ THREADS_ENV = "MASSTRANSPORT_THREADS"
 
 
 def _fmt(x) -> str:
+    if isinstance(x, float):  # numpy's float64 too
+        if math.isfinite(x):
+            return str(x)
+        # as in _json_text: float sums of the spec's values overflowed
+        raise MassTransportError(f"the result holds NaN or infinity ({x}), not a CSV number")
     if x is None:
         return ""
     if isinstance(x, bool):

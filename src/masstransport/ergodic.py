@@ -194,5 +194,5 @@ def estimate_dip_probability(
             return ratios.min(axis=1) < -epsilon
         return ratios.max(axis=1) > epsilon
 
-    estimate = _estimate(step, trials, threads, n_max, z, "n_max")
+    estimate = _estimate(step, trials, threads, n_max, n_max, z, "n_max")
     return DipReport(epsilon, n_max, start, side, estimate)

@@ -138,16 +138,18 @@ def test_deep_nesting_exits_2_naming_the_spec_file(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_results_that_overflow_to_nan_or_infinity_exit_2_not_as_json(tmp_path, capsys):
-    # S_n overflows: the identity's terms turn NaN and the averages infinite
+    # S_n overflows: the identity's terms turn NaN and the averages
+    # infinite; CSV has no nan or inf cells either
     huge = tmp_path / "huge.json"
     huge.write_text('{"kind": "iid_discrete", "values": [1e308, -1], "probs": ["1/2", "1/2"]}')
     for args in (
         ["verify-identity", "--horizon", "3", "--trials", "1000"],
         ["birkhoff", "--n-max", "8", "--trials", "4"],
     ):
-        code, out, err = run([*args, "--spec", str(huge), "--format", "json"], capsys)
-        assert code == 2 and out == ""
-        assert "NaN or infinity" in err
+        for form in ("json", "csv"):
+            code, out, err = run([*args, "--spec", str(huge), "--format", form], capsys)
+            assert code == 2 and out == ""
+            assert "NaN or infinity" in err
 
 
 def test_exact_mode_on_gaussian_exits_2(capsys):

@@ -33,8 +33,11 @@ from masstransport import (
 
 from masstransport import scratch as scratch_module
 from masstransport import verify as verify_module
+from masstransport.processes import MovingAverage
+from masstransport.scratch import Scratch, order_of, scan
 
 from conftest import EXACT_NAMES
+from test_exact_oracle import EXTRA_SPECS
 
 F = Fraction
 
@@ -175,6 +178,123 @@ def test_mc_survival_thread_invariance(corpus):
     a = mc_survival(corpus["markov_drift"], 64, 4_000, seed=2, threads=1)
     b = mc_survival(corpus["markov_drift"], 64, 4_000, seed=2, threads=3)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the ruin screen: a prefix of every trial, whole rows for the unruined
+# ---------------------------------------------------------------------------
+
+
+def _one_pass(process, n_max, trials, seed, threads=1):
+    """(survival, maximal) from whole rows of every trial: the step that
+    sampled and scanned all n_max increments before the screen."""
+
+    def step(survival):
+        def run(chunk, tile):
+            block = process.sample_block(seed, chunk, 0, n_max, tile)
+            first = block[:, 0].copy()
+            low = scan(np.add, block, block).min(axis=1)
+            return low > 0.0 if survival else first * (low <= 0.0)
+
+        return verify_module._estimate(run, trials, threads, n_max, n_max, 2.576, "horizon")
+
+    return step(True), step(False)
+
+
+@pytest.fixture(scope="module")
+def screened_kinds(corpus):
+    extra = ("three_state_chain", "ma_zero_innovation", "mixture_with_chain")
+    return {**corpus, **{name: make_process(EXTRA_SPECS[name]) for name in extra}}
+
+
+def test_a_prefix_is_the_first_columns_of_its_row(screened_kinds):
+    # the screen's prefix and its whole rows both start at lo = 0, chains
+    # too, whatever order each tile takes
+    layouts = set()
+    for name, proc in screened_kinds.items():
+        for count in (3, 20, 100):
+            trials = np.arange(7, 7 + 5 * count, 5, dtype=np.uint64)
+            for w, n in ((1, 2), (1, 9), (5, 7), (8, 64), (30, 40)):
+                row = proc.sample_block(4, trials, 0, n)
+                prefix = proc.sample_block(4, trials, 0, w, Scratch().tile())
+                layouts.add((order_of(prefix), order_of(row)))
+                want = np.ascontiguousarray(row[:, :w]).tobytes()
+                assert np.ascontiguousarray(prefix).tobytes() == want, (name, count, w, n)
+    assert {("C", "C"), ("F", "C"), ("F", "F")} <= layouts
+
+
+@pytest.mark.parametrize(
+    "name", ["p06_walk", "markov_drift", "moving_average", "rotation", "mixture_with_chain"]
+)
+def test_screened_survival_and_maximal_equal_whole_rows(screened_kinds, monkeypatch, name):
+    proc = screened_kinds[name]
+    for n_max in (1, 2, 7, 8, 9, 64, 2048):
+        if name == "mixture_with_chain" and n_max > 64:
+            continue  # a chain of three states steps in Python along long rows
+        want = _one_pass(proc, n_max, 400, seed=6)
+        for chunk in (4096, 3):
+            monkeypatch.setattr(verify_module, "CHUNK_TRIALS", chunk)
+            for threads in (1, 2):
+                got = (
+                    mc_survival(proc, n_max, 400, seed=6, threads=threads),
+                    mc_maximal_ergodic(proc, n_max, 400, seed=6, threads=threads),
+                )
+                assert got == want, (n_max, chunk, threads)
+
+
+@pytest.mark.parametrize("n_max, width", [(1, 1), (7, 1), (8, 1), (9, 1), (16, 2), (64, 8), (2048, 256)])
+def test_the_screen_draws_whole_rows_only_for_unruined_trials(corpus, monkeypatch, n_max, width):
+    proc, trials = corpus["p06_walk"], 3000
+    row = proc.sample_block(1, np.arange(trials, dtype=np.uint64), 0, width)
+    unruined = np.flatnonzero(np.cumsum(row, axis=1).min(axis=1) > 0.0)
+    calls = []
+    sample = proc.sample_block
+
+    def recording(seed, chunk, lo, hi, scratch):
+        calls.append((lo, hi, chunk.copy()))
+        return sample(seed, chunk, lo, hi, scratch)
+
+    monkeypatch.setattr(proc, "sample_block", recording)
+    mc_survival(proc, n_max, trials, seed=1, threads=2)
+    prefixes = [c for lo, hi, c in calls if (lo, hi) == (0, width)]
+    rows = [c for lo, hi, c in calls if (lo, hi) == (0, n_max) and hi > width]
+    assert len(prefixes) + len(rows) == len(calls)
+    assert sorted(np.concatenate(prefixes).tolist()) == list(range(trials))
+    whole = np.concatenate(rows).tolist() if rows else []
+    assert sorted(whole) == (unruined.tolist() if n_max > width else [])
+    assert all(len(c) <= verify_module._chunk_size(n_max) for c in rows)
+
+
+# two innovations of 1e308 in a row make an increment of +inf, two of
+# -1e308 one of -inf: 1 in 64 each
+OVERFLOWING = MovingAverage(
+    coefficients=(1, 1),
+    innovation=IidDiscrete(values=(1e308, -1e308, 1, -2), probs=(F(1, 8), F(1, 8), F(3, 8), F(3, 8))),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_ruin_in_the_prefix_stays_a_ruin_when_later_sums_turn_nan():
+    # The one reading the screen changes: a row ruined within its prefix
+    # whose later sums reach NaN (+inf, then -inf).  Its whole-row minimum
+    # is NaN and hid the ruin; the screen keeps the prefix's minimum.  Only
+    # increments that overflow to +-inf make such rows (see ROADMAP item 8).
+    proc, trials, n_max = make_process(OVERFLOWING), 2000, 64
+    width = n_max // 8
+    chunk = np.arange(trials, dtype=np.uint64)
+    block = proc.sample_block(3, chunk, 0, n_max)
+    sums = np.cumsum(block, axis=1)
+    prefix_low, whole_low = sums[:, :width].min(axis=1), sums.min(axis=1)
+    first, low = verify_module._ruin(proc, 3, chunk, n_max, Scratch().tile())
+    assert first.tobytes() == block[:, 0].tobytes()
+    want = np.where(prefix_low <= 0.0, prefix_low, whole_low)
+    assert low.tobytes() == want.tobytes()
+    kept = (prefix_low <= 0.0) & np.isnan(whole_low)
+    assert kept.sum() > 50
+    assert np.array_equal((low <= 0.0) != (whole_low <= 0.0), kept)
+    # survival reads such a row as ruined either way, so it is unchanged
+    survival, _ = _one_pass(proc, n_max, trials, seed=3)
+    assert mc_survival(proc, n_max, trials, seed=3) == survival
 
 
 # ---------------------------------------------------------------------------
