@@ -25,6 +25,7 @@ from masstransport import (
     spec_from_jsonable,
     spec_to_jsonable,
 )
+from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
 
 from conftest import EXACT_NAMES, SPEC_NAMES, spec_path
@@ -527,6 +528,40 @@ def test_survival_reports_truncation_bound(capsys):
     assert payload["all_passed"] is True
 
 
+NEVER_RUINED = {"kind": "iid_discrete", "values": [1, -1], "probs": ["1", "0"]}
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+@pytest.mark.parametrize(
+    "spec, bounded",
+    [
+        (NEVER_RUINED, lambda bound: bound == 0.0),
+        (
+            {
+                "kind": "mixture",
+                "components": [
+                    {"weight": "1/2", "process": NEVER_RUINED},
+                    {"weight": "1/2", "process": json.loads(spec_path("two_point").read_text())},
+                ],
+            },
+            lambda bound: 0.0 < bound <= 1.0,
+        ),
+        # exp overflows before the tilted radius reaches 1: no bound
+        (
+            {"kind": "iid_discrete", "values": [1, -2], "probs": [f"{10**300 - 1}/{10**300}", f"1/{10**300}"]},
+            lambda bound: bound is None,
+        ),
+    ],
+)
+def test_survival_with_an_unreachable_or_unlikely_loss_exits_0(spec, bounded, mode, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["survival", "--spec", str(path), "--mode", mode, "--horizon", "8", "--trials", "1000"]
+    code, out, err = run([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert bounded(json.loads(out)["truncation_bound"])
+
+
 def test_birkhoff_trajectory_csv_row_count(capsys):
     code, out, _ = run(
         [
@@ -911,3 +946,58 @@ def test_fuzzed_arguments_end_in_an_exit_code_not_a_traceback(argv):
         json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
     if argv[0] in MC_COMMANDS:
         assert run_main([*argv, "--threads", "2"]) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process and per $MASSTRANSPORT_THREADS
+
+
+class _Recorded(Exception):
+    pass
+
+
+def test_a_changed_threads_env_takes_effect_between_calls(monkeypatch):
+    def record(*args, threads, **kwargs):
+        raise _Recorded(threads)
+
+    monkeypatch.setattr(verify_module, "mc_survival", record)
+    argv = ["survival", "--spec", str(spec_path("p06_walk")), "--horizon", "4"]
+    for raw, threads in (("3", 3), ("5", 5), (None, 1), ("3", 3), ("0", 1)):
+        if raw is None:
+            monkeypatch.delenv(THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(THREADS_ENV, raw)
+        with pytest.raises(_Recorded) as e:
+            main(argv)
+        assert e.value.args == (threads,)
+
+
+@pytest.mark.parametrize("command", ["sample", "survival"])
+def test_malformed_threads_env_after_a_good_call_exits_2_naming_it(command, monkeypatch, capsys):
+    argv = [command, "--spec", str(spec_path("two_point"))]
+    if command == "survival":
+        argv += ["--horizon", "4", "--trials", "100"]
+    monkeypatch.setenv(THREADS_ENV, "2")
+    assert run(argv, capsys)[0] == 0
+    for raw in ("abc", "2.5", ""):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert THREADS_ENV in err and repr(raw) in err
+    monkeypatch.setenv(THREADS_ENV, "2")
+    assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("command", [[], ["sample"], ["transport"], *([c] for c in MC_COMMANDS)])
+def test_help_text_matches_a_fresh_parser(command, capsys):
+    def help_text(parse):
+        with pytest.raises(SystemExit) as e:
+            parse([*command, "--help"])
+        assert e.value.code == 0
+        return capsys.readouterr().out
+
+    assert run(["sample", "--spec", str(spec_path("two_point"))], capsys)[0] == 0
+    text = help_text(main)  # from the parser the first call built
+    assert text.startswith("usage: masstransport")
+    assert text == help_text(build_parser().parse_args)

@@ -28,8 +28,10 @@ from masstransport import (
 )
 
 from masstransport import rng
+from masstransport import processes as processes_module
 from masstransport.processes import (
     GOLDEN_ANGLE,
+    _chain_decay,
     _chain_path,
     _count_cuts,
     _inverse_cdf,
@@ -537,3 +539,152 @@ def test_chain_paths_match_the_chain_step_on_the_cuts():
             got = _chain_path(first, np.asarray(u, order=order), proc._cut_columns)
             assert order_of(got) == order
             np.testing.assert_array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# truncation bound: the ruin decay search
+
+
+def _chain_decay_200_steps(mean, matrix, payoffs, start):
+    """The search as it ran before it stopped at its fixed point: 200
+    ternary steps of two eigvals calls each.  Reference for the tests."""
+    if mean <= 0:
+        return None
+    if payoffs.min() >= 0.0:
+        return 0.0, 0.0
+
+    def tilted(lam):
+        return matrix * np.exp(-lam * payoffs)[None, :]
+
+    def radius(lam):
+        return float(np.max(np.abs(np.linalg.eigvals(tilted(lam)))))
+
+    hi = 1.0
+    for _ in range(200):
+        if radius(hi) >= 1.0:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if radius(m1) <= radius(m2):
+            hi = m2
+        else:
+            lo = m1
+    lam = (lo + hi) / 2.0
+    b = tilted(lam)
+    rho = radius(lam)
+    if not (0.0 < rho < 1.0):
+        return None
+    eigvals, eigvecs = np.linalg.eig(b)
+    u = np.abs(eigvecs[:, int(np.argmax(np.abs(eigvals)))])
+    if u.min() <= 1e-12 * u.max():
+        return None
+    c = float(start @ np.exp(-lam * payoffs)) * float(u.max() / u.min()) / rho
+    return rho, c
+
+
+def _random_chains(count, seed=5):
+    """(mean, matrix, payoffs, start) of irreducible chains of 2 to 6 states
+    with zero entries, integer payoffs on odd draws and 3-decimal ones on
+    even draws, started from their stationary law."""
+    rs = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rs.integers(2, 7))
+        m = rs.random((k, k)) * (rs.random((k, k)) > 0.3)
+        m[np.arange(k), (np.arange(k) + 1) % k] += 0.1  # a cycle through every state
+        m /= m.sum(axis=1, keepdims=True)
+        w, v = np.linalg.eig(m.T)
+        pi = np.abs(np.real(v[:, np.argmin(np.abs(w - 1.0))]))
+        pi /= pi.sum()
+        if i % 2:
+            payoffs = rs.integers(-4, 5, k).astype(float)
+        else:
+            payoffs = np.round(rs.normal(0.5, 2.0, k), 3)
+        yield float(pi @ payoffs), m, payoffs, pi
+
+
+def test_ruin_decay_equals_the_200_step_search_on_every_bundled_spec(corpus, monkeypatch):
+    got = {name: proc.ruin_decay() for name, proc in corpus.items()}
+    monkeypatch.setattr(processes_module, "_chain_decay", _chain_decay_200_steps)
+    assert got == {name: proc.ruin_decay() for name, proc in corpus.items()}
+    assert sum(decay is not None and decay[0] > 0.0 for decay in got.values()) == 5
+
+
+def test_ruin_decay_equals_the_200_step_search_on_random_chains():
+    outcomes = {"bound": 0, "none": 0, "raised": 0}
+    for chain in _random_chains(500):
+        got = _chain_decay(*chain)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = _chain_decay_200_steps(*chain)
+        except np.linalg.LinAlgError:
+            # the radius does not reach 1 before exp overflows: no bound,
+            # where the old search raised
+            assert got is None
+            outcomes["raised"] += 1
+            continue
+        assert got == expected
+        outcomes["none" if got is None else "bound"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_stacked_eigvals_equal_separate_calls_bit_for_bit(corpus, monkeypatch):
+    # every pair of probe matrices the search hands to one eigvals call
+    stacks = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        if a.ndim == 3:
+            stacks.append(a.copy())  # the search refills one buffer
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    for proc in corpus.values():
+        proc.ruin_decay()
+    for chain in _random_chains(500):
+        _chain_decay(*chain)
+    monkeypatch.undo()
+    assert len(stacks) > 10_000
+    for stack in stacks:
+        both = eigvals(stack)
+        for one, row in zip(stack, both):
+            alone = eigvals(one)
+            # the batch is complex when either matrix has a complex
+            # eigenvalue; widening a real result to complex is exact
+            assert row.tobytes() == alone.astype(both.dtype).tobytes()
+            assert np.abs(row).max() == np.abs(alone).max()
+
+
+def test_the_search_stops_at_its_fixed_point(corpus, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert corpus["p06_walk"].ruin_decay() is not None
+    # the 200-step search made 401 calls here
+    assert len(calls) <= 130
+
+
+@pytest.mark.parametrize(
+    "values, probs, expected",
+    [
+        ((1, -1), (F(1), F(0)), (0.0, 0.0)),  # the -1 never occurs
+        ((2, -1, -3), (F(1, 2), F(1, 2), F(0)), "bound"),
+        # exp(2 lam) overflows before the radius reaches 1
+        ((1, -2), (1 - F(1, 10**300), F(1, 10**300)), None),
+    ],
+)
+def test_ruin_decay_without_a_reachable_bound_does_not_raise(values, probs, expected):
+    decay = make_process(IidDiscrete(values=values, probs=probs)).ruin_decay()
+    if expected == "bound":
+        assert decay is not None and 0.0 < decay[0] < 1.0
+    else:
+        assert decay == expected
