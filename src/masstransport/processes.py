@@ -274,8 +274,28 @@ class Process:
         raise UnsupportedProcess(f"{type(self.spec).__name__} has no exact step law")
 
     def ruin_decay(self) -> tuple[float, float] | None:
-        """(rho, c) with P(S_n <= 0) <= c * rho^n, or None when unavailable."""
-        return None
+        """(rho, c) with P(S_n <= 0) <= c * rho^n, or None when unavailable.
+
+        Reads the step law (None past sqrt(DEFAULT_ATOM_CAP) branches) as a
+        chain on the (landing state, value) pairs of its branches of
+        positive probability, started from the row of state None.
+        """
+        try:
+            law = self.step_law(math.isqrt(DEFAULT_ATOM_CAP))
+        except (UnsupportedProcess, ExplosionCap):
+            return None
+        law = {s: [(p, (t, x)) for p, x, t in b if p] for s, b in law.items()}
+        pairs = dict.fromkeys(pair for b in law.values() for _, pair in b)  # law[None]'s first
+
+        def row(branches) -> np.ndarray:
+            weights = dict.fromkeys(pairs, Fraction(0))
+            for p, pair in branches:
+                weights[pair] += p
+            return np.array([float(w) for w in weights.values()])
+
+        matrix = np.array([row(law[t]) for t, _ in pairs])
+        payoffs = np.array([float(x) for _, x in pairs])
+        return _chain_decay(self.mean(), matrix, payoffs, row(law[None]))
 
 
 def _check_prob(x, where: str) -> Fraction:
@@ -391,11 +411,6 @@ class IidDiscreteProcess(Process):
         # one state: every draw is fresh
         return {None: [(p, v, None) for v, p in zip(self.spec.values, self.spec.probs)]}
 
-    def ruin_decay(self):
-        # an iid walk is a chain whose rows all equal the value law
-        probs = np.array([float(p) for p in self.spec.probs])
-        return _chain_decay(self.mean(), np.tile(probs, (len(probs), 1)), self._values_f, probs)
-
 
 class GaussianProcess(Process):
     def __init__(self, spec: IidGaussian, stream: int, build=None):
@@ -477,11 +492,6 @@ class MarkovProcess(Process):
         # the state is the chain's: the first is drawn from pi, rows step it
         rows = {None: self.pi, **dict(enumerate(self.spec.transitions))}
         return {s: [(p, self.spec.payoffs[t], t) for t, p in enumerate(r)] for s, r in rows.items()}
-
-    def ruin_decay(self):
-        matrix = np.array([[float(p) for p in row] for row in self.spec.transitions])
-        start = np.array([float(p) for p in self.pi])
-        return _chain_decay(self.mean(), matrix, self._payoff_f, start)
 
 
 class MovingAverageProcess(Process):
@@ -896,30 +906,6 @@ def _check_window(lo: int, hi: int) -> None:
 # exact stationary law of a finite chain
 
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
-
-
 def _stochastic_rows(transitions) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of a square row-stochastic matrix as exact Fractions."""
     n = len(transitions)
@@ -951,24 +937,29 @@ def stationary_distribution(
 
 
 def _stationary_law(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
-    """stationary_distribution of rows that _stochastic_rows has checked."""
+    """stationary_distribution of rows that _stochastic_rows has checked.
+
+    Solves pi (P - I) = 0 with its last equation, which the others repeat
+    (the columns of P - I sum to zero), replaced by sum(pi) = 1: a system
+    that is regular exactly when the fixed space is one dimensional.
+    """
     n = len(rows)
-    # fixed vectors of P^T: solve (P^T - I) x = 0
-    a = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = _rref(a)
-    rank = len(pivots)
-    if rank != n - 1:
-        raise NoStationaryDistribution(
-            f"fixed space has dimension {n - rank}, stationary law is not unique"
-        )
-    free = next(c for c in range(n) if c not in pivots)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        x[c] = -a[r][free]
-    # a stochastic P has a stationary law, which spans this 1-d space: x is a nonzero multiple
-    total = sum(x)
-    return tuple(v / total for v in x)
+    a = [[rows[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    a.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            raise NoStationaryDistribution(
+                "the chain has several closed classes, stationary law is not unique"
+            )
+        a[c], a[pivot] = a[pivot], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return tuple(row[n] for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -978,11 +969,11 @@ def _stationary_law(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, .
 def _chain_decay(mean: float, matrix: np.ndarray, payoffs: np.ndarray, start: np.ndarray):
     """Geometric bound P(S_n <= 0) <= C * rho^n for a payoff chain.
 
-    None when the mean is not positive; (0, 0) when no payoff that can
-    occur is negative (a state counts when the start law or some
-    transition gives it weight).  Otherwise Chernoff: P(S_n <= 0) <=
-    E[exp(-lam S_n)] for lam >= 0, and the moment term is
-    start' B^(n-1) 1 with B = matrix * exp(-lam payoffs) columnwise.
+    Every state must occur: the start law or some transition gives it
+    weight.  None when the mean is not positive; (0, 0) when no payoff
+    is negative.  Otherwise Chernoff: P(S_n <= 0) <= E[exp(-lam S_n)]
+    for lam >= 0, and the moment term is start' B^(n-1) 1 with B =
+    matrix * exp(-lam payoffs) columnwise.
     Doubling lam until the spectral radius of B reaches 1 brackets the
     minimizer; None when exp overflows first.  The radius is log-convex
     in lam, so a ternary search finds the minimizer; it stops at the
@@ -994,8 +985,7 @@ def _chain_decay(mean: float, matrix: np.ndarray, payoffs: np.ndarray, start: np
     """
     if mean <= 0:
         return None
-    occurs = (start > 0.0) | (matrix > 0.0).any(axis=0)
-    if payoffs[occurs].min() >= 0.0:
+    if payoffs.min() >= 0.0:
         return 0.0, 0.0
 
     def tilted(lam: float, out=None) -> np.ndarray:

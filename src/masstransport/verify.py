@@ -458,8 +458,8 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
     The horizon-n_max survival probability overstates true survival by
     exactly P(first nonpositive sum occurs beyond n_max), which union
     bounds by sum of P(S_n <= 0) over n > n_max.  Available for positive
-    mean iid, Gaussian and Markov processes and mixtures of those; None
-    when no geometric tail bound is known for the kind.
+    mean kinds with a step law of at most 1024 branches, the Gaussian, and
+    mixtures of those; None when no geometric tail bound is known.
     """
     decay = process.ruin_decay()
     if decay is None:

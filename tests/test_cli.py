@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from masstransport import (
     InvalidSpec,
     format_spec,
+    make_process,
     parse_spec_file,
     parse_spec_text,
     spec_from_jsonable,
@@ -215,13 +216,18 @@ def test_exact_runs_past_the_cap_exit_2_at_once(args, capsys):
 
 def test_long_moving_average_filter_is_refused_before_its_law_is_built(tmp_path, capsys):
     spec = tmp_path / "ma21.json"
-    innovation = {"kind": "iid_discrete", "values": [1, -1], "probs": ["1/2", "1/2"]}
+    innovation = {"kind": "iid_discrete", "values": [2, -1], "probs": ["1/2", "1/2"]}
     spec.write_text(
         json.dumps({"kind": "moving_average", "coefficients": [1] * 21, "innovation": innovation})
     )
     code, out, err = run(["survival", "--spec", str(spec), "--mode", "exact", "--horizon", "4"], capsys)
     assert code == 2
     assert "branches" in err
+    # Monte Carlo runs, but its mean is positive and it gets no truncation bound
+    argv = ["survival", "--spec", str(spec), "--mode", "mc", "--horizon", "4", "--trials", "100"]
+    code, out, err = run([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["truncation_bound"] is None
 
 
 @pytest.mark.parametrize(
@@ -529,6 +535,12 @@ def test_survival_reports_truncation_bound(capsys):
 
 
 NEVER_RUINED = {"kind": "iid_discrete", "values": [1, -1], "probs": ["1", "0"]}
+# a loss of probability 1/10^300
+LIKELY_WIN = {
+    "kind": "iid_discrete",
+    "values": [1, -2],
+    "probs": [f"{10**300 - 1}/{10**300}", f"1/{10**300}"],
+}
 
 
 @pytest.mark.parametrize("mode", ["mc", "exact"])
@@ -547,10 +559,7 @@ NEVER_RUINED = {"kind": "iid_discrete", "values": [1, -1], "probs": ["1", "0"]}
             lambda bound: 0.0 < bound <= 1.0,
         ),
         # exp overflows before the tilted radius reaches 1: no bound
-        (
-            {"kind": "iid_discrete", "values": [1, -2], "probs": [f"{10**300 - 1}/{10**300}", f"1/{10**300}"]},
-            lambda bound: bound is None,
-        ),
+        (LIKELY_WIN, lambda bound: bound is None),
     ],
 )
 def test_survival_with_an_unreachable_or_unlikely_loss_exits_0(spec, bounded, mode, tmp_path, capsys):
@@ -560,6 +569,66 @@ def test_survival_with_an_unreachable_or_unlikely_loss_exits_0(spec, bounded, mo
     code, out, err = run([*argv, "--format", "json"], capsys)
     assert (code, err) == (0, "")
     assert bounded(json.loads(out)["truncation_bound"])
+
+
+@contextlib.contextmanager
+def all_digits():
+    """Lift Python's limit on converting long integers from and to text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_results_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(LIKELY_WIN))
+    argv = ["survival", "--spec", str(path), "--mode", "exact", "--horizon", "64"]
+    expected = verify_module.exact_survival(make_process(parse_spec_file(path)), 64)
+    limit = sys.get_int_max_str_digits()
+    code, csv_out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    code, json_out, err = run([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # restored after writing
+    _, [row] = parse_csv(csv_out)
+    text = json.loads(json_out)["exact"]["value"]
+    assert text == row[2] and len(text) > limit
+    with all_digits():
+        assert Fraction(text) == expected
+
+
+# moving averages of positive mean over the p06 and two-point tables
+POSITIVE_MOVING_AVERAGES = [
+    {
+        "kind": "moving_average",
+        "coefficients": ["1/2", "1/4", "1/4"],
+        "innovation": {"kind": "iid_discrete", "values": [1, -1], "probs": ["3/5", "2/5"]},
+    },
+    {
+        "kind": "moving_average",
+        "coefficients": [1, "1/2"],
+        "innovation": {"kind": "iid_discrete", "values": [2, -1], "probs": ["1/2", "1/2"]},
+    },
+]
+
+
+@pytest.mark.parametrize("spec", POSITIVE_MOVING_AVERAGES, ids=["p06", "two_point"])
+def test_positive_moving_averages_print_a_truncation_bound(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["survival", "--spec", str(path), "--mode", "both", "--horizon", "256", "--trials", "500"]
+    code, csv_out, _ = run(argv, capsys)
+    assert code == 0
+    header, rows = parse_csv(csv_out)
+    column = header.index("truncation_bound")
+    bounds = {float(row[column]) for row in rows}
+    code, json_out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    [bound] = bounds
+    assert 0.0 < bound < 1.0 and json.loads(json_out)["truncation_bound"] == bound
 
 
 def test_birkhoff_trajectory_csv_row_count(capsys):

@@ -33,6 +33,7 @@ from masstransport.processes import (
     GOLDEN_ANGLE,
     _chain_decay,
     _chain_path,
+    exact_fold,
     _count_cuts,
     _inverse_cdf,
     _two_state_path,
@@ -193,6 +194,70 @@ def test_chain_with_transient_state_is_rejected_at_build():
     assert stationary_distribution(spec.transitions) == (F(1), F(0))
     with pytest.raises(NoStationaryDistribution):
         make_process(spec)
+
+
+def _stationary_law_by_rref(rows):
+    """The stationary law as it was solved before: the reduced row echelon
+    form of P^T - I, then the free column's null vector, normalized.
+    Reference for the tests."""
+    n = len(rows)
+    a = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots, r = [], 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    if len(pivots) != n - 1:
+        raise NoStationaryDistribution("fixed space is not one dimensional")
+    free = next(c for c in range(n) if c not in pivots)
+    x = [F(0)] * n
+    x[free] = F(1)
+    for r, c in enumerate(pivots):
+        x[c] = -a[r][free]
+    total = sum(x)
+    return tuple(v / total for v in x)
+
+
+def _random_law(rs, k):
+    """A rational law on k points, about half of them of probability 0."""
+    weights = [int(w) * (rs.random() < 0.5) for w in rs.integers(1, 8, k)]
+    if not any(weights):
+        weights[int(rs.integers(k))] = 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def _random_stochastic_rows(rs, k):
+    """A k-state rational row-stochastic matrix, about half its entries 0."""
+    return tuple(_random_law(rs, k) for _ in range(k))
+
+
+def test_stationary_law_equals_the_rref_solve_on_random_chains():
+    rs = np.random.default_rng(11)
+    outcomes = {"law": 0, "raised": 0}
+    for _ in range(1500):
+        rows = _random_stochastic_rows(rs, int(rs.integers(1, 7)))
+        try:
+            expected = _stationary_law_by_rref(rows)
+        except NoStationaryDistribution:
+            with pytest.raises(NoStationaryDistribution):
+                stationary_distribution(rows)
+            outcomes["raised"] += 1
+            continue
+        got = stationary_distribution(rows)
+        assert got == expected and all(type(p) is F for p in got)
+        outcomes["law"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_drift_chain_stationary_law(corpus):
@@ -688,3 +753,125 @@ def test_ruin_decay_without_a_reachable_bound_does_not_raise(values, probs, expe
         assert decay is not None and 0.0 < decay[0] < 1.0
     else:
         assert decay == expected
+
+
+# ---------------------------------------------------------------------------
+# truncation bound: the chain read from the step law
+
+
+def _iid_chain(proc):
+    """What the iid kind fed the search before it read the step law: an
+    iid walk is a chain whose rows all equal the value law."""
+    probs = np.array([float(p) for p in proc.spec.probs])
+    return np.tile(probs, (len(probs), 1)), np.array([float(v) for v in proc.spec.values]), probs
+
+
+def _markov_chain(proc):
+    """What the Markov kind fed the search before it read the step law."""
+    matrix = np.array([[float(p) for p in row] for row in proc.spec.transitions])
+    payoffs = np.array([float(v) for v in proc.spec.payoffs])
+    return matrix, payoffs, np.array([float(p) for p in proc.pi])
+
+
+def _fed_to_the_search(proc, monkeypatch):
+    """(ruin_decay(), (matrix, payoffs, start)) as ``_chain_decay`` got them."""
+    fed = []
+
+    def recording(mean, matrix, payoffs, start):
+        fed.append((matrix, payoffs, start))
+        return _chain_decay(mean, matrix, payoffs, start)
+
+    monkeypatch.setattr(processes_module, "_chain_decay", recording)
+    decay = proc.ruin_decay()
+    monkeypatch.undo()
+    [chain] = fed
+    return decay, chain
+
+
+def _assert_same_chain(proc, reference, monkeypatch):
+    decay, chain = _fed_to_the_search(proc, monkeypatch)
+    for got, expected in zip(chain, reference):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert decay == _chain_decay(proc.mean(), *reference)
+
+
+def test_bundled_iid_and_markov_specs_feed_the_search_the_same_chain(corpus, monkeypatch):
+    for name, proc in corpus.items():
+        kind = type(proc.spec).__name__
+        if kind in ("IidDiscrete", "MarkovChain"):
+            reference = _iid_chain(proc) if kind == "IidDiscrete" else _markov_chain(proc)
+            _assert_same_chain(proc, reference, monkeypatch)
+
+
+def _merged_table(values, probs):
+    """The value table a chain on (state, value) pairs sees: equal values
+    merged, values of probability 0 dropped, in order of first appearance."""
+    merged: dict = {}
+    for v, p in zip(values, probs):
+        if p:
+            merged[v] = merged.get(v, 0) + p
+    return tuple(merged), tuple(merged.values())
+
+
+def test_random_iid_and_markov_specs_feed_the_search_the_same_chain(monkeypatch):
+    rs = np.random.default_rng(17)
+    counts = {"markov": 0, "iid table as is": 0, "iid table merged": 0, "bound": 0}
+    while min(counts.values()) < 150:
+        k = int(rs.integers(1, 7))
+        payoffs = tuple(int(v) for v in rs.integers(-4, 5, k))
+        if rs.random() < 0.5:
+            probs = _random_law(rs, k)
+            proc = make_process(IidDiscrete(payoffs, probs))
+            table = _merged_table(payoffs, probs)
+            if table == (payoffs, probs):
+                counts["iid table as is"] += 1
+                _assert_same_chain(proc, _iid_chain(proc), monkeypatch)
+            else:
+                # the chain has one state per distinct value of positive
+                # probability; with repeated values only, the walk is the
+                # same and so is its bound, to rounding (at mean 0 only
+                # float noise gives a bound)
+                counts["iid table merged"] += 1
+                merged = make_process(IidDiscrete(*table))
+                _assert_same_chain(proc, _iid_chain(merged), monkeypatch)
+                if all(probs) and proc.exact_mean() > 0:
+                    old = _chain_decay(proc.mean(), *_iid_chain(proc))
+                    np.testing.assert_allclose(proc.ruin_decay(), old, rtol=1e-12)
+        else:
+            try:
+                proc = make_process(MarkovChain(_random_stochastic_rows(rs, k), payoffs))
+            except NoStationaryDistribution:  # several closed classes, or a transient state
+                continue
+            counts["markov"] += 1
+            _assert_same_chain(proc, _markov_chain(proc), monkeypatch)
+        decay = proc.ruin_decay()
+        counts["bound"] += decay is not None and 0.0 < decay[0] < 1.0
+    assert sum(counts.values()) - counts["bound"] >= 500, counts
+
+
+# a moving average of positive mean over two innovation tables
+MA_P06 = MovingAverage(
+    coefficients=(F(1, 2), F(1, 4), F(1, 4)),
+    innovation=IidDiscrete(values=(1, -1), probs=(F(3, 5), F(2, 5))),
+)
+MA_TWO_POINT = MovingAverage(
+    coefficients=(F(1), F(1, 2)),
+    innovation=IidDiscrete(values=(2, -1), probs=(F(1, 2), F(1, 2))),
+)
+
+
+@pytest.mark.parametrize("spec", [MA_P06, MA_TWO_POINT], ids=["p06", "two_point"])
+def test_moving_average_bound_dominates_the_exact_ruin_probability(spec):
+    proc = make_process(spec)
+    rho, c = proc.ruin_decay()
+    assert 0.0 < rho < 1.0
+    n = 64
+    [(reads, den, _)] = exact_fold(proc, n, 0, lambda s, x: s + x, read=lambda s: s <= 0)
+    for k, weight in enumerate(reads, 1):
+        assert F(weight, den) <= c * rho**k
+
+
+def test_moving_averages_without_positive_drift_or_past_the_cap_get_no_bound(corpus):
+    assert corpus["moving_average"].ruin_decay() is None  # mean 0
+    long_filter = MovingAverage(coefficients=(1,) * 21, innovation=MA_P06.innovation)
+    assert make_process(long_filter).ruin_decay() is None  # 2^22 branches
