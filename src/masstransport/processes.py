@@ -278,8 +278,16 @@ class Process:
 
         Reads the step law (None past sqrt(DEFAULT_ATOM_CAP) branches) as a
         chain on the (landing state, value) pairs of its branches of
-        positive probability, started from the row of state None.
+        positive probability, started from the row of state None.  The
+        sign of the drift is the exact mean's where there is one: a walk
+        of exact mean 0 can have a float mean of either sign.
         """
+        mean = self.mean()
+        exact = self.exact_mean()
+        if exact is not None:
+            if exact <= 0 < mean:  # positive by rounding alone: no search
+                return None
+            mean = exact
         try:
             law = self.step_law(math.isqrt(DEFAULT_ATOM_CAP))
         except (UnsupportedProcess, ExplosionCap):
@@ -295,7 +303,7 @@ class Process:
 
         matrix = np.array([row(law[t]) for t, _ in pairs])
         payoffs = np.array([float(x) for _, x in pairs])
-        return _chain_decay(self.mean(), matrix, payoffs, row(law[None]))
+        return _chain_decay(mean, matrix, payoffs, row(law[None]))
 
 
 def _check_prob(x, where: str) -> Fraction:
@@ -966,7 +974,7 @@ def _stationary_law(rows: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, .
 # how fast a positive-drift chain stops returning to (-inf, 0]
 
 
-def _chain_decay(mean: float, matrix: np.ndarray, payoffs: np.ndarray, start: np.ndarray):
+def _chain_decay(mean: float | Fraction, matrix: np.ndarray, payoffs: np.ndarray, start: np.ndarray):
     """Geometric bound P(S_n <= 0) <= C * rho^n for a payoff chain.
 
     Every state must occur: the start law or some transition gives it

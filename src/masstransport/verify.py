@@ -16,9 +16,10 @@ overlap (``ci_overlap``).
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
 is cut into fixed-size chunks of trials whatever the thread count, each
 chunk is a pure function of its trial indices and fills its own rows of
-one per-trial array, and all reductions run on those full arrays (the
-identity keeps one contiguous row of all trials for each n).  Running
-with 1 or 16 threads produces the same bytes.
+one per-trial array, and all reductions run on those full arrays.  The
+identity fills one side at a time, one contiguous row of all trials for
+each n >= 2, and reduces it before the other side refills the same rows.
+Running with 1 or 16 threads produces the same bytes.
 
 A chunk is one tile: as many whole trials as fit about ``TILE_BYTES`` of
 float64 increments.  Each tile is sampled into memory its thread reuses
@@ -104,7 +105,8 @@ class EstimateCI:
 
         It takes np.std's steps with the same ufuncs in the same order, but
         sums the samples once for both.  The deviations go into ``scratch``,
-        a float64 array as long as ``samples``, when one is given.
+        a float64 array as long as ``samples``, when one is given; that may
+        be ``samples`` itself, which is read only before the deviations.
         """
         n = len(samples)
         if n < 2:
@@ -201,14 +203,15 @@ def _estimate(
     """EstimateCI of the one value per trial that ``step`` returns from
     rows of n_max increments, given chunks of one tile of rows ``width``
     long; a row too large for memory is refused naming ``field``, the
-    caller's name for n_max."""
+    caller's name for n_max.  The per-trial values are the run's one array
+    of ``trials`` floats, and their deviations overwrite them."""
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     _check_interval(trials, z)
     check_memory(trials, 1, n_max, field)
     samples = np.empty(trials)
     _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, width, samples)
-    return EstimateCI.from_samples(samples, z)
+    return EstimateCI.from_samples(samples, z, samples)
 
 
 def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) -> np.ndarray:
@@ -284,29 +287,36 @@ def mc_identity(
     right side windows [-horizon, 0] on trials trials..2*trials-1, so the
     two estimates are independent and each n passes when the confidence
     intervals overlap (``ci_overlap``).
+
+    The sides are sampled one after the other into the same buffer of
+    horizon - 1 terms per trial, one row of all trials for each n >= 2,
+    and every row's estimate is taken before the next side overwrites it.
+    Draws are keyed by (trial, position), so which side is in memory
+    changes no number.  M(0, 1) and M(-1, 0) are 0 on every path (the
+    first record receives nothing), so n = 1 stores and samples nothing.
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
     _check_interval(trials, z)
-    # the terms of both sides, plus the deviations of one estimate at a time
-    check_memory(trials, 2 * horizon + 1, 2 * horizon, "horizon")
+    check_memory(trials, horizon - 1, horizon, "horizon")
+    # position-major: row n-2 holds every trial's term for n, contiguously;
+    # one side's terms at a time
+    terms = np.empty((horizon - 1, trials))
+    # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
+    zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)
 
-    def step(chunk: np.ndarray, tile):
-        left = process.sample_block(seed, chunk, 0, horizon, tile)
-        lterms = sent_mass_terms(_anchored_float_sums(left, tile, anchor_end=False), tile)
-        right = process.sample_block(seed, chunk + np.uint64(trials), -horizon, 0, tile)
-        rterms = received_mass_terms(_anchored_float_sums(right, tile, anchor_end=True), tile)
-        return lterms, rterms
+    def side(first: int, lo: int, mass_terms) -> list[EstimateCI]:
+        def step(chunk: np.ndarray, tile):
+            block = process.sample_block(seed, chunk + np.uint64(first), lo, lo + horizon, tile)
+            sums = _anchored_float_sums(block, tile, anchor_end=lo < 0)
+            return (mass_terms(sums, tile)[:, 1:],)
 
-    # position-major: row n-1 holds every trial's term for n, contiguously
-    lhs = np.empty((horizon, trials))
-    rhs = np.empty((horizon, trials))
-    _fill_rows(step, threads, 2 * horizon, lhs.T, rhs.T)
-    dev = np.empty(trials)
-    return tuple(
-        (EstimateCI.from_samples(a, z, dev), EstimateCI.from_samples(b, z, dev))
-        for a, b in zip(lhs, rhs)
-    )
+        if horizon > 1:
+            _fill_rows(step, threads, horizon, terms.T)
+        # a row's deviations overwrite it once it is summed
+        return [zero, *(EstimateCI.from_samples(row, z, row) for row in terms)]
+
+    return tuple(zip(side(0, 0, sent_mass_terms), side(trials, -horizon, received_mass_terms)))
 
 
 def exact_identity(

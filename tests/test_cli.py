@@ -26,6 +26,7 @@ from masstransport import (
     spec_from_jsonable,
     spec_to_jsonable,
 )
+from masstransport import processes as processes_module
 from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
 
@@ -613,6 +614,32 @@ POSITIVE_MOVING_AVERAGES = [
         "innovation": {"kind": "iid_discrete", "values": [2, -1], "probs": ["1/2", "1/2"]},
     },
 ]
+
+
+# exact mean 0, float mean 5.6e-17
+ZERO_MEANS_POSITIVE_IN_FLOAT = [
+    {"kind": "iid_discrete", "values": [1, -1, -1, -3], "probs": ["1/2", "1/6", "1/3", "0"]},
+    {"kind": "iid_discrete", "values": [4, -2, 2, 0, 0], "probs": ["2/11", "5/11", "1/11", "1/11", "2/11"]},
+]
+
+
+@pytest.mark.parametrize("spec", ZERO_MEANS_POSITIVE_IN_FLOAT, ids=["four_values", "five_values"])
+def test_a_zero_exact_mean_gets_no_truncation_bound(spec, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = make_process(parse_spec_file(path))
+    assert proc.exact_mean() == 0 and proc.mean() > 0
+
+    def search(*args):
+        raise AssertionError("a walk without drift reached the Chernoff search")
+
+    monkeypatch.setattr(processes_module, "_chain_decay", search)
+    assert proc.ruin_decay() is None
+    argv = ["survival", "--spec", str(path), "--mode", "mc", "--horizon", "8", "--trials", "100"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert {row[header.index("truncation_bound")] for row in rows} == {""}
 
 
 @pytest.mark.parametrize("spec", POSITIVE_MOVING_AVERAGES, ids=["p06", "two_point"])

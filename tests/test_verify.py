@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,14 +401,43 @@ def test_mc_identity_equals_per_column_reference(corpus, name):
             assert got == want, (horizon, threads)
 
 
-def test_mc_identity_memory_check_counts_the_deviation_buffer(corpus, monkeypatch):
-    # 100 trials at horizon 4 keep 2 * 4 terms and one deviation per trial:
-    # 7200 bytes, refused by a 7000-byte machine that would hold the terms
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 7000}
-    monkeypatch.setattr(scratch_module.os, "sysconf", memory.get)
-    with pytest.raises(InvalidSpec) as err:
-        mc_identity(corpus["p06_walk"], 4, 100, seed=0)
-    assert err.value.where == "trials"
+def test_mc_identity_memory_check_counts_one_side_of_terms(corpus, monkeypatch):
+    # 100 trials at horizon 4 keep one side's terms for n = 2..4 at a time:
+    # 3 * 100 floats, 2400 bytes
+    for nbytes in (2399, 2400):
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(scratch_module.os, "sysconf", memory.get)
+        if nbytes < 2400:
+            with pytest.raises(InvalidSpec) as err:
+                mc_identity(corpus["p06_walk"], 4, 100, seed=0)
+            assert err.value.where == "trials"
+        else:
+            assert len(mc_identity(corpus["p06_walk"], 4, 100, seed=0)) == 4
+
+
+def _traced_peak(run):
+    """(run(), the peak of the memory it allocated, numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_identity_keeps_one_side_of_terms_in_memory(corpus):
+    # one side's terms for n = 2..8 are 7 floats per trial, and the tiles
+    # add about 3 MiB; both sides and a buffer of deviations were 17 floats
+    trials = 200_000
+    pairs, peak = _traced_peak(lambda: mc_identity(corpus["p06_walk"], 8, trials, seed=0))
+    assert peak <= 7 * trials * 8 + (4 << 20)
+    assert mc_identity(corpus["p06_walk"], 8, trials, seed=0, threads=3) == pairs
+
+
+def test_mc_maximal_ergodic_keeps_one_float_per_trial(corpus):
+    trials = 200_000
+    est, peak = _traced_peak(lambda: mc_maximal_ergodic(corpus["rotation"], 16, trials, seed=0))
+    assert peak <= trials * 8 + (4 << 20)
+    assert mc_maximal_ergodic(corpus["rotation"], 16, trials, seed=0, threads=3) == est
 
 
 def test_ci_overlap_is_symmetric():
