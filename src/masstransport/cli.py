@@ -535,6 +535,13 @@ def main(argv=None) -> int:
     try:
         args = _parser(os.environ.get(THREADS_ENV)).parse_args(argv)
         process = make_process(parse_spec_file(args.spec))
+        if getattr(args, "mode", "mc") != "exact":  # a float lane: refuse sums that overflow
+            if args.command in ("sample", "transport"):
+                length, trials = args.hi - args.lo, 1
+            else:
+                length = args.n_max if args.command == "birkhoff" else args.horizon
+                trials = args.trials
+            verify.check_magnitude(process, length, trials)
         header, rows, payload, passed = args.fn(args, process)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # exact results may pass the default 4300 digits

@@ -110,9 +110,9 @@ def trajectory_batch(
     targets = _targets(process)
     averages_of = _running_averages(grid)
 
-    def step(chunk: np.ndarray, tile):
-        block = process.sample_block(seed, chunk, 0, n_max, tile)
-        return averages_of(block), process.component_ids(seed, chunk)
+    def step(chunk: np.ndarray, tile, averages: np.ndarray, ids: np.ndarray) -> None:
+        averages[:] = averages_of(process.sample_block(seed, chunk, 0, n_max, tile))
+        ids[:] = process.component_ids(seed, chunk)
 
     averages = np.empty((trials, len(grid)))
     ids = np.empty(trials, dtype=np.int64)

@@ -240,8 +240,17 @@ class Process:
 
     spec: ProcessSpec
     stream: int
+    # each increment is drawn from its own index alone, so a window cut from
+    # a longer one holds the same numbers wherever the two overlap (all but
+    # a chain, which starts at its window's first position)
+    index_pure: bool = True
 
     def mean(self) -> float:
+        raise NotImplementedError
+
+    def magnitude(self) -> tuple[float, str]:
+        """(B, field): no increment's magnitude exceeds the float B, and
+        ``field`` names the spec field B comes from."""
         raise NotImplementedError
 
     def exact_mean(self) -> Fraction | None:
@@ -400,6 +409,9 @@ class IidDiscreteProcess(Process):
     def mean(self) -> float:
         return float(sum(float(v) * float(p) for v, p in zip(self.spec.values, self.spec.probs)))
 
+    def magnitude(self) -> tuple[float, str]:
+        return float(np.abs(self._values_f).max()), "values"
+
     def exact_mean(self) -> Fraction | None:
         if not all(isinstance(v, Fraction) for v in self.spec.values):
             return None
@@ -436,6 +448,11 @@ class GaussianProcess(Process):
     def mean(self) -> float:
         return self.spec.mean
 
+    def magnitude(self) -> tuple[float, str]:
+        # |ndtri(u)| < 8.3 for every u on the rng's lattice
+        mu, sd = abs(self.spec.mean), 9.0 * self.spec.stddev
+        return mu + sd, "mean" if mu > sd else "stddev"
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
@@ -453,6 +470,8 @@ class GaussianProcess(Process):
 
 
 class MarkovProcess(Process):
+    index_pure = False
+
     def __init__(self, spec: MarkovChain, stream: int, build=None):
         rows = _stochastic_rows(spec.transitions)
         n = len(rows)
@@ -476,6 +495,9 @@ class MarkovProcess(Process):
 
     def mean(self) -> float:
         return float(sum(float(p) * float(v) for p, v in zip(self.pi, self.spec.payoffs)))
+
+    def magnitude(self) -> tuple[float, str]:
+        return float(np.abs(self._payoff_f).max()), "payoffs"
 
     def exact_mean(self) -> Fraction | None:
         if not all(isinstance(v, Fraction) for v in self.spec.payoffs):
@@ -517,6 +539,12 @@ class MovingAverageProcess(Process):
 
     def mean(self) -> float:
         return self.inner.mean() * float(sum(self._coef_f))
+
+    def magnitude(self) -> tuple[float, str]:
+        # the larger of the two factors names the field
+        inner, field = self.inner.magnitude()
+        gain = sum(abs(c) for c in self._coef_f)
+        return gain * inner, "coefficients" if gain > inner else field
 
     def exact_mean(self) -> Fraction | None:
         im = self.inner.exact_mean()
@@ -581,6 +609,9 @@ class RotationProcess(Process):
         arcs[-1] = 1.0 - b[-1] + b[0]
         return float(arcs @ v)
 
+    def magnitude(self) -> tuple[float, str]:
+        return float(np.abs(self._values_f).max()), "pieces"
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
         phase = rng.uniform_column(seed, self.stream, trials, 0)
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(np.float64)
@@ -604,6 +635,7 @@ class MixtureProcess(Process):
         self.stream = stream
         self.children = children
         self.weights = weights
+        self.index_pure = all(c.index_pure for c in children)
         self._w_cum = _cumulative(weights)
         # each child's first index in the flat list of leaf components
         sizes = [len(c.components()) for c in children[:-1]]
@@ -622,6 +654,9 @@ class MixtureProcess(Process):
         return tuple(
             (w * v, leaf) for w, c in zip(self.weights, self.children) for v, leaf in c.components()
         )
+
+    def magnitude(self) -> tuple[float, str]:
+        return max((c.magnitude() for c in self.children), key=lambda m: m[0])
 
     def _picks(self, seed, trials):
         u = rng.uniform_column(seed, self.stream, trials, 0)

@@ -14,15 +14,17 @@ Fractions that must be equal, or EstimateCIs whose intervals must
 overlap (``ci_overlap``).
 
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
-is cut into fixed-size chunks of trials whatever the thread count, each
-chunk is a pure function of its trial indices and fills its own rows of
-one per-trial array, and all reductions run on those full arrays.  The
-identity fills one side at a time, one contiguous row of all trials for
-each n >= 2, and reduces it before the other side refills the same rows.
-Running with 1 or 16 threads produces the same bytes.
+is cut into chunks of trials, each chunk is a pure function of its trial
+indices and fills its own rows of one per-trial array, and all
+reductions run on those full arrays, so no result depends on where the
+chunks end.  The identity fills one side at a time, one contiguous row
+of all trials for each n >= 2, and reduces it before the other side
+refills the same rows.  Running with 1 or 16 threads produces the same
+bytes.
 
-A chunk is one tile: as many whole trials as fit about ``TILE_BYTES`` of
-float64 increments.  Each tile is sampled into memory its thread reuses
+A chunk is one tile, as many whole trials as fit about ``TILE_BYTES`` of
+float64 increments, or fewer where a run of fewer tiles than threads is
+split among them.  Each tile is sampled into memory its thread reuses
 from tile to tile and reduced to per-trial values while it is still in
 cache.  A tile of more trials than positions (every short horizon) is
 stored trial-contiguous, and its running sums and minima step one
@@ -32,10 +34,14 @@ keyed by its absolute (trial, position) and every per-trial value is
 reduced along its own positions in order, so neither the tile size nor
 the layout changes any output.
 
-Survival and the maximal inequality stop sampling a trial once it is
-ruined (``_ruin``): a chunk is one tile of prefixes, the first eighth of
-every trial's row, and only the trials no prefix sum has ruined are
-sampled again as whole rows, a tile of them at a time.
+Where a short prefix of a trial can fix its value, a chunk is screened
+(``_screen``): it draws the prefix of every trial, then whole windows
+only for the trials the prefixes leave undecided, a tile of them at a
+time.  Survival and the maximal inequality screen on the first eighth of
+every row, where a ruin fixes the result, and a chunk is one tile of
+prefixes (``_ruin``).  The identity screens on the step next to the
+origin, where X_1 <= 0 sends nothing and X_0 >= 0 receives nothing, and
+a chunk is one tile of whole windows (``mc_identity``).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -65,17 +72,16 @@ Z_DEFAULT = 2.576
 SIGN_SLACK = 3.0
 AGREEMENT_SIGMAS = 4.0
 
-# trials per work unit; a deterministic function of the window width (never
-# of the thread count), capped so a chunk's sample block is one tile of
-# about TILE_BYTES.  A tile and the scratch arrays behind it then stay in
-# cache; smaller tiles pay more per-tile call overhead, larger ones spill
-# out of L2.  512 KiB was the fastest of 256 KiB, 512 KiB and 1 MiB for
-# criterion 6 on the 2-core Xeon of CHANGES.md.  The chunk's shape also
-# picks the tile's memory order (``scratch.tile_order``): short windows
-# give CHUNK_TRIALS trials of a few positions, stored trial-contiguous.
-# Chunking only groups trials; every draw is keyed by its absolute trial
-# index, so results cannot depend on these numbers.
-CHUNK_TRIALS = 4096
+# a work unit is at most one tile: as many whole trials as fit about
+# TILE_BYTES of float64 increments.  A tile and the scratch arrays behind
+# it then stay in cache; smaller tiles pay more per-tile call overhead,
+# larger ones spill out of L2.  512 KiB was the fastest of 256 KiB,
+# 512 KiB and 1 MiB for criterion 6 on the 2-core Xeon of CHANGES.md.  The
+# chunk's shape also picks the tile's memory order
+# (``scratch.tile_order``): short windows give many trials of a few
+# positions, stored trial-contiguous.  Chunking only groups trials; every
+# draw is keyed by its absolute trial index, so results cannot depend on
+# this number.
 TILE_BYTES = 512 << 10
 
 # survival and the maximal inequality sample positions 1..n_max // RUIN_SCREEN
@@ -137,37 +143,38 @@ def agreement_pass(est: EstimateCI, target: float) -> bool:
 
 def _chunk_size(width: int) -> int:
     """Trials of one tile of rows ``width`` increments long."""
-    return max(1, min(CHUNK_TRIALS, TILE_BYTES // (8 * max(1, width))))
-
-
-def _chunk_arrays(total: int, width: int) -> list[np.ndarray]:
-    size = _chunk_size(width)
-    return [
-        np.arange(s, min(s + size, total), dtype=np.uint64)
-        for s in range(0, total, size)
-    ]
+    return max(1, TILE_BYTES // (8 * width))
 
 
 def _run_chunks(total: int, threads: int, worker, width: int = 1):
-    """Apply worker to each fixed chunk of trial indices, in order.
+    """Apply worker to each chunk of trial indices, in order.
 
-    The pool never has more threads than chunks or than CPUs.
+    A chunk is one tile of trials, or fewer where a run of fewer tiles
+    than workers would leave one idle: such a run is split evenly among
+    them.  A chunk's indices are built only when it runs.  The pool never
+    has more threads than chunks or than CPUs.
     """
-    chunks = _chunk_arrays(total, width)
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    size = max(1, min(_chunk_size(width), -(-total // workers)))
+    starts = range(0, total, size)
+
+    def run(start: int):
+        return worker(np.arange(start, min(start + size, total), dtype=np.uint64))
+
+    workers = min(workers, len(starts))
     if workers <= 1:
-        return [worker(c) for c in chunks]
+        return [run(s) for s in starts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, chunks))
+        return list(pool.map(run, starts))
 
 
 def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
     """The one Monte Carlo loop: fill ``outs``, indexed by trial along
     axis 0, by tiles.
 
-    ``step(chunk, tile)`` samples and reduces the trials in ``chunk`` in
-    the scratch memory ``tile`` and returns one array per entry of outs;
-    its chunk's entries are copied out before the thread's next tile
+    ``step(chunk, tile, *rows)`` samples and reduces the trials in
+    ``chunk`` in the scratch memory ``tile`` and writes them into
+    ``rows``, the chunk's rows of each out, before the thread's next tile
     reuses ``tile``.  An out may be a transposed view, as the identity's
     position-major terms are; a trial-contiguous part then copies into
     contiguous runs of it.
@@ -176,10 +183,33 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
 
     def worker(chunk: np.ndarray) -> None:
         rows = slice(int(chunk[0]), int(chunk[0]) + len(chunk))
-        for out, part in zip(outs, step(chunk, scratch.tile())):
-            out[rows] = part
+        step(chunk, scratch.tile(), *(out[rows] for out in outs))
 
     _run_chunks(len(outs[0]), threads, worker, width)
+
+
+def _screen(
+    process: Process, seed: int, chunk: np.ndarray, tile: Scratch, window, prefix, screen, reduce, out
+) -> None:
+    """The screening loop: fill ``out``, one row per trial of ``chunk``,
+    drawing whole windows only for the trials a prefix leaves undecided.
+
+    ``screen(block, out)`` reads the prefix block, positions ``prefix`` =
+    (lo, hi) of every trial, writes the rows of ``out`` it decides, and
+    returns the indices of the others in order.  Each of those gets
+    ``reduce(block, tile)`` of its whole ``window``, drawn from the
+    window's first position, in groups of at most one tile.  With
+    ``screen`` None every trial's window is drawn whole.
+    """
+    lo, hi = window
+    size = _chunk_size(hi - lo)
+    if screen is None:
+        groups = [slice(s, s + size) for s in range(0, len(chunk), size)]
+    else:
+        alive = screen(process.sample_block(seed, chunk, *prefix, tile), out)
+        groups = [alive[s : s + size] for s in range(0, len(alive), size)]
+    for rows in groups:
+        out[rows] = reduce(process.sample_block(seed, chunk[rows], lo, hi, tile.tile()), tile)
 
 
 def check_z(z: float) -> None:
@@ -187,6 +217,29 @@ def check_z(z: float) -> None:
     or one that always does."""
     if not (math.isfinite(z) and z > 0):
         raise InvalidSpec(f"z must be finite and positive, got {z}")
+
+
+def check_magnitude(process: Process, length: int, trials: int) -> None:
+    """Refuse increments whose float sums could overflow, naming the spec
+    field their bound comes from.
+
+    With every increment within B, the sums of a window of ``length`` of
+    them and its mass terms stay within 4 * length * B, and
+    ``EstimateCI`` sums ``trials`` squared deviations of up to twice that.
+    So nothing overflows while 16 * length * B * sqrt(trials), which
+    leaves room for rounding, stays under sqrt(float max).  Lengths and
+    counts past 2^64 are read as 2^64: the memory check refuses them.
+    """
+    if length < 1:
+        return
+    bound, field = process.magnitude()
+    length, trials = (float(min(n, 1 << 64)) for n in (length, max(trials, 1)))
+    if not 16.0 * length * bound * math.sqrt(trials) <= math.sqrt(sys.float_info.max):
+        raise InvalidSpec(
+            f"sums of {length:.0f} increments of magnitude up to {bound:g} "
+            "would overflow to NaN or infinity",
+            field,
+        )
 
 
 def _check_interval(trials: int, z: float) -> None:
@@ -210,7 +263,11 @@ def _estimate(
     _check_interval(trials, z)
     check_memory(trials, 1, n_max, field)
     samples = np.empty(trials)
-    _fill_rows(lambda chunk, tile: (step(chunk, tile),), threads, width, samples)
+
+    def fill(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
+        rows[:] = step(chunk, tile)
+
+    _fill_rows(fill, threads, width, samples)
     return EstimateCI.from_samples(samples, z, samples)
 
 
@@ -241,35 +298,50 @@ def _ruin(
     """(X_1, min(S_1..S_n_max)) for each trial of ``chunk``, except that a
     trial ruined early keeps the minimum of its prefix, which is <= 0.
 
-    It samples positions 1.._screen_width(n_max) of every trial first.  A
-    trial whose prefix sums reach <= 0 is ruined whatever follows, and one
-    whose prefix minimum is NaN has a NaN minimum however long its row, so
-    only the others are sampled again, as whole rows from position 1, in
-    groups of at most one tile of n_max-long rows.  A prefix is the same
-    numbers as the first columns of its row, for a chain too, since both
-    start at lo = 0, and ``scan`` adds each row's positions in order; so
-    every minimum read from a whole row is the one it always was, and a
-    ruin seen in the prefix is a ruin of the whole row.
+    It screens (``_screen``) on positions 1.._screen_width(n_max) of every
+    trial.  A trial whose prefix sums reach <= 0 is ruined whatever
+    follows, and one whose prefix minimum is NaN has a NaN minimum however
+    long its row, so only the others are drawn again, as whole rows from
+    position 1.  A prefix is the same numbers as the first columns of its
+    row, for a chain too, since both start at lo = 0, and ``scan`` adds
+    each row's positions in order; so every minimum read from a whole row
+    is the one it always was, and a ruin seen in the prefix is a ruin of
+    the whole row.
 
     The one row whose reading can differ from a scan of the whole row: a
     ruin in the prefix, then increments that overflow to +inf and -inf
     and turn a later sum into NaN.  The whole row's minimum is NaN, which
     hides the ruin; the prefix keeps it.  Only spec values near the float
-    range do that (a Gaussian or moving average of huge values), and no
-    bundled spec.
+    range do that (a Gaussian or moving average of huge values), no
+    bundled spec, and nothing the command line accepts
+    (``check_magnitude``).
     """
     width = _screen_width(n_max)
-    prefix = process.sample_block(seed, chunk, 0, width, tile)
-    first = prefix[:, 0].copy()
-    low = _min_partial_sum(prefix)
-    if width < n_max:
-        alive = np.flatnonzero(low > 0.0)
-        size = _chunk_size(n_max)
-        for s in range(0, len(alive), size):
-            rows = alive[s : s + size]
-            block = process.sample_block(seed, chunk[rows], 0, n_max, tile.tile())
-            low[rows] = _min_partial_sum(block)
+    first = np.empty(len(chunk))
+
+    def screen(prefix: np.ndarray, low: np.ndarray) -> np.ndarray:
+        first[:] = prefix[:, 0]
+        low[:] = _min_partial_sum(prefix)
+        return np.flatnonzero(low > 0.0) if width < n_max else np.empty(0, np.intp)
+
+    low = np.empty(len(chunk))
+    _screen(
+        process, seed, chunk, tile, (0, n_max), (0, width), screen,
+        lambda block, tile: _min_partial_sum(block), low,
+    )
     return first, low
+
+
+def _zero_unless(keep: np.ufunc):
+    """A screen on a one-position prefix that keeps the trials whose
+    increment x has ``keep(x, 0.0)``; every row reads zero until a kept
+    one is overwritten."""
+
+    def screen(prefix: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[...] = 0.0
+        return np.flatnonzero(keep(prefix[:, 0], 0.0))
+
+    return screen
 
 
 def mc_identity(
@@ -294,6 +366,22 @@ def mc_identity(
     Draws are keyed by (trial, position), so which side is in memory
     changes no number.  M(0, 1) and M(-1, 0) are 0 on every path (the
     first record receives nothing), so n = 1 stores and samples nothing.
+
+    Each side is screened (``_screen``) on the step next to the origin,
+    and a chunk is one tile of whole windows.  The left side draws X_1 of
+    every trial, and a whole window only where X_1 > 0.  Elsewhere S_1 <=
+    S_0, so the running minimum behind the terms never rises above S_0
+    and every term is zero.  The right side draws X_0, the window [-1, 0],
+    and a whole window only where X_0 < 0; elsewhere the mirrored first
+    step S_-1 - S_0 is <= 0, rounding being monotone, and every term is
+    zero again.  The kept rows are a superset of the rows with mass (a
+    large S_-1 can absorb a negative X_0), and every estimate sums the
+    same full rows in trial order.  X_0 drawn alone is the last column of
+    the whole window only for a ``Process.index_pure`` kind; a chain
+    starts at its window's first position, so its right side (or a
+    mixture's holding one) is drawn whole.  The one row that reads
+    differently: a screened-out row whose later sums overflow to NaN,
+    which gave NaN terms and now gives zeros, as in ``_ruin``.
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
@@ -305,18 +393,24 @@ def mc_identity(
     # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
     zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)
 
-    def side(first: int, lo: int, mass_terms) -> list[EstimateCI]:
-        def step(chunk: np.ndarray, tile):
-            block = process.sample_block(seed, chunk + np.uint64(first), lo, lo + horizon, tile)
+    def side(first: int, lo: int, mass_terms, prefix, screen) -> list[EstimateCI]:
+        def reduce(block: np.ndarray, tile: Scratch) -> np.ndarray:
             sums = _anchored_float_sums(block, tile, anchor_end=lo < 0)
-            return (mass_terms(sums, tile)[:, 1:],)
+            return mass_terms(sums, tile)[:, 1:]
+
+        def step(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
+            chunk = chunk + np.uint64(first)
+            _screen(process, seed, chunk, tile, (lo, lo + horizon), prefix, screen, reduce, rows)
 
         if horizon > 1:
             _fill_rows(step, threads, horizon, terms.T)
         # a row's deviations overwrite it once it is summed
         return [zero, *(EstimateCI.from_samples(row, z, row) for row in terms)]
 
-    return tuple(zip(side(0, 0, sent_mass_terms), side(trials, -horizon, received_mass_terms)))
+    left = side(0, 0, sent_mass_terms, (0, 1), _zero_unless(np.greater))
+    right_screen = _zero_unless(np.less) if process.index_pure else None
+    right = side(trials, -horizon, received_mass_terms, (-1, 0), right_screen)
+    return tuple(zip(left, right))
 
 
 def exact_identity(

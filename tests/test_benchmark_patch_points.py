@@ -14,7 +14,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from masstransport import cli, ergodic, rng, verify
+import numpy as np
+
+from masstransport import cli, ergodic, make_process, parse_spec_file, rng, verify
 
 from conftest import spec_path
 
@@ -59,10 +61,18 @@ def test_traced_mc_identity_records_its_layers(capsys):
     elements: dict[str, int] = {}
     for span in traced_run(MC_ARGV, capsys):
         elements[span["name"]] = elements.get(span["name"], 0) + span.get("elements", 0)
-    per_side = MC_TRIALS * MC_HORIZON
-    assert elements["transport.sent_mass_terms"] == per_side
-    assert elements["transport.received_mass_terms"] == per_side
-    assert elements["processes.iid_discrete.sample_block"] == 2 * per_side
+    # each side draws one increment of every trial, then whole windows of
+    # the trials whose X_1 > 0 (left) or X_0 < 0 (right)
+    process = make_process(parse_spec_file(spec_path("p06_walk")))
+    trials = np.arange(2 * MC_TRIALS, dtype=np.uint64)
+    x1 = process.sample_block(3, trials[:MC_TRIALS], 0, 1)
+    x0 = process.sample_block(3, trials[MC_TRIALS:], -1, 0)
+    sent, received = int((x1 > 0).sum()), int((x0 < 0).sum())
+    assert 0 < sent < MC_TRIALS and 0 < received < MC_TRIALS
+    assert elements["transport.sent_mass_terms"] == sent * MC_HORIZON
+    assert elements["transport.received_mass_terms"] == received * MC_HORIZON
+    drawn = 2 * MC_TRIALS + (sent + received) * MC_HORIZON
+    assert elements["processes.iid_discrete.sample_block"] == drawn
     assert "verify.mc_identity" in elements
 
 

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -153,6 +154,76 @@ def test_results_that_overflow_to_nan_or_infinity_exit_2_not_as_json(tmp_path, c
             code, out, err = run([*args, "--spec", str(huge), "--format", form], capsys)
             assert code == 2 and out == ""
             assert "NaN or infinity" in err
+
+
+IID_PAIR = '{"kind": "iid_discrete", "values": [%r, %r], "probs": ["1/2", "1/2"]}'
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings fail the test
+@pytest.mark.parametrize(
+    "command", ["sample", "transport", "verify-identity", "verify-maximal", "survival", "birkhoff"]
+)
+def test_values_the_float_sums_cannot_carry_exit_2_naming_them(tmp_path, capsys, command):
+    huge = tmp_path / "huge.json"
+    huge.write_text(IID_PAIR % (1e308, -1))
+    for form in ("csv", "json"):
+        code, out, err = run([command, "--spec", str(huge), "--format", form], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: values: ") and "would overflow to NaN or infinity" in err
+
+
+INNOVATION = '{"kind": "iid_discrete", "values": [%r, -1], "probs": ["1/2", "1/2"]}'
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"kind": "markov_chain", "transitions": [["1/2", "1/2"], ["1/2", "1/2"]], '
+         '"payoffs": [1e300, -1]}', "payoffs"),
+        ('{"kind": "moving_average", "coefficients": [1e300, 1], "innovation": %s}'
+         % (INNOVATION % 2), "coefficients"),
+        ('{"kind": "moving_average", "coefficients": [1, 1], "innovation": %s}'
+         % (INNOVATION % 1e300), "values"),
+        ('{"kind": "rotation", "pieces": [[0, 1], [0.5, -1e300]]}', "pieces"),
+        ('{"kind": "iid_gaussian", "mean": -1e300, "stddev": 1}', "mean"),
+        ('{"kind": "iid_gaussian", "mean": 0, "stddev": 1e300}', "stddev"),
+        ('{"kind": "mixture", "components": [{"weight": "1/2", "process": %s}, '
+         '{"weight": "1/2", "process": {"kind": "rotation", "pieces": [[0, 1e300]]}}]}'
+         % (INNOVATION % 1), "pieces"),
+    ],
+)
+def test_each_kind_names_the_field_its_magnitude_comes_from(tmp_path, capsys, text, field):
+    huge = tmp_path / "huge.json"
+    huge.write_text(text)
+    code, out, err = run(["survival", "--spec", str(huge), "--horizon", "8"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args, length, trials",
+    [
+        (["verify-identity", "--horizon", "4", "--trials", "100"], 4, 100),
+        (["verify-maximal", "--horizon", "4", "--trials", "100"], 4, 100),
+        (["survival", "--horizon", "4", "--trials", "100"], 4, 100),
+        (["birkhoff", "--n-max", "8", "--trials", "100", "--epsilon", "0.1", "--min-n", "1"], 8, 100),
+        (["birkhoff", "--n-max", "8", "--trials", "3"], 8, 3),
+        (["transport", "--lo", "-3", "--hi", "3"], 6, 1),
+    ],
+)
+def test_the_largest_accepted_values_give_finite_results(tmp_path, capsys, args, length, trials):
+    # the limit: 16 * length * |value| * sqrt(trials) <= sqrt(float max)
+    largest = math.sqrt(sys.float_info.max) / (16 * length * math.sqrt(trials))
+    spec = tmp_path / "spec.json"
+    for scale, accepted in ((0.99, True), (1.01, False)):
+        spec.write_text(IID_PAIR % (scale * largest, -scale * largest))
+        code, out, err = run([*args, "--spec", str(spec), "--format", "json"], capsys)
+        if accepted:
+            assert code in (0, 1), err
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        else:
+            assert code == 2 and out == "" and err.startswith("error: values: ")
 
 
 def test_exact_mode_on_gaussian_exits_2(capsys):

@@ -2,10 +2,11 @@
 
 A tile of more trials than positions is stored trial-contiguous, any
 other position-contiguous (``scratch.tile_order``), and its running scans
-step in that order (``scratch.scan``).  Shrinking ``CHUNK_TRIALS`` below
-the window's length forces the other order, and setting it to the length
-hits the boundary between the two, so every Monte Carlo lane must print
-the same bytes under all three settings.
+step in that order (``scratch.scan``).  Shrinking ``TILE_BYTES`` until a
+tile of whole rows holds fewer trials than the window's length forces the
+other order, and a tile of as many trials as positions hits the boundary
+between the two, so every Monte Carlo lane must print the same bytes
+under all three settings.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ def _bits(value) -> bytes:
     return np.array(floats).tobytes()
 
 
-def _under_each_layout(monkeypatch, positions: int, width: int, trials: int, run) -> list[bytes]:
-    """``run()`` with chunks that are trial-contiguous, position-contiguous
-    and on the boundary (as many trials as positions)."""
+def _under_each_layout(monkeypatch, positions: int, trials: int, run) -> list[bytes]:
+    """``run()`` with tiles of whole rows that are trial-contiguous,
+    position-contiguous and on the boundary (as many trials as positions)."""
     out = []
     for chunk, order in ((4096, "F"), (max(1, positions // 3), "C"), (positions, "C")):
-        monkeypatch.setattr(verify_module, "CHUNK_TRIALS", chunk)
-        first = verify_module._chunk_arrays(trials, width)[0]
-        assert tile_order(len(first), positions) == order
+        monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * positions * chunk)
+        first = min(trials, verify_module._chunk_size(positions))
+        assert tile_order(first, positions) == order
         out.append(_bits(run()))
     return out
 
@@ -78,7 +79,7 @@ def kinds(corpus):
 def test_identity_does_not_depend_on_the_layout(kinds, monkeypatch, name):
     proc = kinds[name]
     runs = _under_each_layout(
-        monkeypatch, 8, 16, 700, lambda: mc_identity(proc, 8, 700, seed=3, threads=2)
+        monkeypatch, 8, 700, lambda: mc_identity(proc, 8, 700, seed=3, threads=2)
     )
     assert runs[0] == runs[1] == runs[2]
 
@@ -95,7 +96,7 @@ def test_maximal_and_survival_do_not_depend_on_the_layout(kinds, monkeypatch, na
             mc_survival(proc, 24, 900, seed=2, threads=2),
         )
 
-    runs = _under_each_layout(monkeypatch, 24, 24, 900, run)
+    runs = _under_each_layout(monkeypatch, 24, 900, run)
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -110,7 +111,7 @@ def test_trajectories_and_dips_do_not_depend_on_the_layout(kinds, monkeypatch, n
             estimate_dip_probability(proc, 0.05, 100, 400, seed=5, min_start=8, side="above"),
         )
 
-    runs = _under_each_layout(monkeypatch, 100, 100, 400, run)
+    runs = _under_each_layout(monkeypatch, 100, 400, run)
     assert runs[0] == runs[1] == runs[2]
 
 

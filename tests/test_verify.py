@@ -229,12 +229,16 @@ def test_a_prefix_is_the_first_columns_of_its_row(screened_kinds):
 )
 def test_screened_survival_and_maximal_equal_whole_rows(screened_kinds, monkeypatch, name):
     proc = screened_kinds[name]
+    tile_trials = verify_module._chunk_size
     for n_max in (1, 2, 7, 8, 9, 64, 2048):
         if name == "mixture_with_chain" and n_max > 64:
             continue  # a chain of three states steps in Python along long rows
         want = _one_pass(proc, n_max, 400, seed=6)
         for chunk in (4096, 3):
-            monkeypatch.setattr(verify_module, "CHUNK_TRIALS", chunk)
+            # at most `chunk` trials in a tile of prefixes or of whole rows
+            monkeypatch.setattr(
+                verify_module, "_chunk_size", lambda width, cap=chunk: min(cap, tile_trials(width))
+            )
             for threads in (1, 2):
                 got = (
                     mc_survival(proc, n_max, 400, seed=6, threads=threads),
@@ -401,6 +405,75 @@ def test_mc_identity_equals_per_column_reference(corpus, name):
             assert got == want, (horizon, threads)
 
 
+# a large S_-1 absorbs X_0 = -1: such a right window passes the screen
+# (X_0 < 0) yet sends the origin nothing, since its mirrored first step
+# S_-1 - S_0 rounds to 0
+ABSORBING = IidDiscrete(values=(2**60, -1), probs=(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 8, 64])
+def test_screened_identity_equals_per_column_reference(screened_kinds, monkeypatch, horizon):
+    # tiles of a third of the trials' whole windows: three chunks per side
+    trials = 600
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * horizon * (trials // 3))
+    kinds = {**screened_kinds, "absorbing": make_process(ABSORBING)}
+    for name, proc in kinds.items():
+        want = _mc_identity_by_columns(proc, horizon, trials, 5)
+        for threads in (1, 2):
+            pairs = mc_identity(proc, horizon, trials, seed=5, z=2.0, threads=threads)
+            got = [((a.mean, a.std_error), (b.mean, b.std_error)) for a, b in pairs]
+            assert got == want, (name, threads)
+
+
+def test_an_absorbed_first_step_passes_the_screen_but_sends_nothing():
+    proc, trials, horizon = make_process(ABSORBING), 4000, 4
+    right = np.arange(trials, 2 * trials, dtype=np.uint64)
+    block = proc.sample_block(5, right, -horizon, 0)
+    sums = np.concatenate([np.zeros((trials, 1)), np.cumsum(block, axis=1)], axis=1)
+    sums -= sums[:, -1:]
+    absorbed = (block[:, -1] < 0) & (sums[:, -2] == 0.0)
+    assert absorbed.sum() > 1000
+    assert not received_mass_terms(sums)[absorbed].any()
+
+
+@pytest.mark.parametrize(
+    "name", ["p06_walk", "moving_average", "rotation", "mixture", "two_point_chain", "mixture_with_chain"]
+)
+def test_the_identity_draws_whole_windows_only_where_the_first_step_can_carry_mass(
+    screened_kinds, monkeypatch, name
+):
+    proc, trials, horizon = screened_kinds[name], 3000, 8
+    left = np.arange(trials, dtype=np.uint64)
+    right = left + np.uint64(trials)
+    up = np.flatnonzero(proc.sample_block(1, left, 0, 1)[:, 0] > 0.0)
+    down = np.flatnonzero(proc.sample_block(1, right, -1, 0)[:, 0] < 0.0) + trials
+    calls = []
+    sample = proc.sample_block
+
+    def recording(seed, chunk, lo, hi, scratch):
+        calls.append((lo, hi, chunk.copy()))
+        return sample(seed, chunk, lo, hi, scratch)
+
+    monkeypatch.setattr(proc, "sample_block", recording)
+    mc_identity(proc, horizon, trials, seed=1, threads=2)
+
+    def drawn(lo, hi):
+        chunks = [c for a, b, c in calls if (a, b) == (lo, hi)]
+        return sorted(np.concatenate(chunks).tolist()) if chunks else []
+
+    whole = [c for a, b, c in calls if b - a == horizon]
+    assert all(len(c) <= verify_module._chunk_size(horizon) for c in whole)
+    assert drawn(0, 1) == left.tolist()
+    assert drawn(0, horizon) == up.tolist()
+    if proc.index_pure:
+        assert drawn(-1, 0) == right.tolist()
+        assert drawn(-horizon, 0) == down.tolist()
+    else:  # a chain's X_0 drawn alone is not its window's: no screen
+        assert drawn(-1, 0) == []
+        assert drawn(-horizon, 0) == right.tolist()
+    assert {(a, b) for a, b, _ in calls} <= {(0, 1), (-1, 0), (0, horizon), (-horizon, 0)}
+
+
 def test_mc_identity_memory_check_counts_one_side_of_terms(corpus, monkeypatch):
     # 100 trials at horizon 4 keep one side's terms for n = 2..4 at a time:
     # 3 * 100 floats, 2400 bytes
@@ -506,11 +579,27 @@ def test_pool_never_exceeds_the_cpu_count(corpus, monkeypatch):
     monkeypatch.setattr(verify_module, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
-    chunks = verify_module._chunk_arrays(20_000, 1)
+    # tiles of 4096 trials at width 1
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 4096)
+    size = verify_module._chunk_size(1)
+    chunks = [min(size, 20_000 - start) for start in range(0, 20_000, size)]
     assert len(chunks) == 5
     expected = mc_survival(corpus["p06_walk"], 1, 20_000, seed=2)
     for threads in (2, 3, 1 << 20):
         lengths = verify_module._run_chunks(20_000, threads, len)
-        assert lengths == [len(c) for c in chunks]
+        assert lengths == chunks
         assert mc_survival(corpus["p06_walk"], 1, 20_000, seed=2, threads=threads) == expected
     assert _RecordingPool.sizes == [2, 2, 3, 3, 3, 3]
+
+
+def test_a_run_of_fewer_tiles_than_threads_is_split_among_them(monkeypatch):
+    # a tile at width 1 holds 65536 trials; no thread starts here either
+    monkeypatch.setattr(verify_module, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
+    assert verify_module._run_chunks(5000, 1, len) == [5000]
+    assert verify_module._run_chunks(5000, 2, len) == [2500, 2500]
+    assert verify_module._run_chunks(5000, 8, len) == [1667, 1667, 1666]
+    assert verify_module._run_chunks(2, 3, len) == [1, 1]
+    assert verify_module._run_chunks(0, 2, len) == []
+    assert _RecordingPool.sizes == [2, 3, 2]
