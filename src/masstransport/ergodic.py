@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import Process
-from .scratch import check_memory, order_of, scan
-from .verify import EstimateCI, Z_DEFAULT, _estimate, _fill_rows
+from .scratch import check_memory, order_of
+from .verify import WALK_WIDTH, EstimateCI, Z_DEFAULT, _estimate, _fill_rows, _walk
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
@@ -55,7 +55,13 @@ def average_grid(n_max: int) -> tuple[int, ...]:
 
 def _running_averages(grid: tuple[int, ...]):
     """Map rows of X_1..X_{n_max} to S_n / n on the grid: segment sums, then
-    their running sums, so a row's bits do not depend on the rows beside it."""
+    their running sums, so a row's bits do not depend on the rows beside it.
+
+    Rows stay whole here, not walked in tiles of positions as the dip is:
+    ``add.reduceat`` sums a long segment blockwise, not in sequence, so a
+    sum carried across tiles would change the bits of the averages (673 of
+    the 960 of 64 ``gaussian_drift`` trials at n_max 16384, read off a
+    running sum)."""
     starts = np.array((0,) + grid[:-1], dtype=np.intp)
     denom = np.array(grid, dtype=np.float64)
 
@@ -167,6 +173,10 @@ def estimate_dip_probability(
     mean of the component it follows.  ``side='below'`` looks for
     averages under -epsilon, ``side='above'`` for averages over epsilon.
     The probability of either event tends to zero as n_max grows.
+
+    Each chunk walks its rows (``verify._walk``), a tile of positions at
+    a time, and keeps each trial's most extreme centered average of the
+    window so far; no trial is dropped, and no tile holds a whole row.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
@@ -177,22 +187,35 @@ def estimate_dip_probability(
     start = max(min_start, n_max // 2)
     if start > n_max:  # so n_max < 1 is refused too
         raise InvalidSpec(f"n_max={n_max} is below the window floor {min_start}")
-    check_memory(trials, 1, n_max, "n_max")  # before the window's n are laid out
+    check_memory(trials, 1, n_max, "n_max")
     targets = _targets(process)
-    # the n of each window column, as a float
-    steps = np.arange(start, n_max + 1, dtype=np.float64)
+    past = np.less if side == "below" else np.greater
+    extreme = np.minimum if side == "below" else np.maximum
+    bound = -epsilon if side == "below" else epsilon
 
     def step(chunk: np.ndarray, tile):
-        block = process.sample_block(seed, chunk, 0, n_max, tile)
-        ids = process.component_ids(seed, chunk)
-        # only the window's columns are centered and scaled
-        ratios = scan(np.add, block, block)[:, start - 1 :]
-        shift = tile.empty(ratios.shape, order=order_of(block))
-        ratios -= np.multiply(targets[ids][:, None], steps, out=shift)
-        ratios /= steps
-        if side == "below":
-            return ratios.min(axis=1) < -epsilon
-        return ratios.max(axis=1) > epsilon
+        target = targets[process.component_ids(seed, chunk)][:, None]
+        worst = tile.empty((len(chunk),))
 
-    estimate = _estimate(step, trials, threads, n_max, n_max, z, "n_max")
+        # no trial is dropped, so every tile holds every row of the chunk
+        def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> None:
+            first = max(lo + 1, start)  # the first n of the window in this tile
+            if first > lo + sums.shape[1]:
+                return None
+            # only the window's columns are centered and scaled
+            ratios = sums[:, first - lo - 1 :]
+            steps = np.arange(first, lo + sums.shape[1] + 1, dtype=np.float64)
+            shift = tile.empty(ratios.shape, order=order_of(ratios))
+            ratios -= np.multiply(target, steps, out=shift)
+            ratios /= steps
+            if first == start:
+                extreme.reduce(ratios, axis=1, out=worst)
+            else:
+                extreme(worst, extreme.reduce(ratios, axis=1, out=tile.empty((len(rows),))), out=worst)
+            return None
+
+        _walk(process, seed, chunk, n_max, tile, visit)
+        return past(worst, bound)
+
+    estimate = _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "n_max")
     return DipReport(epsilon, n_max, start, side, estimate)

@@ -27,7 +27,10 @@ wherever they overlap.  A Markov chain starts from its stationary law at
 the first index of its window, lo + 1: chain windows with the same lo
 agree wherever they overlap (extending to the right keeps the prefix),
 while windows with different lo have the same law but not the same
-path.  A mixture follows the contract of the component a trial picks.
+path.  Passed the state a window ended in (``Process.sample_block``'s
+``state``), a chain continues it instead, so consecutive windows [0, a],
+[a, b], .. are the numbers of the window [0, b].  A mixture follows the
+contract of the component a trial picks.
 
 Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
 and one :class:`Process` class that validates, samples and folds it;
@@ -262,13 +265,22 @@ class Process:
         return ((Fraction(1), self),)
 
     def sample_block(
-        self, seed: int, trials: np.ndarray, lo: int, hi: int, scratch=FRESH
+        self, seed: int, trials: np.ndarray, lo: int, hi: int, scratch=FRESH, state=None
     ) -> np.ndarray:
         """Increments X_{lo+1}..X_hi for each trial, shape (T, hi-lo).
 
         The block and the temporaries behind it come from ``scratch``
         (see :mod:`masstransport.scratch`); by default they are new arrays.
         The block is stored in ``tile_order(T, hi-lo)``.
+
+        ``state``, an intp array with one entry per trial, carries a
+        chain across consecutive windows of the same trials: a chain reads
+        it as each trial's state at lo, steps from there with the draw at
+        lo + 1, and overwrites it with the state at hi.  Entries of -1 (all
+        of them or none) mean no state yet: the chain starts from its
+        stationary law at lo + 1, as without ``state``.  So windows [0, a],
+        [a, b], .. passed one array give the numbers of the window [0, b].
+        Index-pure kinds ignore it.
         """
         raise NotImplementedError
 
@@ -417,7 +429,7 @@ class IidDiscreteProcess(Process):
             return None
         return sum((v * p for v, p in zip(self.spec.values, self.spec.probs)), Fraction(0))
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         if len(self._values_f) == 1:
             out = scratch.empty((len(trials), hi - lo), order=tile_order(len(trials), hi - lo))
             out.fill(self._values_f[0])
@@ -453,7 +465,7 @@ class GaussianProcess(Process):
         mu, sd = abs(self.spec.mean), 9.0 * self.spec.stddev
         return mu + sd, "mean" if mu > sd else "stddev"
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
@@ -504,18 +516,26 @@ class MarkovProcess(Process):
             return None
         return sum((p * v for p, v in zip(self.pi, self.spec.payoffs)), Fraction(0))
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         # one uniform per index: the draw at lo+1 picks the initial state
-        # from the stationary law, later draws step the chain
+        # from the stationary law, or steps a carried one; later draws step
+        # the chain
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        first = _inverse_cdf(self._pi_cum, u[:, 0], scratch)
+        carried = state is not None and len(state) > 0 and state[0] >= 0
+        # new, not from scratch: in both cases the path's first array then
+        # takes the memory uniform_block's words gave back
+        start = state if carried else _inverse_cdf(self._pi_cum, u[:, 0])
         if len(self._payoff_f) == 2:
             rc = self._row_cum
-            states = _two_state_path(first, u, rc[0, 0], rc[1, 0], self._swaps, scratch)
+            states = _two_state_path(
+                start, u, rc[0, 0], rc[1, 0], self._swaps, scratch, step_first=carried
+            )
         else:
-            states = _chain_path(first, u, self._cut_columns, scratch)
+            states = _chain_path(start, u, self._cut_columns, scratch, step_first=carried)
+        if state is not None:
+            state[:] = states[:, -1]
         return _lookup(self._payoff_f, states, u)
 
     def step_law(self, cap):
@@ -552,7 +572,7 @@ class MovingAverageProcess(Process):
             return None
         return im * sum(self.spec.coefficients, Fraction(0))
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         q = self.order
         z = self.inner.sample_block(seed, trials, lo - q, hi, scratch)
         length = hi - lo
@@ -612,7 +632,7 @@ class RotationProcess(Process):
     def magnitude(self) -> tuple[float, str]:
         return float(np.abs(self._values_f).max()), "pieces"
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         phase = rng.uniform_column(seed, self.stream, trials, 0)
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(np.float64)
         offsets = _unit_mod(ks * self.spec.angle)
@@ -663,26 +683,35 @@ class MixtureProcess(Process):
         return _inverse_cdf(self._w_cum, u)
 
     def _by_pick(self, seed, trials, out, fill):
-        """Rows of out from fill(c, child, trials that picked child c)."""
+        """Rows of out from fill(c, child, rows), the rows of the trials
+        that picked child c."""
         picks = self._picks(seed, trials)
         for c, child in enumerate(self.children):
             rows = np.nonzero(picks == c)[0]
             if len(rows):
-                out[rows] = fill(c, child, trials[rows])
+                out[rows] = fill(c, child, rows)
         return out
 
-    def sample_block(self, seed, trials, lo, hi, scratch=FRESH):
+    def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         # a child's block of fewer trials may take the other order
         shape = (len(trials), hi - lo)
         out = scratch.empty(shape, order=tile_order(*shape))
-        return self._by_pick(
-            seed, trials, out, lambda c, child, t: child.sample_block(seed, t, lo, hi, scratch)
-        )
+
+        def fill(c, child, rows):
+            if state is None or child.index_pure:
+                return child.sample_block(seed, trials[rows], lo, hi, scratch)
+            carried = state[rows]
+            block = child.sample_block(seed, trials[rows], lo, hi, scratch, carried)
+            state[rows] = carried
+            return block
+
+        return self._by_pick(seed, trials, out, fill)
 
     def component_ids(self, seed, trials):
         out = np.empty(len(trials), dtype=np.int64)
         return self._by_pick(
-            seed, trials, out, lambda c, child, t: self._offsets[c] + child.component_ids(seed, t)
+            seed, trials, out,
+            lambda c, child, rows: self._offsets[c] + child.component_ids(seed, trials[rows]),
         )
 
     def step_law(self, cap):
@@ -881,10 +910,13 @@ def _unit_mod(x: np.ndarray, scratch=FRESH) -> np.ndarray:
     return x
 
 
-def _two_state_path(first, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndarray:
+def _two_state_path(
+    start, u, cut0, cut1, swaps: bool, scratch=FRESH, step_first: bool = False
+) -> np.ndarray:
     """State path of a two-state chain, shape of u, as intp states.
 
-    Column 0 holds the initial states ``first``; column j >= 1 steps the
+    Column 0 holds the initial states ``start``, or with ``step_first``
+    the states ``start`` stepped by u[:, 0]; column j >= 1 steps the
     state s to 1 when row_cum[s, 0] < u, where cut0 = row_cum[0, 0] and
     cut1 = row_cum[1, 0] (the last cumulative entry is exactly 1, which
     no u exceeds).  So each column acts as one of four maps: set 0,
@@ -896,11 +928,18 @@ def _two_state_path(first, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndar
     only when cut0 >= cut1.
     """
     order = order_of(u)
+    # the codes first: they take the memory uniform_block's words gave back
+    code = scratch.empty(u.shape, np.intp, order)
     a = np.less(cut0, u, out=scratch.empty(u.shape, bool, order))
     b = np.less(cut1, u, out=scratch.empty(u.shape, bool, order))
-    a[:, 0] = b[:, 0] = first
+    if step_first:
+        # the step from state 1 reads b's comparison, from state 0 a's
+        np.copyto(a[:, 0], b[:, 0], where=start.astype(bool))
+        b[:, 0] = a[:, 0]
+    else:
+        a[:, 0] = b[:, 0] = start
     cols2 = np.arange(0, 2 * u.shape[1], 2, dtype=np.intp)
-    code = np.add(cols2, a, out=scratch.empty(u.shape, np.intp, order))
+    np.add(cols2, a, out=code)
     if swaps:
         # parity of the swap columns up to j; on a set column, storing
         # value ^ parity there lets the current parity undo it later
@@ -915,10 +954,11 @@ def _two_state_path(first, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndar
     return code
 
 
-def _chain_path(first, u, cut_columns, scratch=FRESH) -> np.ndarray:
+def _chain_path(start, u, cut_columns, scratch=FRESH, step_first: bool = False) -> np.ndarray:
     """State path of a chain of any size, shape of u, as intp states.
 
-    Column 0 holds the initial states ``first``; column j >= 1 steps each
+    Column 0 holds the initial states ``start``, or with ``step_first``
+    the states ``start`` stepped by u[:, 0]; column j >= 1 steps each
     state s to the number of cumulative row entries row_cum[s, c] below
     u[:, j], counted over ``cut_columns`` (row_cum[:, c] for every c but
     the last, which is exactly 1 and above every u).  One column at a
@@ -929,13 +969,23 @@ def _chain_path(first, u, cut_columns, scratch=FRESH) -> np.ndarray:
     states = scratch.empty(u.shape, np.intp, order)
     cut = scratch.empty(u.shape[:1])
     hit = scratch.empty(u.shape[:1], bool)
-    states[:, 0] = first
+    if step_first:
+        _chain_step(start, u[:, 0], cut_columns, states[:, 0], cut, hit)
+    else:
+        states[:, 0] = start
     for j in range(1, u.shape[1]):
-        prev, cur = states[:, j - 1], states[:, j]
-        cur.fill(0)
-        for column in cut_columns:
-            cur += np.less(column.take(prev, out=cut, mode="clip"), u[:, j], out=hit)
+        _chain_step(states[:, j - 1], u[:, j], cut_columns, states[:, j], cut, hit)
     return states
+
+
+def _chain_step(prev, u, cut_columns, out, cut, hit) -> np.ndarray:
+    """One step of a chain of any size: the states ``prev`` moved by the
+    uniforms ``u``, written into ``out``, with ``cut`` (float) and ``hit``
+    (bool) as scratch of the same length."""
+    out.fill(0)
+    for column in cut_columns:
+        out += np.less(column.take(prev, out=cut, mode="clip"), u, out=hit)
+    return out
 
 
 def _check_window(lo: int, hi: int) -> None:
@@ -1018,13 +1068,20 @@ def _chain_decay(mean: float | Fraction, matrix: np.ndarray, payoffs: np.ndarray
     for lam >= 0, and the moment term is start' B^(n-1) 1 with B =
     matrix * exp(-lam payoffs) columnwise.
     Doubling lam until the spectral radius of B reaches 1 brackets the
-    minimizer; None when exp overflows first.  The radius is log-convex
-    in lam, so a ternary search finds the minimizer; it stops at the
-    first step that leaves the bracket unchanged, since every later step
-    would repeat it.  Each step is one ``eigvals`` call on both probe
-    matrices.  That is 93-94 steps on the bundled specs and 91-111 on
-    random chains of 2-6 states, 3-5 ms in all on a 2-core Xeon.  The
-    Perron eigenvector turns the matrix power into C * rho^n.
+    minimizer.  The radius is log-convex in lam, so a ternary search
+    finds it; the search stops at the first step that leaves the bracket
+    unchanged, since every later step would repeat it.  Each step is one
+    ``eigvals`` call on both probe matrices.  That is 93-94 steps on the
+    bundled specs and 91-111 on random chains of 2-6 states, 3-5 ms in
+    all on a 2-core Xeon.  The Perron eigenvector turns the matrix power
+    into C * rho^n.
+
+    Where exp overflows before the radius reaches 1, every probe had a
+    radius below 1, and each gives a bound.  The bracket then ends at
+    the last finite probe (None if that is none, the first probe
+    overflowing).  Near its end, where no cycle of the chain has a
+    negative sum, the radius or the eigenvector's smallest entry can
+    underflow, so lam halves until both are representable.
     """
     if mean <= 0:
         return None
@@ -1037,12 +1094,27 @@ def _chain_decay(mean: float | Fraction, matrix: np.ndarray, payoffs: np.ndarray
     def radius(b: np.ndarray) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(b))))
 
-    hi = 1.0
+    def chernoff(lam: float):
+        b = tilted(lam)
+        rho = radius(b)
+        if not (0.0 < rho < 1.0):
+            return None
+        eigvals, eigvecs = np.linalg.eig(b)
+        u = np.abs(eigvecs[:, int(np.argmax(np.abs(eigvals)))])
+        if u.min() <= 1e-12 * u.max():
+            return None
+        c = float(start @ np.exp(-lam * payoffs)) * float(u.max() / u.min()) / rho
+        return (rho, c) if math.isfinite(c) else None
+
+    hi, overflowed = 1.0, False
     for _ in range(200):
         with np.errstate(over="ignore", invalid="ignore"):
             b = tilted(hi)
         if not np.isfinite(b).all():
-            return None
+            if hi == 1.0:
+                return None
+            hi, overflowed = hi / 2.0, True
+            break
         if radius(b) >= 1.0:
             break
         hi *= 2.0
@@ -1061,16 +1133,11 @@ def _chain_decay(mean: float | Fraction, matrix: np.ndarray, payoffs: np.ndarray
             break
         lo, hi = bracket
     lam = (lo + hi) / 2.0
-    b = tilted(lam)
-    rho = radius(b)
-    if not (0.0 < rho < 1.0):
-        return None
-    eigvals, eigvecs = np.linalg.eig(b)
-    u = np.abs(eigvecs[:, int(np.argmax(np.abs(eigvals)))])
-    if u.min() <= 1e-12 * u.max():
-        return None
-    c = float(start @ np.exp(-lam * payoffs)) * float(u.max() / u.min()) / rho
-    return rho, c
+    decay = chernoff(lam)
+    while decay is None and overflowed and lam > 1.0:
+        lam /= 2.0
+        decay = chernoff(lam)
+    return decay
 
 
 # ---------------------------------------------------------------------------

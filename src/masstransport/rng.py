@@ -85,7 +85,7 @@ def trial_key(seed: int, stream: int, trial: int) -> int:
 def trial_keys(seed: int, stream: int, trials: np.ndarray) -> np.ndarray:
     """Vector of trial keys for a uint64 array of trial indices."""
     skey = np.uint64(stream_key(seed, stream))
-    keys = trials.astype(np.uint64) * np.uint64(GOLDEN)
+    keys = trials.astype(np.uint64, copy=False) * np.uint64(GOLDEN)
     keys += skey
     return _mix64_inplace(keys, np.empty_like(keys))
 
@@ -110,14 +110,19 @@ def uniform_block(
     ``trials`` has shape (T,), ``positions`` shape (L,); the result has
     shape (T, L), stored in ``tile_order(T, L)``.  Row t column j equals
     ``uniform(seed, stream, trials[t], positions[j])`` bit for bit.  The
-    result and the words behind it come from ``scratch``.
+    result and the words behind it come from ``scratch``, and the words are
+    handed back (``Scratch.give_back``): the next array asked for reuses
+    their memory, so a sampler's tile needs one tile-sized array less.
     """
     tkeys = trial_keys(seed, stream, trials)
     pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
     shape = (len(tkeys), len(pos))
     order = tile_order(*shape)
+    out = scratch.empty(shape, order=order)
     words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(shape, np.uint64, order))
-    return _mixed_to_unit(words, scratch.empty(shape, order=order))
+    _mixed_to_unit(words, out)
+    scratch.give_back()
+    return out
 
 
 def uniform_column(seed: int, stream: int, trials: np.ndarray, position: int) -> np.ndarray:

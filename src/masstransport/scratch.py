@@ -14,10 +14,14 @@ single-threaded criterion 6 gained about 3%, within the spread of its runs.
 A tile of increments has shape (trials, positions), and its longer axis
 is the contiguous one (:func:`tile_order`): a tile of many short trials
 is stored trial-contiguous, position by position, and a tile of a few
-long trials trial by trial.  Every temporary of the tile takes the order
-of the array it is computed from (:func:`order_of`), so no pass mixes
-layouts, and :func:`scan` runs a running sum, minimum or maximum along
-the positions in whichever order the tile has.  On a (4096, 8) tile
+long trials trial by trial.  A walk along positions (``verify._walk``)
+cuts a chunk's rows into tiles of a few positions, trial-contiguous at
+any horizon while many trials walk; its own per-chunk arrays sit in the
+first slots and outlive its tiles (``Scratch.tile``'s ``keep``).  Every
+temporary of the tile takes the order of the array it is computed from
+(:func:`order_of`), so no pass mixes layouts, and :func:`scan` runs a
+running sum, minimum or maximum along the positions in whichever order
+the tile has.  On a (4096, 8) tile
 numpy's ``accumulate`` along the strided positions costs 4-5 ns per
 element and the stepped scan about 0.4 ns; a tile of 4 trials of 16384
 positions would step once per position, and forcing that order made
@@ -25,7 +29,10 @@ mc_long's Markov birkhoff command about 17 times slower on the same
 Xeon.  No result depends on the layout: every pass is elementwise, a
 scan, a minimum or maximum, or a segment sum (``add.reduceat``, whose
 bits are the same in either order), and a scan combines each trial's
-positions one after another in either order.
+positions one after another in either order.  So a scan can also be cut
+between tiles of positions: adding the running sum carried from the last
+tile into the first column of the next one before its scan gives the
+bits of one scan over both.
 
 :func:`check_memory` refuses, before anything is allocated, work whose
 kept results or one trial's row could not fit in physical memory.
@@ -59,9 +66,23 @@ class Scratch(threading.local):
         self._carved: list[tuple] = []
         self._used = 0
 
-    def tile(self) -> "Scratch":
-        self._used = 0
+    def tile(self, keep: int = 0) -> "Scratch":
+        """Start a tile.  The first ``keep`` arrays asked for since the
+        last start stay as they are: a loop of tiles inside one chunk
+        passes ``used`` as it was before the loop, so the chunk's own
+        arrays outlive its tiles."""
+        self._used = keep
         return self
+
+    def give_back(self) -> None:
+        """Hand the last array asked for back: the next request takes its
+        slot.  Nothing may use that array afterwards."""
+        self._used -= 1
+
+    @property
+    def used(self) -> int:
+        """How many arrays the current tile has asked for."""
+        return self._used
 
     def empty(self, shape, dtype=np.float64, order="C") -> np.ndarray:
         k = self._used
@@ -75,7 +96,13 @@ class Scratch(threading.local):
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         if self._slots[k].nbytes < nbytes:
-            self._slots[k] = np.empty(nbytes, dtype=np.uint8)
+            # up to a multiple of an eighth of the next power of two: a
+            # walk's tiles vary a little in size, and growing a slot by
+            # each small step churned the allocator
+            step = 1 << max(0, (nbytes - 1).bit_length() - 3)
+            # the old memory goes before the new is asked for
+            self._carved[k], self._slots[k] = (None, None), self._slots[k][:0]
+            self._slots[k] = np.empty(-(-nbytes // step) * step, dtype=np.uint8)
         array = self._slots[k][:nbytes].view(dtype).reshape(shape, order=order)
         self._carved[k] = (key, array)
         return array
@@ -87,6 +114,10 @@ class _Fresh:
     @staticmethod
     def empty(shape, dtype=np.float64, order="C") -> np.ndarray:
         return np.empty(shape, dtype=dtype, order=order)
+
+    @staticmethod
+    def give_back() -> None:
+        pass
 
 
 FRESH = _Fresh()

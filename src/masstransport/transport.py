@@ -161,18 +161,22 @@ def sent_mass_terms(sums: np.ndarray, scratch=FRESH) -> np.ndarray:
     (T, H) with column m-1 equal to M(0, m).  Column 0 is identically
     zero: the first record receives nothing.  The result and the
     temporaries behind it come from ``scratch``, in the order of ``sums``.
+
+    A row with S_1 <= S_0 (X_1 <= 0) sends nothing, and needs no mask:
+    its running minimum is at or below S_0 from the first position on,
+    so every v below equals S_0 and every term is a difference of equal
+    values, a zero (or NaN where S_0 is infinite or NaN, as a mask by
+    multiplication would leave it).
     """
     if sums.ndim != 2 or sums.shape[1] < 2:
         raise ValueError("need a (T, H+1) matrix of sums with H >= 1")
     t, h = sums.shape[0], sums.shape[1] - 1
     order = order_of(sums)
-    mask = np.greater(sums[:, 1], sums[:, 0], out=scratch.empty((t,), bool))
     v = scan(np.minimum, sums[:, 1:], scratch.empty((t, h), order=order))
     np.maximum(v, sums[:, :1], out=v)
     terms = scratch.empty((t, h), order=order)
     terms[:, 0] = 0.0
     np.subtract(v[:, :-1], v[:, 1:], out=terms[:, 1:])
-    terms *= mask[:, None]
     return terms
 
 

@@ -22,26 +22,29 @@ of all trials for each n >= 2, and reduces it before the other side
 refills the same rows.  Running with 1 or 16 threads produces the same
 bytes.
 
-A chunk is one tile, as many whole trials as fit about ``TILE_BYTES`` of
-float64 increments, or fewer where a run of fewer tiles than threads is
-split among them.  Each tile is sampled into memory its thread reuses
-from tile to tile and reduced to per-trial values while it is still in
-cache.  A tile of more trials than positions (every short horizon) is
-stored trial-contiguous, and its running sums and minima step one
-position at a time over all its trials; a tile of a few long trials is
-stored trial by trial (see :mod:`masstransport.scratch`).  Every draw is
-keyed by its absolute (trial, position) and every per-trial value is
-reduced along its own positions in order, so neither the tile size nor
-the layout changes any output.
+The identity's chunk, and a trajectory batch's, is one tile: as many
+whole trials as fit about ``TILE_BYTES`` of float64 increments, or fewer
+where a run of fewer tiles than threads is split among them.  Each tile
+is sampled into memory its thread reuses from tile to tile and reduced
+to per-trial values while it is still in cache.  A tile of more trials than positions (every short
+horizon) is stored trial-contiguous, and its running sums and minima
+step one position at a time over all its trials; a tile of a few long
+trials is stored trial by trial (see :mod:`masstransport.scratch`).
+Every draw is keyed by its absolute (trial, position) and every
+per-trial value is reduced along its own positions in order, so neither
+the tile size nor the layout changes any output.
 
-Where a short prefix of a trial can fix its value, a chunk is screened
-(``_screen``): it draws the prefix of every trial, then whole windows
-only for the trials the prefixes leave undecided, a tile of them at a
-time.  Survival and the maximal inequality screen on the first eighth of
-every row, where a ruin fixes the result, and a chunk is one tile of
-prefixes (``_ruin``).  The identity screens on the step next to the
-origin, where X_1 <= 0 sends nothing and X_0 >= 0 receives nothing, and
-a chunk is one tile of whole windows (``mc_identity``).
+Survival, the maximal inequality and the Birkhoff dip walk their rows
+instead (``_walk``): a chunk of trials is drawn one tile of positions at
+a time, trial-contiguous, each trial's running sum carried from tile to
+tile, so no tile holds a whole row however long the horizon.  After each
+tile a caller may drop the trials it has decided: ``_ruin`` drops every
+trial once ruined, so each trial is drawn up to the tile of its first
+ruin and no position twice, and the dip drops none.  The identity is
+screened (``_screen``) on the step next to the origin, where X_1 <= 0
+sends nothing and X_0 >= 0 receives nothing, and a chunk is one tile of
+whole windows (``mc_identity``): its right side is anchored at its
+window's end, which a walk from the left reaches last.
 """
 
 from __future__ import annotations
@@ -72,23 +75,28 @@ Z_DEFAULT = 2.576
 SIGN_SLACK = 3.0
 AGREEMENT_SIGMAS = 4.0
 
-# a work unit is at most one tile: as many whole trials as fit about
-# TILE_BYTES of float64 increments.  A tile and the scratch arrays behind
-# it then stay in cache; smaller tiles pay more per-tile call overhead,
-# larger ones spill out of L2.  512 KiB was the fastest of 256 KiB,
-# 512 KiB and 1 MiB for criterion 6 on the 2-core Xeon of CHANGES.md.  The
-# chunk's shape also picks the tile's memory order
-# (``scratch.tile_order``): short windows give many trials of a few
-# positions, stored trial-contiguous.  Chunking only groups trials; every
-# draw is keyed by its absolute trial index, so results cannot depend on
-# this number.
+# a tile holds about TILE_BYTES of float64 increments: as many whole
+# trials as fit, or a walk's trials over as many positions as fit.  A
+# tile and the scratch arrays behind it then stay in cache; smaller tiles
+# pay more per-tile call overhead, larger ones spill out of L2.  512 KiB
+# was the fastest of 256 KiB, 512 KiB and 1 MiB for criterion 6 on the
+# 2-core Xeon of CHANGES.md.  The chunk's shape also picks the tile's
+# memory order (``scratch.tile_order``): short windows give many trials
+# of a few positions, stored trial-contiguous.  Chunking only groups
+# trials; every draw is keyed by its absolute trial index, so results
+# cannot depend on this number.
 TILE_BYTES = 512 << 10
 
-# survival and the maximal inequality sample positions 1..n_max // RUIN_SCREEN
-# of every trial before drawing whole rows for the trials that prefix leaves
-# unruined (``_ruin``).  A spec where nearly every trial survives pays the
-# prefix on top of its whole rows: at 8, an eighth more work at most.
-RUIN_SCREEN = 8
+# a walk (``_walk``) starts every chunk with tiles of this many positions,
+# so its chunks hold TILE_BYTES // (8 * WALK_WIDTH) trials: 16384 by
+# default.  Later tiles widen as trials drop out.  A narrow first tile
+# draws little for trials that are ruined at once: in-process on the
+# 2-core Xeon, the rotation's mc_short maximal command took 0.06, 0.07 and
+# 0.15 s at widths 2, 4 and 8, and the Gaussian one 0.20, 0.22 and 0.45 s.
+# Width 2 gives chunks of 32768 trials, whose per-trial arrays took the
+# traced peak of the rotation's mc_maximal_ergodic at 200000 trials to
+# 5.4 MiB, against 4.3 at 4.
+WALK_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -191,8 +199,9 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
 def _screen(
     process: Process, seed: int, chunk: np.ndarray, tile: Scratch, window, prefix, screen, reduce, out
 ) -> None:
-    """The screening loop: fill ``out``, one row per trial of ``chunk``,
-    drawing whole windows only for the trials a prefix leaves undecided.
+    """The identity's screening loop: fill ``out``, one row per trial of
+    ``chunk``, drawing whole windows only for the trials a prefix leaves
+    undecided.
 
     ``screen(block, out)`` reads the prefix block, positions ``prefix`` =
     (lo, hi) of every trial, writes the rows of ``out`` it decides, and
@@ -254,8 +263,8 @@ def _estimate(
     step, trials: int, threads: int, n_max: int, width: int, z: float, field: str
 ) -> EstimateCI:
     """EstimateCI of the one value per trial that ``step`` returns from
-    rows of n_max increments, given chunks of one tile of rows ``width``
-    long; a row too large for memory is refused naming ``field``, the
+    rows of n_max increments, given chunks of ``_chunk_size(width)``
+    trials; a row too large for memory is refused naming ``field``, the
     caller's name for n_max.  The per-trial values are the run's one array
     of ``trials`` floats, and their deviations overwrite them."""
     if n_max < 1:
@@ -283,53 +292,95 @@ def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) 
     return sums
 
 
-def _min_partial_sum(block: np.ndarray) -> np.ndarray:
-    """min(S_1..S_n) per row of increments; the sums overwrite the block."""
-    return scan(np.add, block, block).min(axis=1)
+def _walk(process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch, visit) -> None:
+    """Walk the trials of ``chunk`` along positions 1..n_max, one tile of
+    positions at a time, and show ``visit`` each tile's running sums.
+
+    A tile draws positions lo+1..hi of the trials still walking, about
+    ``TILE_BYTES`` of increments, stored trial-contiguous while it holds
+    more trials than positions.  Each trial's carried S_lo is added into
+    the tile's first column before ``scan`` turns the tile into S_lo+1 ..
+    S_hi in place; ``scan`` adds each trial's positions in order, so these
+    are the bits of a whole row's running sum.  A chain's state crosses
+    tiles through ``sample_block``'s ``state``.
+
+    ``visit(rows, lo, sums)`` reads the tile's sums of the chunk's rows
+    ``rows`` and returns None, or a boolean mask of those rows that walk
+    on: the others are decided and drawn no further.  The chunk's own
+    arrays come from ``tile`` before the loop and outlive its tiles.
+    """
+    n = len(chunk)
+    trials = tile.empty((n,), np.uint64)
+    trials[:] = chunk
+    rows = tile.empty((n,), np.intp)
+    rows[:] = np.arange(n)
+    carry = tile.empty((n,))
+    state = None
+    if not process.index_pure:
+        state = tile.empty((n,), np.intp)
+        state.fill(-1)
+    base = tile.used
+    lo = 0
+    while lo < n_max and len(rows):
+        # sized as if for at least 8 trials: the arrays along a tile's
+        # positions stay small however few trials walk on
+        hi = min(n_max, lo + max(1, TILE_BYTES // (8 * max(len(rows), 8))))
+        block = process.sample_block(seed, trials, lo, hi, tile.tile(base), state)
+        if lo:
+            block[:, 0] += carry
+        sums = scan(np.add, block, block)
+        carry[:] = sums[:, -1]
+        walking = visit(rows, lo, sums)
+        lo, block, sums = hi, None, None  # nothing of a tile outlives it
+        if walking is not None and not walking.all():
+            # compacted in place: the walking rows move to the front
+            k = int(np.count_nonzero(walking))
+            rows, trials, carry = (_front(a, walking, k) for a in (rows, trials, carry))
+            if state is not None:
+                state = _front(state, walking, k)
 
 
-def _screen_width(n_max: int) -> int:
-    return max(1, n_max // RUIN_SCREEN)
+def _front(a: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
+    """The k entries of ``a`` where ``keep`` holds, moved in order to the
+    front of ``a``'s own memory."""
+    a[:k] = a[keep]
+    return a[:k]
 
 
 def _ruin(
-    process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch
-) -> tuple[np.ndarray, np.ndarray]:
+    process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch, first: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """(X_1, min(S_1..S_n_max)) for each trial of ``chunk``, except that a
-    trial ruined early keeps the minimum of its prefix, which is <= 0.
+    trial ruined early keeps the minimum up to the end of the tile that
+    ruined it, which is <= 0.  X_1 is None unless ``first``.
 
-    It screens (``_screen``) on positions 1.._screen_width(n_max) of every
-    trial.  A trial whose prefix sums reach <= 0 is ruined whatever
-    follows, and one whose prefix minimum is NaN has a NaN minimum however
-    long its row, so only the others are drawn again, as whole rows from
-    position 1.  A prefix is the same numbers as the first columns of its
-    row, for a chain too, since both start at lo = 0, and ``scan`` adds
-    each row's positions in order; so every minimum read from a whole row
-    is the one it always was, and a ruin seen in the prefix is a ruin of
-    the whole row.
+    It walks the chunk (``_walk``) and stops walking a trial after the
+    tile where its running minimum first reaches <= 0 or NaN: a ruin is a
+    ruin whatever follows, and a NaN minimum stays NaN however long the
+    row.  Every minimum read to the end of the row is the one a whole
+    row's scan gives.
 
     The one row whose reading can differ from a scan of the whole row: a
-    ruin in the prefix, then increments that overflow to +inf and -inf
-    and turn a later sum into NaN.  The whole row's minimum is NaN, which
-    hides the ruin; the prefix keeps it.  Only spec values near the float
-    range do that (a Gaussian or moving average of huge values), no
-    bundled spec, and nothing the command line accepts
-    (``check_magnitude``).
+    ruin, then increments that overflow to +inf and -inf and turn the sum
+    of a later tile into NaN.  The whole row's minimum is NaN, which hides
+    the ruin; the walk keeps it.  Only spec values near the float range
+    do that (a Gaussian or moving average of huge values), no bundled
+    spec, and nothing the command line accepts (``check_magnitude``).
     """
-    width = _screen_width(n_max)
-    first = np.empty(len(chunk))
+    x1 = tile.empty((len(chunk),)) if first else None
+    low = tile.empty((len(chunk),))
 
-    def screen(prefix: np.ndarray, low: np.ndarray) -> np.ndarray:
-        first[:] = prefix[:, 0]
-        low[:] = _min_partial_sum(prefix)
-        return np.flatnonzero(low > 0.0) if width < n_max else np.empty(0, np.intp)
+    def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> np.ndarray:
+        if lo == 0 and first:
+            x1[:] = sums[:, 0]
+        m = np.minimum.reduce(sums, axis=1, out=tile.empty((len(rows),)))
+        if lo:
+            np.minimum(m, low[rows], out=m)
+        low[rows] = m
+        return np.greater(m, 0.0, out=tile.empty((len(rows),), bool))
 
-    low = np.empty(len(chunk))
-    _screen(
-        process, seed, chunk, tile, (0, n_max), (0, width), screen,
-        lambda block, tile: _min_partial_sum(block), low,
-    )
-    return first, low
+    _walk(process, seed, chunk, n_max, tile, visit)
+    return x1, low
 
 
 def _zero_unless(keep: np.ufunc):
@@ -489,21 +540,18 @@ def mc_maximal_ergodic(
 ) -> EstimateCI:
     """Estimate E[X_1; some S_n <= 0 with n <= n_max].
 
-    A trial's payout is fixed at its first ruin, so ``_ruin`` samples a
-    prefix of n_max / 8 positions of every trial and whole rows only for
-    the trials it leaves unruined.  With a fraction f of trials unruined
-    at the prefix's end, that is 1/8 + f of the increments of sampling
-    every whole row: 0.39 for ``gaussian_drift`` at n_max = 64, where
-    f = 0.26.  The worst case, a spec where almost no trial is ruined,
-    samples 1/8 more.  A ruin in the prefix counts even where later
-    increments overflow to NaN sums (see ``_ruin``).
+    A trial's payout is fixed at its first ruin, so ``_ruin`` draws each
+    trial only up to the end of the tile that ruins it: a tile of
+    positions at a time, every trial walking from position 1 and none
+    drawn twice.  A ruin counts even where later increments overflow to
+    NaN sums (see ``_ruin``).
     """
 
     def step(chunk: np.ndarray, tile):
         first, low = _ruin(process, seed, chunk, n_max, tile)
         return first * (low <= 0.0)
 
-    return _estimate(step, trials, threads, n_max, _screen_width(n_max), z, "horizon")
+    return _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "horizon")
 
 
 def _survivors(process: Process, n_max: int, atom_cap: int) -> tuple[dict, int, int]:
@@ -536,20 +584,17 @@ def mc_survival(
 ) -> EstimateCI:
     """Estimate P(S_n > 0 for all n <= n_max).
 
-    A trial's indicator is fixed at its first ruin, so ``_ruin`` samples
-    a prefix of n_max / 8 positions of every trial and whole rows only for
-    the trials it leaves unruined.  With a fraction f of trials unruined
-    at the prefix's end, that is 1/8 + f of the increments of sampling
-    every whole row: 0.32 for ``p06_walk`` at n_max = 2048 (f = 0.195)
-    and 0.67 for ``markov_drift`` (f = 0.545).  The worst case, a spec
-    where almost no trial is ruined, samples 1/8 more.
+    A trial's indicator is fixed at its first ruin, so ``_ruin`` draws
+    each trial only up to the end of the tile that ruins it, and no
+    position twice.  A spec where almost every trial survives draws every
+    whole row once, as a scan of whole rows would.
     """
 
     def step(chunk: np.ndarray, tile):
-        _, low = _ruin(process, seed, chunk, n_max, tile)
+        _, low = _ruin(process, seed, chunk, n_max, tile, first=False)
         return low > 0.0
 
-    return _estimate(step, trials, threads, n_max, _screen_width(n_max), z, "horizon")
+    return _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from masstransport import (
     PathWindow,
     Rotation,
     UnsupportedProcess,
+    exact_survival,
     exact_window_distribution,
     make_process,
     negate_spec,
@@ -687,9 +688,10 @@ def test_ruin_decay_equals_the_200_step_search_on_random_chains():
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = _chain_decay_200_steps(*chain)
         except np.linalg.LinAlgError:
-            # the radius does not reach 1 before exp overflows: no bound,
-            # where the old search raised
-            assert got is None
+            # the radius does not reach 1 before exp overflows, where the
+            # old search raised: the search ends at the last finite probe,
+            # whose radius is below 1, so there is a bound
+            assert got is not None and 0.0 < got[0] < 1.0 and got[1] > 0.0
             outcomes["raised"] += 1
             continue
         assert got == expected
@@ -743,16 +745,24 @@ def test_the_search_stops_at_its_fixed_point(corpus, monkeypatch):
     [
         ((1, -1), (F(1), F(0)), (0.0, 0.0)),  # the -1 never occurs
         ((2, -1, -3), (F(1, 2), F(1, 2), F(0)), "bound"),
-        # exp(2 lam) overflows before the radius reaches 1
-        ((1, -2), (1 - F(1, 10**300), F(1, 10**300)), None),
+        # exp(2 lam) overflows before the radius reaches 1, at lam = 512;
+        # the radius is smallest near lam = 230
+        ((1, -2), (1 - F(1, 10**300), F(1, 10**300)), "bound"),
     ],
 )
 def test_ruin_decay_without_a_reachable_bound_does_not_raise(values, probs, expected):
-    decay = make_process(IidDiscrete(values=values, probs=probs)).ruin_decay()
-    if expected == "bound":
-        assert decay is not None and 0.0 < decay[0] < 1.0
-    else:
+    proc = make_process(IidDiscrete(values=values, probs=probs))
+    decay = proc.ruin_decay()
+    if expected != "bound":
         assert decay == expected
+        return
+    assert decay is not None and 0.0 < decay[0] < 1.0
+    rho, c = (F(x) for x in decay)
+    for n in (8, 64):
+        # part of the bias of stopping at n: a first ruin in (n, 2n]
+        bias = exact_survival(proc, n) - exact_survival(proc, 2 * n)
+        # in rationals: the float bound of 1 - 1e-300 underflows to 0.0
+        assert 0 < bias <= c * rho ** (n + 1) / (1 - rho), n
 
 
 # ---------------------------------------------------------------------------

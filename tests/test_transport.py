@@ -343,6 +343,41 @@ def test_mass_terms_in_reused_scratch_equal_fresh_ones():
         assert received.tobytes() == received_mass_terms(left).tobytes()
 
 
+def _masked_sent_mass_terms(sums: np.ndarray) -> np.ndarray:
+    """sent_mass_terms as it was with its mask: the terms of rows with
+    S_1 <= S_0 multiplied by 0.0, the others by 1.0."""
+    v = np.minimum.accumulate(sums[:, 1:], axis=1)
+    np.maximum(v, sums[:, :1], out=v)
+    terms = np.zeros(v.shape)
+    terms[:, 1:] = v[:, :-1] - v[:, 1:]
+    terms *= (sums[:, 1] > sums[:, 0])[:, None]
+    return terms
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sent_mass_terms_need_no_mask():
+    # a row with S_1 <= S_0 keeps a running minimum at or below S_0, so
+    # every term is a difference of equal values: the zero or NaN that
+    # multiplying by the mask's 0.0 left, in either layout
+    rs = np.random.default_rng(11)
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.nan, np.inf, -np.inf])
+    sums = rs.choice(pool, (6000, 9))
+    sums = np.where(rs.random(sums.shape) < 0.4, rs.standard_normal(sums.shape), sums)
+    # S_0 is 0.0 on most rows, as on an anchored window, and special on some
+    sums[:, 0] = np.where(rs.random(6000) < 0.7, 0.0, sums[:, 0])
+    down = sums[:, 1] <= sums[:, 0]
+    special = ~np.isfinite(sums).all(axis=1)
+    assert (down & special).sum() > 300 and (down & ~special).sum() > 300
+    assert np.isnan(sums[:, :2]).any(axis=1).sum() > 300
+    want = _masked_sent_mass_terms(sums)
+    assert np.isnan(want[down]).any() and (want[down] == 0.0).any()
+    for order in ("C", "F"):
+        got = sent_mass_terms(np.asarray(sums, order=order))
+        assert got.tobytes(order="C") == want.tobytes()
+        mirrored = np.asarray(sums[:, ::-1], order=order)
+        assert received_mass_terms(mirrored).tobytes(order="C") == want.tobytes()
+
+
 def test_vectorized_rejects_flat_matrices():
     with pytest.raises(ValueError):
         sent_mass_terms(np.zeros((4, 1)))

@@ -19,6 +19,7 @@ from masstransport import (
     InvalidSpec,
     agreement_pass,
     ci_overlap,
+    estimate_dip_probability,
     exact_identity,
     exact_maximal_ergodic,
     exact_survival,
@@ -34,11 +35,12 @@ from masstransport import (
 
 from masstransport import scratch as scratch_module
 from masstransport import verify as verify_module
-from masstransport.processes import MovingAverage
-from masstransport.scratch import Scratch, order_of, scan
+from masstransport.processes import MarkovProcess, MovingAverage
+from masstransport.scratch import FRESH, Scratch, order_of, scan
 
 from conftest import EXACT_NAMES
 from test_exact_oracle import EXTRA_SPECS
+from test_layout import LONG_TABLE
 
 F = Fraction
 
@@ -182,13 +184,14 @@ def test_mc_survival_thread_invariance(corpus):
 
 
 # ---------------------------------------------------------------------------
-# the ruin screen: a prefix of every trial, whole rows for the unruined
+# the walk: tiles of positions with a carried running sum
 # ---------------------------------------------------------------------------
 
 
 def _one_pass(process, n_max, trials, seed, threads=1):
     """(survival, maximal) from whole rows of every trial: the step that
-    sampled and scanned all n_max increments before the screen."""
+    sampled and scanned all n_max increments before the prefix screen and
+    the walk."""
 
     def step(survival):
         def run(chunk, tile):
@@ -247,29 +250,6 @@ def test_screened_survival_and_maximal_equal_whole_rows(screened_kinds, monkeypa
                 assert got == want, (n_max, chunk, threads)
 
 
-@pytest.mark.parametrize("n_max, width", [(1, 1), (7, 1), (8, 1), (9, 1), (16, 2), (64, 8), (2048, 256)])
-def test_the_screen_draws_whole_rows_only_for_unruined_trials(corpus, monkeypatch, n_max, width):
-    proc, trials = corpus["p06_walk"], 3000
-    row = proc.sample_block(1, np.arange(trials, dtype=np.uint64), 0, width)
-    unruined = np.flatnonzero(np.cumsum(row, axis=1).min(axis=1) > 0.0)
-    calls = []
-    sample = proc.sample_block
-
-    def recording(seed, chunk, lo, hi, scratch):
-        calls.append((lo, hi, chunk.copy()))
-        return sample(seed, chunk, lo, hi, scratch)
-
-    monkeypatch.setattr(proc, "sample_block", recording)
-    mc_survival(proc, n_max, trials, seed=1, threads=2)
-    prefixes = [c for lo, hi, c in calls if (lo, hi) == (0, width)]
-    rows = [c for lo, hi, c in calls if (lo, hi) == (0, n_max) and hi > width]
-    assert len(prefixes) + len(rows) == len(calls)
-    assert sorted(np.concatenate(prefixes).tolist()) == list(range(trials))
-    whole = np.concatenate(rows).tolist() if rows else []
-    assert sorted(whole) == (unruined.tolist() if n_max > width else [])
-    assert all(len(c) <= verify_module._chunk_size(n_max) for c in rows)
-
-
 # two innovations of 1e308 in a row make an increment of +inf, two of
 # -1e308 one of -inf: 1 in 64 each
 OVERFLOWING = MovingAverage(
@@ -278,28 +258,193 @@ OVERFLOWING = MovingAverage(
 )
 
 
+def _recording(proc, monkeypatch) -> list:
+    """The (lo, hi, trials) of every ``sample_block`` call on ``proc`` from
+    now on."""
+    calls = []
+    sample = proc.sample_block
+
+    def recording(seed, chunk, lo, hi, scratch=FRESH, state=None):
+        calls.append((lo, hi, chunk.copy()))
+        return sample(seed, chunk, lo, hi, scratch, state)
+
+    monkeypatch.setattr(proc, "sample_block", recording)
+    return calls
+
+
+def _by_rows(process, n_max, trials, seed, epsilon, min_start):
+    """Survival, maximal and both dip sides from whole rows of every trial,
+    one block and one cumsum, as the estimators computed them before the
+    walk."""
+    idx = np.arange(trials, dtype=np.uint64)
+    block = process.sample_block(seed, idx, 0, n_max)
+    sums = np.cumsum(block, axis=1)
+    low = sums.min(axis=1)
+    start = max(min_start, n_max // 2)
+    means = np.array([c.mean() for _, c in process.components()])
+    target = means[process.component_ids(seed, idx)][:, None]
+    steps = np.arange(start, n_max + 1, dtype=np.float64)
+    ratios = sums[:, start - 1 :] - target * steps
+    ratios /= steps
+    values = (
+        low > 0.0,
+        block[:, 0] * (low <= 0.0),
+        ratios.min(axis=1) < -epsilon,
+        ratios.max(axis=1) > epsilon,
+    )
+    return [EstimateCI.from_samples(v.astype(np.float64)) for v in values]
+
+
+@pytest.fixture(scope="module")
+def walked_kinds(screened_kinds):
+    return {
+        **screened_kinds,
+        "long_table": make_process(LONG_TABLE),
+        "overflowing": make_process(OVERFLOWING),
+    }
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_ruin_in_the_prefix_stays_a_ruin_when_later_sums_turn_nan():
-    # The one reading the screen changes: a row ruined within its prefix
-    # whose later sums reach NaN (+inf, then -inf).  Its whole-row minimum
-    # is NaN and hid the ruin; the screen keeps the prefix's minimum.  Only
-    # increments that overflow to +-inf make such rows (see ROADMAP item 8).
+@pytest.mark.parametrize(
+    "name",
+    [
+        "gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "rotation",
+        "two_point", "two_point_chain", "three_state_chain", "mixture_with_chain", "long_table",
+        "overflowing",
+    ],
+)
+def test_the_walk_equals_whole_rows(walked_kinds, monkeypatch, name):
+    # tiles of 256 increments: chunks of 64 trials walk 4 positions at a
+    # time, and wider as trials drop out, so each chunk takes dozens of
+    # tiles (75 for a dip, which drops no trial)
+    proc, n_max, trials, epsilon, min_start = walked_kinds[name], 300, 600, 0.01, 8
+    survival, maximal, below, above = _by_rows(proc, n_max, trials, 4, epsilon, min_start)
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 2048)
+    calls = _recording(proc, monkeypatch)
+    for threads in (1, 2, 3):
+        assert mc_survival(proc, n_max, trials, seed=4, threads=threads) == survival
+        # a row ruined and later summed to NaN keeps its ruin in the walk
+        # (test_a_ruin_in_any_tile_stays_a_ruin_when_later_sums_turn_nan);
+        # only the overflowing spec has such rows
+        if name != "overflowing":
+            assert mc_maximal_ergodic(proc, n_max, trials, seed=4, threads=threads) == maximal
+        for side, want in (("below", below), ("above", above)):
+            dip = estimate_dip_probability(
+                proc, epsilon, n_max, trials, seed=4, side=side, min_start=min_start,
+                threads=threads,
+            )
+            assert dip.estimate == want, (side, threads)
+    assert len({(lo, hi) for lo, hi, _ in calls}) >= 24
+    # the estimates read more than one kind of trial, but where the
+    # averages sit on their targets (the mixture's constant components)
+    # or every trial is ruined by n_max (the rotation, and the overflowing
+    # moving average, whose finite increments drift down)
+    assert 0.0 < below.mean < 1.0 or 0.0 < above.mean < 1.0 or name == "mixture"
+    assert 0.0 < survival.mean < 1.0 or name in ("rotation", "overflowing")
+
+
+@pytest.mark.parametrize(
+    "name", ["markov_drift", "two_point_chain", "three_state_chain", "mixture_with_chain"]
+)
+def test_a_chain_carries_its_state_across_tiles(screened_kinds, name):
+    proc = screened_kinds[name]
+    chain = proc if isinstance(proc, MarkovProcess) else proc.children[0]
+    payoffs = [float(v) for v in chain.spec.payoffs]
+    assert len(set(payoffs)) == len(payoffs)  # a value names its state
+    trials = np.arange(7, 847, 7, dtype=np.uint64)
+    # the rows that follow the chain; a mixture's others keep -1
+    chained = np.ones(len(trials), bool) if chain is proc else proc._picks(2, trials) == 0
+    assert 0 < chained.sum()
+    whole = proc.sample_block(2, trials, 0, 64)
+    state = np.full(len(trials), -1, dtype=np.intp)
+    tile = Scratch()
+    for lo, hi in zip((0, 1, 2, 5, 13, 14, 40), (1, 2, 5, 13, 14, 40, 64)):
+        block = proc.sample_block(2, trials, lo, hi, tile.tile(), state)
+        assert np.ascontiguousarray(block).tobytes() == np.ascontiguousarray(whole[:, lo:hi]).tobytes()
+        # the state at hi is the one that emitted X_hi on the whole path
+        at_hi = [payoffs.index(x) if c else -1 for x, c in zip(whole[:, hi - 1].tolist(), chained)]
+        assert state.tolist() == at_hi, (lo, hi)
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 9, 16, 64, 2048])
+def test_the_walk_draws_each_position_once_and_only_while_unruined(screened_kinds, monkeypatch, n_max):
+    trials = 600
+    for name in ("p06_walk", "markov_drift", "rotation", "mixture_with_chain"):
+        proc = screened_kinds[name]
+        block = proc.sample_block(1, np.arange(trials, dtype=np.uint64), 0, n_max)
+        low = np.minimum.accumulate(np.cumsum(block, axis=1), axis=1)  # min(S_1..S_n) at column n - 1
+        # tiles of 512 increments, so chunks of 128 trials
+        monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 512)
+        calls = _recording(proc, monkeypatch)
+        for run in (mc_survival, mc_maximal_ergodic):
+            calls.clear()
+            run(proc, n_max, trials, seed=1, threads=2)
+            reach = np.zeros(trials, dtype=np.intp)
+            for lo, hi, chunk in calls:
+                rows = chunk.astype(np.intp)
+                # each trial's tiles follow one another from position 1:
+                # no position is drawn twice or skipped
+                assert (reach[rows] == lo).all()
+                # and a trial is drawn past a tile only while it is unruined
+                if lo:
+                    assert (low[rows, lo - 1] > 0.0).all()
+                reach[rows] = hi
+            # every trial walks until it is ruined or reaches n_max
+            ruined = low[np.arange(trials), np.maximum(reach, 1) - 1] <= 0.0
+            assert ((reach == n_max) | ruined).all() and (reach >= 1).all(), name
+            # every rotation trial is ruined within a few tiles
+            if n_max >= 64:
+                assert (reach < n_max).sum() > trials // 4, name
+                assert len(calls) >= 24 or name == "rotation", name
+        monkeypatch.undo()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_ruin_in_any_tile_stays_a_ruin_when_later_sums_turn_nan(monkeypatch):
+    # The one reading the walk changes: a row ruined in one tile whose
+    # sums reach NaN (+inf, then -inf) in a later one.  Its whole-row
+    # minimum is NaN and hid the ruin; the walk stops at the ruin's tile
+    # and keeps the minimum up to its end.  Only increments that overflow
+    # to +-inf make such rows (see ``check_magnitude``).
     proc, trials, n_max = make_process(OVERFLOWING), 2000, 64
-    width = n_max // 8
     chunk = np.arange(trials, dtype=np.uint64)
     block = proc.sample_block(3, chunk, 0, n_max)
     sums = np.cumsum(block, axis=1)
-    prefix_low, whole_low = sums[:, :width].min(axis=1), sums.min(axis=1)
+    whole_low = sums.min(axis=1)
+    # tiles of 2048 increments: 1 position while every trial walks, then wider
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 2048)
+    calls = _recording(proc, monkeypatch)
     first, low = verify_module._ruin(proc, 3, chunk, n_max, Scratch().tile())
+    assert len({(lo, hi) for lo, hi, _ in calls}) >= 8
+    reach = np.zeros(trials, dtype=np.intp)
+    for _, hi, walked in calls:
+        reach[walked.astype(np.intp)] = hi
     assert first.tobytes() == block[:, 0].tobytes()
-    want = np.where(prefix_low <= 0.0, prefix_low, whole_low)
+    want = np.array([sums[t, : reach[t]].min() for t in range(trials)])
     assert low.tobytes() == want.tobytes()
-    kept = (prefix_low <= 0.0) & np.isnan(whole_low)
+    kept = (low <= 0.0) & np.isnan(whole_low)
     assert kept.sum() > 50
     assert np.array_equal((low <= 0.0) != (whole_low <= 0.0), kept)
     # survival reads such a row as ruined either way, so it is unchanged
     survival, _ = _one_pass(proc, n_max, trials, seed=3)
     assert mc_survival(proc, n_max, trials, seed=3) == survival
+
+
+def test_the_walk_keeps_memory_flat_as_the_horizon_grows(corpus):
+    # whole rows of 2^20 increments were 8 MiB a trial; a walk's tiles and
+    # its per-trial arrays do not grow with the horizon
+    proc = corpus["markov_drift"]
+
+    def peaks(n_max):
+        runs = (
+            lambda: mc_survival(proc, n_max, 8, seed=1),
+            lambda: mc_maximal_ergodic(proc, n_max, 8, seed=1),
+            lambda: estimate_dip_probability(proc, 0.05, n_max, 8, seed=1),
+        )
+        return [_traced_peak(run)[1] for run in runs]
+
+    for short, long in zip(peaks(1 << 14), peaks(1 << 20)):
+        assert long <= 1.1 * short, (short, long)
 
 
 # ---------------------------------------------------------------------------
