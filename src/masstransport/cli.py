@@ -33,6 +33,8 @@ import sys
 import uuid
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidSpec, MassTransportError
 from .processes import DEFAULT_ATOM_CAP, make_process, sample_window
 from .specio import parse_spec_file
@@ -126,26 +128,37 @@ def _default_threads() -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# Each takes (args, process) and returns (csv_header, csv_rows, json_payload,
-# passed); main picks the format, writes it and turns passed into the exit
-# code.
+# Each takes (args, process), computes its result once and returns (passed,
+# csv, json): csv() gives the CSV text and json() the JSON payload, so only
+# the format asked for is built.  main calls one, writes it and turns passed
+# into the exit code.
+
+
+def _table(header: list[str], rows):
+    """csv() of a table whose rows ``rows()`` builds."""
+    return lambda: _csv_text(header, rows())
 
 
 def cmd_sample(args, process):
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
-    rows = [
-        [k, "" if k == window.lo else window.x(k), window.s(k)]
-        for k in range(window.lo, window.hi + 1)
-    ]
-    payload = {
-        "lo": window.lo,
-        "hi": window.hi,
-        "seed": args.seed,
-        "trial": args.trial,
-        "values": list(window.values),
-        "sums": list(window.sums),
-    }
-    return ["index", "x", "s"], rows, payload, True
+
+    def rows():
+        return [
+            [k, "" if k == window.lo else window.x(k), window.s(k)]
+            for k in range(window.lo, window.hi + 1)
+        ]
+
+    def payload():
+        return {
+            "lo": window.lo,
+            "hi": window.hi,
+            "seed": args.seed,
+            "trial": args.trial,
+            "values": list(window.values),
+            "sums": list(window.sums),
+        }
+
+    return True, _table(["index", "x", "s"], rows), payload
 
 
 def cmd_transport(args, process):
@@ -170,11 +183,7 @@ def cmd_transport(args, process):
             if float(v) < -tol:
                 failures.append(f"sender {n}: negative mass {v} at {m}")
 
-    rows = [["record", n, m, window.s(m)] for n in senders for m in records[n]]
-    for n in senders:
-        rows += [["mass", n, m, v] for m, v in sorted(masses[n].items())]
-        rows.append(["sent_total", n, "", totals[n]])
-    ladder_payload: dict = {}
+    ladder = received = None
     if window.lo <= -1:
         ladder = transport.ladder_epochs_before_zero(window)
         received = transport.mass_received_at_zero(window)
@@ -192,28 +201,40 @@ def cmd_transport(args, process):
             )
         received_total = sum(received.values(), 0)
         received = sorted(received.items(), reverse=True)
-        rows += [["ladder", "", m, window.s(m)] for m in ladder]
-        rows += [["received", m, 0, v] for m, v in received]
-        rows.append(["received_total", "", 0, received_total])
-        ladder_payload = {
-            "ladder_epochs": list(ladder),
-            "received": {str(m): v for m, v in received},
-            "received_total": received_total,
+
+    def rows():
+        out = [["record", n, m, window.s(m)] for n in senders for m in records[n]]
+        for n in senders:
+            out += [["mass", n, m, v] for m, v in sorted(masses[n].items())]
+            out.append(["sent_total", n, "", totals[n]])
+        if ladder is not None:
+            out += [["ladder", "", m, window.s(m)] for m in ladder]
+            out += [["received", m, 0, v] for m, v in received]
+            out.append(["received_total", "", 0, received_total])
+        return out
+
+    def payload():
+        ladder_payload = {}
+        if ladder is not None:
+            ladder_payload = {
+                "ladder_epochs": list(ladder),
+                "received": {str(m): v for m, v in received},
+                "received_total": received_total,
+            }
+        return {
+            "window": {"lo": window.lo, "hi": window.hi, "values": list(window.values)},
+            "records": {str(n): list(records[n]) for n in senders},
+            "masses": {
+                str(n): {str(m): v for m, v in sorted(masses[n].items())} for n in senders
+            },
+            "sent_totals": {str(n): totals[n] for n in senders},
+            "passed": not failures,
+            **ladder_payload,
         }
 
-    payload = {
-        "window": {"lo": window.lo, "hi": window.hi, "values": list(window.values)},
-        "records": {str(n): list(records[n]) for n in senders},
-        "masses": {
-            str(n): {str(m): v for m, v in sorted(masses[n].items())} for n in senders
-        },
-        "sent_totals": {str(n): totals[n] for n in senders},
-        "passed": not failures,
-        **ladder_payload,
-    }
     for f in failures:
         print(f"consistency check failed: {f}", file=sys.stderr)
-    return ["kind", "n", "m", "value"], rows, payload, not failures
+    return not failures, _table(["kind", "n", "m", "value"], rows), payload
 
 
 _IDENTITY_HEADER = [
@@ -229,26 +250,36 @@ _IDENTITY_HEADER = [
 ]
 
 
-def _identity_rows(mode: str, pairs, agree):
-    """(CSV row, JSON object) per n of one mode's (lhs, rhs) pairs, the
-    pair passing when ``agree(lhs, rhs)``.
+def _identity_checks(mode: str, pairs, agree) -> list[tuple]:
+    """(n, mode, lhs, rhs, passed) for each n of one mode's (lhs, rhs)
+    pairs, the pair passing when ``agree(lhs, rhs)``."""
+    return [(n, mode, lhs, rhs, agree(lhs, rhs)) for n, (lhs, rhs) in enumerate(pairs, 1)]
 
-    Exact sides are Fractions.  Monte Carlo sides are EstimateCIs: the CSV
-    row shows their means and intervals, the JSON object nests them whole
-    and adds running sums of the means.
-    """
-    cum_l = cum_r = 0
-    for n, (lhs, rhs) in enumerate(pairs, 1):
-        ok = agree(lhs, rhs)
+
+def _identity_rows(checks: list[tuple]):
+    """CSV rows of ``_identity_checks``: exact sides are Fractions, Monte
+    Carlo sides EstimateCIs shown by their means and intervals."""
+    for n, mode, lhs, rhs, ok in checks:
         if isinstance(lhs, verify.EstimateCI):
-            means = (lhs.mean, rhs.mean)
-            cis = (lhs.ci_low, lhs.ci_high, rhs.ci_low, rhs.ci_high)
+            yield [n, lhs.mean, rhs.mean, lhs.ci_low, lhs.ci_high, rhs.ci_low, rhs.ci_high, mode, ok]
+        else:
+            yield [n, lhs, rhs, "", "", "", "", mode, ok]
+
+
+def _identity_objects(checks: list[tuple]):
+    """JSON objects of ``_identity_checks``: EstimateCIs nest whole, and
+    each mode adds running sums of its means."""
+    cumulative: dict = {}
+    for n, mode, lhs, rhs, ok in checks:
+        mc = isinstance(lhs, verify.EstimateCI)
+        cum_l, cum_r = cumulative.get(mode, (0, 0))
+        if mc:
+            cum_l, cum_r = cum_l + lhs.mean, cum_r + rhs.mean
             lhs, rhs = dataclasses.asdict(lhs), dataclasses.asdict(rhs)
         else:
-            means, cis = (lhs, rhs), ("",) * 4
-        cum_l += means[0]
-        cum_r += means[1]
-        yield [n, *means, *cis, mode, ok], {
+            cum_l, cum_r = cum_l + lhs, cum_r + rhs
+        cumulative[mode] = cum_l, cum_r
+        yield {
             "n": n,
             "mode": mode,
             "lhs": lhs,
@@ -261,58 +292,70 @@ def _identity_rows(mode: str, pairs, agree):
 
 def cmd_verify_identity(args, process):
     verify.check_z(args.z)  # the payload echoes it even where exact mode uses none
-    rows: list[tuple[list, dict]] = []
+    checks: list[tuple] = []
     if args.mode in ("exact", "both"):
         pairs = verify.exact_identity(process, args.horizon, args.atom_cap)
-        rows += _identity_rows("exact", pairs, operator.eq)
+        checks += _identity_checks("exact", pairs, operator.eq)
     if args.mode in ("mc", "both"):
         pairs = verify.mc_identity(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
         )
-        rows += _identity_rows("mc", pairs, verify.ci_overlap)
+        checks += _identity_checks("mc", pairs, verify.ci_overlap)
+    passed = all(check[-1] for check in checks)
 
-    passed = all(obj["pass"] for _, obj in rows)
-    payload = {
-        "mode": args.mode,
-        "horizon": args.horizon,
-        "trials": args.trials,
-        "seed": args.seed,
-        "z": args.z,
-        "rows": [obj for _, obj in rows],
-        "all_passed": passed,
-    }
-    return _IDENTITY_HEADER, [row for row, _ in rows], payload, passed
+    def payload():
+        return {
+            "mode": args.mode,
+            "horizon": args.horizon,
+            "trials": args.trials,
+            "seed": args.seed,
+            "z": args.z,
+            "rows": list(_identity_objects(checks)),
+            "all_passed": passed,
+        }
+
+    return passed, _table(_IDENTITY_HEADER, lambda: _identity_rows(checks)), payload
 
 
 _MAXIMAL_HEADER = ["mode", "n_max", "value", "std_error", "ci_low", "ci_high", "pass"]
 
 
 def cmd_verify_maximal(args, process):
-    rows: list[list] = []
-    payload: dict = {"n_max": args.horizon, "mode": args.mode}
-    all_passed = True
-    exact_value = None
+    exact = mc = None  # (value, pass) of each lane run
 
     if args.mode in ("exact", "both"):
-        exact_value = verify.exact_maximal_ergodic(process, args.horizon, args.atom_cap)
-        ok = exact_value <= 0
-        all_passed &= ok
-        rows.append(["exact", args.horizon, exact_value, "", "", "", ok])
-        payload["exact"] = {"value": exact_value, "pass": ok}
+        value = verify.exact_maximal_ergodic(process, args.horizon, args.atom_cap)
+        exact = value, value <= 0
 
     if args.mode in ("mc", "both"):
         est = verify.mc_maximal_ergodic(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
         )
         ok = verify.sign_pass(est)
-        if exact_value is not None:
-            ok = ok and verify.agreement_pass(est, float(exact_value))
-        all_passed &= ok
-        rows.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
-        payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
+        if exact is not None:
+            ok = ok and verify.agreement_pass(est, float(exact[0]))
+        mc = est, ok
+    all_passed = all(lane[1] for lane in (exact, mc) if lane is not None)
 
-    payload["all_passed"] = all_passed
-    return _MAXIMAL_HEADER, rows, payload, all_passed
+    def rows():
+        out = []
+        if exact is not None:
+            out.append(["exact", args.horizon, exact[0], "", "", "", exact[1]])
+        if mc is not None:
+            est, ok = mc
+            out.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
+        return out
+
+    def payload():
+        out: dict = {"n_max": args.horizon, "mode": args.mode}
+        if exact is not None:
+            out["exact"] = {"value": exact[0], "pass": exact[1]}
+        if mc is not None:
+            out["mc"] = {"estimate": dataclasses.asdict(mc[0]), "pass": mc[1]}
+        out["all_passed"] = all_passed
+        return out
+
+    return all_passed, _table(_MAXIMAL_HEADER, rows), payload
 
 
 _SURVIVAL_HEADER = [
@@ -329,29 +372,40 @@ _SURVIVAL_HEADER = [
 
 def cmd_survival(args, process):
     bound = verify.survival_truncation_bound(process, args.horizon)
-    rows: list[list] = []
-    payload: dict = {"n_max": args.horizon, "mode": args.mode, "truncation_bound": bound}
-    all_passed = True
-    exact_value = None
+    exact_value = mc = None
 
     if args.mode in ("exact", "both"):
         exact_value = verify.exact_survival(process, args.horizon, args.atom_cap)
-        rows.append(["exact", args.horizon, exact_value, "", "", "", bound, True])
-        payload["exact"] = {"value": exact_value}
 
     if args.mode in ("mc", "both"):
         est = verify.mc_survival(
             process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
         )
         ok = True if exact_value is None else verify.agreement_pass(est, float(exact_value))
-        all_passed &= ok
-        rows.append(
-            ["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, bound, ok]
-        )
-        payload["mc"] = {"estimate": dataclasses.asdict(est), "pass": ok}
+        mc = est, ok
+    all_passed = mc is None or mc[1]
 
-    payload["all_passed"] = all_passed
-    return _SURVIVAL_HEADER, rows, payload, all_passed
+    def rows():
+        out = []
+        if exact_value is not None:
+            out.append(["exact", args.horizon, exact_value, "", "", "", bound, True])
+        if mc is not None:
+            est, ok = mc
+            out.append(
+                ["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, bound, ok]
+            )
+        return out
+
+    def payload():
+        out: dict = {"n_max": args.horizon, "mode": args.mode, "truncation_bound": bound}
+        if exact_value is not None:
+            out["exact"] = {"value": exact_value}
+        if mc is not None:
+            out["mc"] = {"estimate": dataclasses.asdict(mc[0]), "pass": mc[1]}
+        out["all_passed"] = all_passed
+        return out
+
+    return all_passed, _table(_SURVIVAL_HEADER, rows), payload
 
 
 def cmd_birkhoff(args, process):
@@ -376,32 +430,48 @@ def cmd_birkhoff(args, process):
         }
         header = [*lead, "estimate", "std_error", "ci_low", "ci_high", "trials"]
         row = [*lead.values(), est.mean, est.std_error, est.ci_low, est.ci_high, est.trials]
-        return header, [row], {**lead, "estimate": dataclasses.asdict(est)}, True
+        return True, _table(header, lambda: [row]), lambda: {**lead, "estimate": dataclasses.asdict(est)}
 
     report = ergodic.trajectory_batch(
         process, args.n_max, args.trials, args.seed, threads=args.threads
     )
-    rows = [
-        [r.trial, r.component, n, avg]
-        for r in report.rows
-        for n, avg in zip(report.grid, r.averages)
-    ]
-    payload = {
-        "n_max": report.n_max,
-        "grid": list(report.grid),
-        "trials": len(report.rows),
-        "rows": [
-            {
-                "trial": r.trial,
-                "component": r.component,
-                "target": r.target,
-                "averages": list(r.averages),
-                "final_gap": r.final_gap,
-            }
-            for r in report.rows
-        ],
-    }
-    return ["trial", "component", "n", "avg"], rows, payload, True
+
+    def payload():
+        return {
+            "n_max": report.n_max,
+            "grid": list(report.grid),
+            "trials": len(report.rows),
+            "rows": [
+                {
+                    "trial": r.trial,
+                    "component": r.component,
+                    "target": r.target,
+                    "averages": list(r.averages),
+                    "final_gap": r.final_gap,
+                }
+                for r in report.rows
+            ],
+        }
+
+    return True, lambda: _trajectory_csv(report), payload
+
+
+def _trajectory_csv(report: ergodic.TrajectoryReport) -> str:
+    """The ``trial,component,n,avg`` table of a batch, the bytes
+    ``_csv_text`` writes for it, formatted straight from its arrays: every
+    cell is a number, which csv.writer leaves unquoted, and a float's
+    ``repr`` is its ``str``."""
+    averages = report.averages
+    bad = np.flatnonzero(~np.isfinite(averages))
+    if len(bad):
+        _fmt(averages.flat[bad[0]].item())  # raises, naming the first in row order
+    cells = [f",{n}," for n in report.grid]
+    values = iter(averages.ravel().tolist())
+    lines = ["trial,component,n,avg\n"]
+    for t, component in enumerate(report.ids.tolist()):
+        lead = f"{t},{component}"
+        lines += [f"{lead}{cell}{value!r}\n" for cell, value in zip(cells, values)]
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +612,11 @@ def main(argv=None) -> int:
                 length = args.n_max if args.command == "birkhoff" else args.horizon
                 trials = args.trials
             verify.check_magnitude(process, length, trials)
-        header, rows, payload, passed = args.fn(args, process)
+        passed, csv_text, payload = args.fn(args, process)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # exact results may pass the default 4300 digits
         try:
-            text = _csv_text(header, rows) if args.format == "csv" else _json_text(payload)
+            text = csv_text() if args.format == "csv" else _json_text(payload())
         finally:
             sys.set_int_max_str_digits(limit)
         if args.out is None:

@@ -20,18 +20,23 @@ horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .processes import Process
-from .scratch import check_memory, order_of
-from .verify import WALK_WIDTH, EstimateCI, Z_DEFAULT, _estimate, _fill_rows, _walk
+from .scratch import Scratch, check_memory, order_of
+from .verify import WALK_TILE, WALK_WIDTH, EstimateCI, Z_DEFAULT, _estimate, _fill_rows, _walk, check_work
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
 MIN_WINDOW_START = 64
+
+# a trajectory walk starts its chunks with tiles of this many positions,
+# so a full chunk holds TILE_BYTES // (8 * TRAJECTORY_WIDTH) trials
+TRAJECTORY_WIDTH = 64
 
 
 def _targets(process: Process) -> np.ndarray:
@@ -57,20 +62,160 @@ def _running_averages(grid: tuple[int, ...]):
     """Map rows of X_1..X_{n_max} to S_n / n on the grid: segment sums, then
     their running sums, so a row's bits do not depend on the rows beside it.
 
-    Rows stay whole here, not walked in tiles of positions as the dip is:
-    ``add.reduceat`` sums a long segment blockwise, not in sequence, so a
-    sum carried across tiles would change the bits of the averages (673 of
-    the 960 of 64 ``gaussian_drift`` trials at n_max 16384, read off a
-    running sum)."""
+    ``trajectory`` reads one whole row through it, with ``add.reduceat``'s
+    segment sums; ``trajectory_batch`` walks its rows and replays them
+    (``_SegmentSums``)."""
     starts = np.array((0,) + grid[:-1], dtype=np.intp)
-    denom = np.array(grid, dtype=np.float64)
 
     def averages(block: np.ndarray) -> np.ndarray:
-        sums = np.cumsum(np.add.reduceat(block, starts, axis=1), axis=1)
-        sums /= denom
-        return sums
+        return _to_averages(np.add.reduceat(block, starts, axis=1), grid)
 
     return averages
+
+
+def _to_averages(sums: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """Rows of segment sums, one per grid point, turned in place into
+    S_n / n: their running sums in order, divided by n."""
+    np.cumsum(sums, axis=1, out=sums)
+    sums /= np.array(grid, dtype=np.float64)
+    return sums
+
+
+# numpy's float64 sum of a segment a[s:e], in add.reduce and add.reduceat,
+# is a[s] + pairwise(a[s+1:e]).  pairwise over m elements is one leaf when
+# m <= LEAF: below 8 elements a sum in order from SHORT_LEAF_START, else
+# eight accumulators r_j of the elements j, j+8, .., up to the last full
+# group of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+# rest added in order.  A longer run splits in halves at a multiple of 8,
+# and its sum is pairwise(left) + pairwise(right).
+LEAF = 128
+# numpy 2 starts a short leaf at -0.0, which keeps a sum of -0.0 negative;
+# read off numpy itself, as a segment of two -0.0 sums to the start
+SHORT_LEAF_START = float(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
+
+# the steps of the replay, in the order of the positions they read
+_HEAD, _LEAF, _MERGE, _END = range(4)
+
+
+def _pairwise_steps(a: int, m: int):
+    """(_LEAF, start, length) for each leaf of pairwise over positions
+    a..a+m-1, in order, and (_MERGE,) after each right half."""
+    if m <= LEAF:
+        yield _LEAF, a, m
+        return
+    half = m // 2
+    half -= half % 8
+    yield from _pairwise_steps(a, half)
+    yield from _pairwise_steps(a + half, m - half)
+    yield (_MERGE,)
+
+
+def _grid_steps(grid: tuple[int, ...]):
+    """The replay of every grid segment k: (_HEAD, k) for its first
+    position, its pairwise steps, then (_END, k, whether it had any)."""
+    s = 0
+    for k, e in enumerate(grid):
+        yield _HEAD, k
+        if e - s > 1:
+            yield from _pairwise_steps(s + 1, e - s - 1)
+        yield _END, k, e - s > 1
+        s = e
+
+
+def _stack_depth(grid: tuple[int, ...]) -> int:
+    """The most subtree sums a segment's replay holds at once: one, plus
+    one for each left half waiting on the right one that is split again."""
+    depth = 1
+    for s, e in zip((0,) + grid[:-1], grid):
+        m, d = e - s - 1, 1
+        while m > LEAF:
+            half = m // 2
+            m, d = m - (half - half % 8), d + 1
+        depth = max(depth, d)
+    return depth
+
+
+class _SegmentSums:
+    """The sums of a chunk's rows over the grid segments [0, g_1), [g_1,
+    g_2), .., fed a tile of positions at a time: out[t, k] is, bit for
+    bit, ``add.reduceat``'s sum of segment k of row t.
+
+    It replays numpy's summation tree of each segment across tiles: each
+    trial's open leaf (eight accumulators) and the stack of finished
+    subtree sums live in per-chunk arrays, a column of trials per slot,
+    and each full group of 8 positions of a leaf is one add.  That is a
+    few dozen floats per trial at any n_max.
+    """
+
+    def __init__(self, grid: tuple[int, ...], out: np.ndarray, tile: Scratch):
+        trials = out.shape[0]
+        self.out = out
+        self.acc = tile.empty((8, trials))
+        self.stack = tile.empty((_stack_depth(grid), trials))
+        self.depth = 0
+        self.steps = _grid_steps(grid)
+        self.step = next(self.steps)
+
+    def feed(self, rows: np.ndarray, lo: int, cols: np.ndarray) -> None:
+        """Read positions lo .. lo + len(cols) - 1 (0-based along the row)
+        of the out rows ``rows``: cols[j] holds their increments at
+        position lo + j, in that order, in every tile."""
+        hi = lo + len(cols)
+        p, step, stack = lo, self.step, self.stack
+        while step is not None:
+            kind = step[0]
+            if kind == _LEAF:
+                a, m = step[1], step[2]
+                if p == hi:
+                    break
+                start, p = p, min(a + m, hi)
+                self._leaf(cols[start - lo : p - lo], m, start - a)
+                if p < a + m:
+                    break  # the leaf goes on in the next tile
+                self.depth += 1
+            elif kind == _HEAD:
+                if p == hi:
+                    break
+                self.out[rows, step[1]] = cols[p - lo]
+                p += 1
+            elif kind == _MERGE:
+                d = self.depth
+                np.add(stack[d - 2], stack[d - 1], out=stack[d - 2])
+                self.depth = d - 1
+            else:  # _END of segment k: its head plus the pairwise sum of the rest
+                if step[2]:
+                    self.out[rows, step[1]] += stack[0]
+                    self.depth = 0
+            step = next(self.steps, None)
+        self.step = step
+
+    def _leaf(self, cols: np.ndarray, m: int, i: int) -> None:
+        """Add the next elements of a leaf of m elements into the top of
+        the stack: cols[j] holds element i + j, and i elements went in
+        before."""
+        acc, out = self.acc, self.stack[self.depth]
+        stop = i + len(cols)
+        if m < 8:
+            if i == 0:
+                out.fill(SHORT_LEAF_START)
+            for col in cols:
+                out += col
+            return
+        full, base = m - m % 8, i
+        while i < min(stop, full):
+            j = i % 8
+            end = min(i - j + 8, stop)
+            if i < 8:
+                np.copyto(acc[j : j + end - i], cols[i - base : end - base])
+            else:
+                acc[j : j + end - i] += cols[i - base : end - base]
+            i = end
+            if i == full:
+                np.add(acc[0::2], acc[1::2], out=acc[0::2])
+                np.add(acc[0::4], acc[2::4], out=acc[0::4])
+                np.add(acc[0], acc[4], out=out)
+        for col in cols[i - base :]:
+            out += col
 
 
 @dataclass(frozen=True)
@@ -87,17 +232,46 @@ class TrajectoryRow:
         return abs(self.averages[-1] - self.target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryReport:
+    """Running averages of a batch: trial t follows component ``ids[t]``,
+    whose target is ``targets[ids[t]]``, and ``averages[t]`` holds its
+    S_n / n along the grid.  Equal reports hold the same bits."""
+
     n_max: int
     grid: tuple[int, ...]
-    rows: tuple[TrajectoryRow, ...]
+    ids: np.ndarray
+    targets: np.ndarray
+    averages: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> tuple[TrajectoryRow, ...]:
+        """One TrajectoryRow per trial, built when first read."""
+        return tuple(
+            TrajectoryRow(t, component, target, tuple(row))
+            for t, (component, target, row) in enumerate(
+                zip(self.ids.tolist(), self.targets[self.ids].tolist(), self.averages.tolist())
+            )
+        )
 
     def gap_fraction(self, threshold: float) -> float:
         """Fraction of trajectories whose terminal average misses by more
         than threshold."""
-        misses = sum(1 for r in self.rows if r.final_gap > threshold)
-        return misses / len(self.rows)
+        gaps = np.abs(self.averages[:, -1] - self.targets[self.ids])
+        return int(np.count_nonzero(gaps > threshold)) / len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrajectoryReport):
+            return NotImplemented
+        arrays = zip(
+            (self.ids, self.targets, self.averages), (other.ids, other.targets, other.averages)
+        )
+        return (self.n_max, self.grid) == (other.n_max, other.grid) and all(
+            a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in arrays
+        )
+
+    __hash__ = None
 
 
 def trajectory_batch(
@@ -108,28 +282,30 @@ def trajectory_batch(
     *,
     threads: int = 1,
 ) -> TrajectoryReport:
-    """Running averages S_n / n on the grid for each trial."""
+    """Running averages S_n / n on the grid for each trial.
+
+    Each chunk walks its rows (``verify._walk``) a tile of positions at a
+    time and replays the segment sums across tiles (``_SegmentSums``), so
+    no row is held whole and every average has the bits ``trajectory``
+    gives the same trial.
+    """
     grid = average_grid(n_max)
     if trials < 0:
         raise InvalidSpec(f"trials must be non-negative, got {trials}")
-    check_memory(trials, len(grid) + 1, n_max, "n_max")
-    targets = _targets(process)
-    averages_of = _running_averages(grid)
+    # the averages and ids kept per trial; a walk holds no row
+    check_memory(trials, len(grid) + 1, WALK_TILE, "n_max")
+    check_work(trials, n_max, "n_max")
 
     def step(chunk: np.ndarray, tile, averages: np.ndarray, ids: np.ndarray) -> None:
-        averages[:] = averages_of(process.sample_block(seed, chunk, 0, n_max, tile))
+        sums = _SegmentSums(grid, averages, tile)
+        _walk(process, seed, chunk, n_max, tile, lambda rows, lo, block: sums.feed(rows, lo, block.T), False)
+        _to_averages(averages, grid)
         ids[:] = process.component_ids(seed, chunk)
 
     averages = np.empty((trials, len(grid)))
     ids = np.empty(trials, dtype=np.int64)
-    _fill_rows(step, threads, n_max, averages, ids)
-    rows = tuple(
-        TrajectoryRow(t, component, target, tuple(row))
-        for t, (component, target, row) in enumerate(
-            zip(ids.tolist(), targets[ids].tolist(), averages.tolist())
-        )
-    )
-    return TrajectoryReport(n_max, grid, rows)
+    _fill_rows(step, threads, min(n_max, TRAJECTORY_WIDTH), averages, ids)
+    return TrajectoryReport(n_max, grid, ids, _targets(process), averages)
 
 
 def trajectory(process: Process, n_max: int, seed: int, trial: int = 0) -> TrajectoryRow:
@@ -187,17 +363,17 @@ def estimate_dip_probability(
     start = max(min_start, n_max // 2)
     if start > n_max:  # so n_max < 1 is refused too
         raise InvalidSpec(f"n_max={n_max} is below the window floor {min_start}")
-    check_memory(trials, 1, n_max, "n_max")
     targets = _targets(process)
     past = np.less if side == "below" else np.greater
     extreme = np.minimum if side == "below" else np.maximum
     bound = -epsilon if side == "below" else epsilon
 
     def step(chunk: np.ndarray, tile):
-        target = targets[process.component_ids(seed, chunk)][:, None]
+        target = targets[process.component_ids(seed, chunk)]
         worst = tile.empty((len(chunk),))
 
-        # no trial is dropped, so every tile holds every row of the chunk
+        # no trial is dropped, so every tile holds every row of the chunk,
+        # in the walk's order
         def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> None:
             first = max(lo + 1, start)  # the first n of the window in this tile
             if first > lo + sums.shape[1]:
@@ -206,12 +382,10 @@ def estimate_dip_probability(
             ratios = sums[:, first - lo - 1 :]
             steps = np.arange(first, lo + sums.shape[1] + 1, dtype=np.float64)
             shift = tile.empty(ratios.shape, order=order_of(ratios))
-            ratios -= np.multiply(target, steps, out=shift)
+            ratios -= np.multiply(target[rows][:, None], steps, out=shift)
             ratios /= steps
-            if first == start:
-                extreme.reduce(ratios, axis=1, out=worst)
-            else:
-                extreme(worst, extreme.reduce(ratios, axis=1, out=tile.empty((len(rows),))), out=worst)
+            m = extreme.reduce(ratios, axis=1, out=tile.empty((len(rows),)))
+            worst[rows] = m if first == start else extreme(worst[rows], m, out=m)
             return None
 
         _walk(process, seed, chunk, n_max, tile, visit)

@@ -29,8 +29,10 @@ agree wherever they overlap (extending to the right keeps the prefix),
 while windows with different lo have the same law but not the same
 path.  Passed the state a window ended in (``Process.sample_block``'s
 ``state``), a chain continues it instead, so consecutive windows [0, a],
-[a, b], .. are the numbers of the window [0, b].  A mixture follows the
-contract of the component a trial picks.
+[a, b], .. are the numbers of the window [0, b].  A moving average passed
+its state keeps the innovations it last drew, so a continuing window
+draws none twice.  A mixture follows the contract of the component a
+trial picks.
 
 Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
 and one :class:`Process` class that validates, samples and folds it;
@@ -273,16 +275,30 @@ class Process:
         (see :mod:`masstransport.scratch`); by default they are new arrays.
         The block is stored in ``tile_order(T, hi-lo)``.
 
-        ``state``, an intp array with one entry per trial, carries a
-        chain across consecutive windows of the same trials: a chain reads
-        it as each trial's state at lo, steps from there with the draw at
-        lo + 1, and overwrites it with the state at hi.  Entries of -1 (all
-        of them or none) mean no state yet: the chain starts from its
-        stationary law at lo + 1, as without ``state``.  So windows [0, a],
-        [a, b], .. passed one array give the numbers of the window [0, b].
-        Index-pure kinds ignore it.
+        ``state``, an array from ``walk_state`` with one row per trial,
+        carries a kind across consecutive windows of the same trials:
+        * a chain reads its intp entry as each trial's state at lo, steps
+          from there with the draw at lo + 1, and overwrites it with the
+          state at hi.  Entries of -1 mean no state yet: the chain starts
+          from its stationary law at lo + 1, as without ``state``;
+        * a moving average of order q keeps each trial's last q
+          innovations, NaN before the first window, and draws only the
+          window's own;
+        * a mixture keeps each trial's pick beside its child's state, so
+          it draws its picks once.  Passed a chain's array of one entry per
+          trial, it draws its picks again and carries its chains.
+        Entries hold no state yet in all trials or in none.  So windows
+        [0, a], [a, b], .. passed one array give the numbers of the window
+        [0, b].  Kinds whose ``walk_state`` is None ignore it.
         """
         raise NotImplementedError
+
+    def walk_state(self, seed: int, trials: np.ndarray, scratch=FRESH) -> tuple:
+        """(state, order) to walk ``trials`` window by window: a ``state``
+        for ``sample_block`` holding no state yet, or None when the kind
+        carries nothing from one window to the next, and the order of the
+        trials that samples them fastest, or None for the order given."""
+        return None, None
 
     def component_ids(self, seed: int, trials: np.ndarray) -> np.ndarray:
         """Which ergodic component each trial follows, shape (T,)."""
@@ -516,6 +532,11 @@ class MarkovProcess(Process):
             return None
         return sum((p * v for p, v in zip(self.pi, self.spec.payoffs)), Fraction(0))
 
+    def walk_state(self, seed, trials, scratch=FRESH):
+        state = scratch.empty((len(trials),), np.intp)
+        state.fill(-1)
+        return state, None
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         # one uniform per index: the draw at lo+1 picks the initial state
         # from the stationary law, or steps a carried one; later draws step
@@ -572,15 +593,37 @@ class MovingAverageProcess(Process):
             return None
         return im * sum(self.spec.coefficients, Fraction(0))
 
+    def walk_state(self, seed, trials, scratch=FRESH):
+        if self.order == 0:
+            return None, None
+        state = scratch.empty((len(trials), self.order))
+        state.fill(np.nan)  # no innovation is NaN
+        return state, None
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         q = self.order
-        z = self.inner.sample_block(seed, trials, lo - q, hi, scratch)
         length = hi - lo
+        # the innovations before lo + 1: the last q columns of z, or the
+        # state's when it carries them
+        carried = q > 0 and state is not None and len(state) > 0 and not np.isnan(state[0, 0])
+        k = 0 if carried else q
+        z = self.inner.sample_block(seed, trials, lo - k, hi, scratch)
         out = scratch.empty((len(trials), length), order=order_of(z))
-        np.multiply(self._coef_f[0], z[:, q : q + length], out=out)
+        np.multiply(self._coef_f[0], z[:, k : k + length], out=out)
         term = scratch.empty(out.shape, order=order_of(z))
         for i in range(1, q + 1):
-            out += np.multiply(self._coef_f[i], z[:, q - i : q - i + length], out=term)
+            # X_{lo+1+j} reads the innovation at lo+1+j-i, in z from
+            # column j = i - k on and in the state before that
+            j = min(max(i - k, 0), length)
+            out[:, j:] += np.multiply(self._coef_f[i], z[:, k - i + j : k - i + length], out=term[:, j:])
+            if j:
+                out[:, :j] += np.multiply(self._coef_f[i], state[:, q - i : q - i + j], out=term[:, :j])
+        if state is not None and q > 0:
+            # the last q innovations of the carried ones, then z's
+            drawn = z.shape[1]
+            if drawn < q:
+                state[:, : q - drawn] = state[:, drawn:]
+            state[:, max(q - drawn, 0) :] = z[:, max(drawn - q, 0) :]
         return out
 
     def step_law(self, cap):
@@ -682,17 +725,37 @@ class MixtureProcess(Process):
         u = rng.uniform_column(seed, self.stream, trials, 0)
         return _inverse_cdf(self._w_cum, u)
 
-    def _by_pick(self, seed, trials, out, fill):
+    def _by_pick(self, picks, out, fill):
         """Rows of out from fill(c, child, rows), the rows of the trials
-        that picked child c."""
-        picks = self._picks(seed, trials)
-        for c, child in enumerate(self.children):
-            rows = np.nonzero(picks == c)[0]
-            if len(rows):
+        that picked child c: one slice each where the picks are sorted,
+        else index arrays."""
+        k = len(self.children)
+        if len(picks) < 2 or (picks[1:] >= picks[:-1]).all():
+            cuts = np.searchsorted(picks, np.arange(k + 1)).tolist()
+            groups = [(slice(a, b), b - a) for a, b in zip(cuts, cuts[1:])]
+        else:
+            groups = [(rows, len(rows)) for rows in (np.nonzero(picks == c)[0] for c in range(k))]
+        for c, (child, (rows, count)) in enumerate(zip(self.children, groups)):
+            if count:
                 out[rows] = fill(c, child, rows)
         return out
 
+    def walk_state(self, seed, trials, scratch=FRESH):
+        # per trial: its chain's state, as a chain's own array, and its
+        # pick, drawn once; the trials walk in the order of their picks,
+        # so each child's rows of a window are one slice
+        picks = self._picks(seed, trials)
+        order = np.argsort(picks, kind="stable")
+        state = scratch.empty((len(trials), 2), np.intp)
+        state[:, 0] = -1
+        np.take(picks, order, out=state[:, 1])
+        return state, order
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
+        if state is not None and state.ndim == 2:
+            state, picks = state[:, 0], state[:, 1]
+        else:
+            picks = self._picks(seed, trials)
         # a child's block of fewer trials may take the other order
         shape = (len(trials), hi - lo)
         out = scratch.empty(shape, order=tile_order(*shape))
@@ -705,12 +768,12 @@ class MixtureProcess(Process):
             state[rows] = carried
             return block
 
-        return self._by_pick(seed, trials, out, fill)
+        return self._by_pick(picks, out, fill)
 
     def component_ids(self, seed, trials):
         out = np.empty(len(trials), dtype=np.int64)
         return self._by_pick(
-            seed, trials, out,
+            self._picks(seed, trials), out,
             lambda c, child, rows: self._offsets[c] + child.component_ids(seed, trials[rows]),
         )
 

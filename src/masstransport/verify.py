@@ -86,6 +86,14 @@ AGREEMENT_SIGMAS = 4.0
 # trials; every draw is keyed by its absolute trial index, so results
 # cannot depend on this number.
 TILE_BYTES = 512 << 10
+# the float64 increments a walk's tile (``_walk``) holds at most, at any
+# horizon, as its chunks hold at most TILE_BYTES // (8 * WALK_WIDTH) trials
+WALK_TILE = TILE_BYTES // 8
+
+# a walked run draws at most this many increments: about a month of
+# sampling on one core at 2-3 ns per increment.  A walk holds no row, so
+# no memory check bounds its horizon
+MAX_INCREMENTS = 1 << 50
 
 # a walk (``_walk``) starts every chunk with tiles of this many positions,
 # so its chunks hold TILE_BYTES // (8 * WALK_WIDTH) trials: 16384 by
@@ -237,7 +245,8 @@ def check_magnitude(process: Process, length: int, trials: int) -> None:
     ``EstimateCI`` sums ``trials`` squared deviations of up to twice that.
     So nothing overflows while 16 * length * B * sqrt(trials), which
     leaves room for rounding, stays under sqrt(float max).  Lengths and
-    counts past 2^64 are read as 2^64: the memory check refuses them.
+    counts past 2^64 are read as 2^64: the memory or the work check
+    refuses them.
     """
     if length < 1:
         return
@@ -248,6 +257,17 @@ def check_magnitude(process: Process, length: int, trials: int) -> None:
             f"sums of {length:.0f} increments of magnitude up to {bound:g} "
             "would overflow to NaN or infinity",
             field,
+        )
+
+
+def check_work(trials: int, n_max: int, field: str) -> None:
+    """Refuse a walk of ``trials`` rows of n_max increments that would draw
+    more than ``MAX_INCREMENTS``, naming ``field`` (the caller's name for
+    n_max) when one row alone would, else trials."""
+    if n_max > MAX_INCREMENTS or trials * n_max > MAX_INCREMENTS:
+        raise InvalidSpec(
+            f"needs {trials * n_max} increments, more than the {MAX_INCREMENTS} a run may draw",
+            field if n_max > MAX_INCREMENTS else "trials",
         )
 
 
@@ -263,14 +283,15 @@ def _estimate(
     step, trials: int, threads: int, n_max: int, width: int, z: float, field: str
 ) -> EstimateCI:
     """EstimateCI of the one value per trial that ``step`` returns from
-    rows of n_max increments, given chunks of ``_chunk_size(width)``
-    trials; a row too large for memory is refused naming ``field``, the
-    caller's name for n_max.  The per-trial values are the run's one array
-    of ``trials`` floats, and their deviations overwrite them."""
+    walked rows (``_walk``) of n_max increments, given chunks of
+    ``_chunk_size(width)`` trials; ``field`` is the caller's name for
+    n_max.  The per-trial values are the run's one array of ``trials``
+    floats, and their deviations overwrite them."""
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
     _check_interval(trials, z)
-    check_memory(trials, 1, n_max, field)
+    check_memory(trials, 1, WALK_TILE, field)
+    check_work(trials, n_max, field)
     samples = np.empty(trials)
 
     def fill(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
@@ -292,33 +313,38 @@ def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) 
     return sums
 
 
-def _walk(process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch, visit) -> None:
+def _walk(
+    process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch, visit,
+    running: bool = True,
+) -> None:
     """Walk the trials of ``chunk`` along positions 1..n_max, one tile of
-    positions at a time, and show ``visit`` each tile's running sums.
+    positions at a time, and show ``visit`` each tile's running sums, or
+    with ``running`` False its increments.
 
     A tile draws positions lo+1..hi of the trials still walking, about
     ``TILE_BYTES`` of increments, stored trial-contiguous while it holds
     more trials than positions.  Each trial's carried S_lo is added into
     the tile's first column before ``scan`` turns the tile into S_lo+1 ..
     S_hi in place; ``scan`` adds each trial's positions in order, so these
-    are the bits of a whole row's running sum.  A chain's state crosses
-    tiles through ``sample_block``'s ``state``.
+    are the bits of a whole row's running sum.  What a kind carries from
+    tile to tile (a chain's state, a moving average's last innovations, a
+    mixture's picks) crosses through ``sample_block``'s ``state``, so
+    every position is drawn once.
 
-    ``visit(rows, lo, sums)`` reads the tile's sums of the chunk's rows
-    ``rows`` and returns None, or a boolean mask of those rows that walk
-    on: the others are decided and drawn no further.  The chunk's own
-    arrays come from ``tile`` before the loop and outlive its tiles.
+    ``visit(rows, lo, tile)`` reads the tile of the chunk's rows ``rows``
+    and returns None, or a boolean mask of those rows that walk on: the
+    others are decided and drawn no further.  The rows walk in the order
+    the kind asks for (``Process.walk_state``: a mixture's trials grouped
+    by pick), which dropping rows keeps.  The chunk's own arrays come
+    from ``tile`` before the loop and outlive its tiles.
     """
     n = len(chunk)
-    trials = tile.empty((n,), np.uint64)
-    trials[:] = chunk
+    state, order = process.walk_state(seed, chunk, tile)
     rows = tile.empty((n,), np.intp)
-    rows[:] = np.arange(n)
-    carry = tile.empty((n,))
-    state = None
-    if not process.index_pure:
-        state = tile.empty((n,), np.intp)
-        state.fill(-1)
+    rows[:] = np.arange(n) if order is None else order
+    trials = tile.empty((n,), np.uint64)
+    np.take(chunk, rows, out=trials)
+    carry = tile.empty((n,)) if running else None
     base = tile.used
     lo = 0
     while lo < n_max and len(rows):
@@ -326,18 +352,19 @@ def _walk(process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scra
         # positions stay small however few trials walk on
         hi = min(n_max, lo + max(1, TILE_BYTES // (8 * max(len(rows), 8))))
         block = process.sample_block(seed, trials, lo, hi, tile.tile(base), state)
-        if lo:
-            block[:, 0] += carry
-        sums = scan(np.add, block, block)
-        carry[:] = sums[:, -1]
-        walking = visit(rows, lo, sums)
-        lo, block, sums = hi, None, None  # nothing of a tile outlives it
+        if running:
+            if lo:
+                block[:, 0] += carry
+            block = scan(np.add, block, block)
+            carry[:] = block[:, -1]
+        walking = visit(rows, lo, block)
+        lo, block = hi, None  # nothing of a tile outlives it
         if walking is not None and not walking.all():
             # compacted in place: the walking rows move to the front
             k = int(np.count_nonzero(walking))
-            rows, trials, carry = (_front(a, walking, k) for a in (rows, trials, carry))
-            if state is not None:
-                state = _front(state, walking, k)
+            rows, trials, carry, state = (
+                None if a is None else _front(a, walking, k) for a in (rows, trials, carry, state)
+            )
 
 
 def _front(a: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
@@ -372,7 +399,7 @@ def _ruin(
 
     def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> np.ndarray:
         if lo == 0 and first:
-            x1[:] = sums[:, 0]
+            x1[rows] = sums[:, 0]
         m = np.minimum.reduce(sums, axis=1, out=tile.empty((len(rows),)))
         if lo:
             np.minimum(m, low[rows], out=m)
@@ -608,7 +635,8 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
     exactly P(first nonpositive sum occurs beyond n_max), which union
     bounds by sum of P(S_n <= 0) over n > n_max.  Available for positive
     mean kinds with a step law of at most 1024 branches, the Gaussian, and
-    mixtures of those; None when no geometric tail bound is known.
+    mixtures of those; None when no geometric tail bound is known.  A
+    positive bound is never below the smallest normal float.
     """
     decay = process.ruin_decay()
     if decay is None:
@@ -618,4 +646,7 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
         return 0.0
     if rho >= 1.0:
         return None
-    return float(min(1.0, c * rho ** (n_max + 1) / (1.0 - rho)))
+    bound = float(min(1.0, c * rho ** (n_max + 1) / (1.0 - rho)))
+    # below the smallest normal float the power loses its precision or
+    # underflows to 0.0, under the positive bias it bounds: round it up
+    return max(bound, sys.float_info.min) if c > 0.0 else bound

@@ -27,6 +27,7 @@ from masstransport import (
     spec_from_jsonable,
     spec_to_jsonable,
 )
+from masstransport import ergodic as ergodic_module
 from masstransport import processes as processes_module
 from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
@@ -358,7 +359,9 @@ def test_out_of_range_numbers_exit_2_naming_the_field(args, field, capsys):
     assert field in err
 
 
-# sizes no machine holds: each is refused before anything is allocated
+# sizes no machine holds: each is refused before anything is allocated.
+# Walked commands hold no row, so no horizon of theirs is refused
+# (test_walked_commands_pass_the_memory_check_at_any_horizon)
 @pytest.mark.parametrize(
     "args, field",
     [
@@ -366,9 +369,7 @@ def test_out_of_range_numbers_exit_2_naming_the_field(args, field, capsys):
         (["verify-identity", "--trials", f"{10**15}"], "trials:"),
         (["birkhoff", "--trials", f"{10**15}"], "trials:"),
         (["birkhoff", "--trials", f"{10**15}", "--epsilon", "0.1"], "trials:"),
-        (["survival", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
-        (["verify-maximal", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
-        (["birkhoff", "--n-max", f"{10**14}", "--trials", "10", "--epsilon", "0.1"], "n_max:"),
+        (["verify-identity", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
         (["sample", "--hi", f"{10**14}"], f"window [-4, {10**14}]:"),
     ],
 )
@@ -377,6 +378,47 @@ def test_runs_larger_than_memory_exit_2_naming_the_field(args, field, capsys):
     assert code == 2
     assert out == ""
     assert field in err and "physical memory" in err
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["birkhoff", "--n-max", f"{10**14}", "--trials", "64"], "trials:"),
+        (["birkhoff", "--n-max", f"{2**51}", "--trials", "2", "--epsilon", "0.1"], "n_max:"),
+        (["survival", "--horizon", f"{2**51}", "--trials", "2"], "horizon:"),
+        (["verify-maximal", "--horizon", f"{2**45}", "--trials", "64"], "trials:"),
+    ],
+)
+def test_walks_past_the_work_cap_exit_2_naming_the_field(args, field, capsys):
+    code, out, err = run([*args, "--spec", str(spec_path("p06_walk"))], capsys)
+    assert (code, out) == (2, "")
+    assert field in err and "increments" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survival", "--horizon", f"{2**40}"],
+        ["verify-maximal", "--horizon", f"{2**40}"],
+        ["birkhoff", "--n-max", f"{2**40}", "--epsilon", "0.1"],
+        ["birkhoff", "--n-max", f"{2**40}"],
+    ],
+)
+def test_walked_commands_pass_the_memory_check_at_any_horizon(args, capsys, monkeypatch):
+    # the check alone: the loop that would walk the rows only records
+    # that it was reached and fills zeros
+    reached = []
+
+    def fill(step, threads, width, *outs):
+        reached.append(width)
+        for out in outs:
+            out[...] = 0
+
+    monkeypatch.setattr(verify_module, "_fill_rows", fill)
+    monkeypatch.setattr(ergodic_module, "_fill_rows", fill)
+    code, out, err = run([*args, "--trials", "2", "--spec", str(spec_path("p06_walk"))], capsys)
+    assert (code, err) == (0, "")
+    assert len(reached) == 1
 
 
 def test_out_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
@@ -632,8 +674,9 @@ LIKELY_WIN = {
         ),
         # exp overflows before the tilted radius reaches 1, and the search
         # ends at the last finite probe: rho is about 1.9e-100, and the
-        # bound at horizon 8, about 3e-898, rounds to 0.0
-        (LIKELY_WIN, lambda bound: bound == 0.0),
+        # bound at horizon 8, about 3e-898, is rounded up to the smallest
+        # normal float rather than down to 0.0
+        (LIKELY_WIN, lambda bound: bound == sys.float_info.min),
     ],
 )
 def test_survival_with_an_unreachable_or_unlikely_loss_exits_0(spec, bounded, mode, tmp_path, capsys):
@@ -643,6 +686,27 @@ def test_survival_with_an_unreachable_or_unlikely_loss_exits_0(spec, bounded, mo
     code, out, err = run([*argv, "--format", "json"], capsys)
     assert (code, err) == (0, "")
     assert bounded(json.loads(out)["truncation_bound"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_truncation_bound_is_not_below_the_bias_it_bounds(fmt, tmp_path, capsys):
+    # the bias of horizon 8 is at least survival at 8 less survival at 16,
+    # a positive Fraction near 1e-898 that no float holds
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(LIKELY_WIN))
+    process = make_process(parse_spec_file(path))
+    bias = verify_module.exact_survival(process, 8) - verify_module.exact_survival(process, 16)
+    assert bias > 0
+    argv = ["survival", "--spec", str(path), "--horizon", "8", "--mode", "both", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        bound = json.loads(out)["truncation_bound"]
+    else:
+        bounds = {row[-2] for row in parse_csv(out)[1]}
+        assert len(bounds) == 1
+        bound = float(bounds.pop())
+    assert bound > 0.0 and bound >= bias
 
 
 @contextlib.contextmanager

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from masstransport import (
     trajectory_batch,
 )
 
+from masstransport import ergodic as ergodic_module
 from masstransport import verify as verify_module
+from masstransport.scratch import Scratch
 
 from conftest import SPEC_NAMES
+from test_exact_oracle import THREE_STATE_CHAIN
 
 F = Fraction
 
@@ -104,13 +109,77 @@ def test_trajectory_matches_batch_row(corpus):
     assert batch.rows[5].component == single.component
 
 
-@pytest.mark.parametrize("name", SPEC_NAMES)
+@pytest.mark.parametrize("name", [*SPEC_NAMES, "three_state_chain"])
 def test_trajectory_is_its_batch_row_bit_for_bit(name, corpus):
     # 4096 is a power of two and 3000 is not, so both grid ends are covered
+    process = make_process(THREE_STATE_CHAIN) if name == "three_state_chain" else corpus[name]
     for n_max in (4096, 3000):
-        batch = trajectory_batch(corpus[name], n_max, 16, seed=9)
+        batch = trajectory_batch(process, n_max, 16, seed=9)
         for t, row in enumerate(batch.rows):
-            assert trajectory(corpus[name], n_max, seed=9, trial=t) == row
+            assert trajectory(process, n_max, seed=9, trial=t) == row
+
+
+def _replayed(grid, rows: np.ndarray, widths) -> np.ndarray:
+    """``_SegmentSums`` of ``rows`` fed in tiles of the given widths, in
+    turn, with the trials walked in reverse order."""
+    out = np.empty((len(rows), len(grid)))
+    order = np.arange(len(rows))[::-1].copy()
+    sums = ergodic_module._SegmentSums(grid, out, Scratch().tile())
+    lo = 0
+    for width in itertools.cycle(widths):
+        tile = np.asfortranarray(rows[order, lo : lo + width])
+        sums.feed(order, lo, tile.T)
+        lo += width
+        if lo >= rows.shape[1]:
+            return out
+
+
+def _awkward_rows(trials: int, n: int, seed: int) -> np.ndarray:
+    """Rows of mostly random normals, with runs of -0.0, +0.0, NaN and
+    +-inf, and magnitudes that make the order of a sum show."""
+    rs = np.random.default_rng(seed)
+    rows = rs.standard_normal((trials, n)) * 10.0 ** rs.integers(-8, 9, (trials, n))
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+    kind = rs.random((trials, n))
+    rows[kind < 0.3] = -0.0  # whole segments of -0.0 in some rows
+    pick = (kind > 0.3) & (kind < 0.3 + 3e-4)
+    rows[pick] = rs.choice(special, pick.sum())
+    rows[: trials // 4] = np.where(rs.random((trials // 4, n)) < 0.9, -0.0, rows[: trials // 4])
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_segment_replay_equals_reduceat_bit_for_bit():
+    # the walked trajectories replay numpy's pairwise summation tree of
+    # each segment across tiles; a numpy that changes its tree fails here
+    # by name, before any golden.  Every segment length from 1 to 300, the
+    # grids of several n_max, and tile widths that split leaves and groups
+    # of 8 (a leaf holds up to 128 elements)
+    lengths = tuple(itertools.accumulate(range(1, 301)))
+    grids = [lengths] + [average_grid(n) for n in (1, 2, 7, 129, 1000, 16384)]
+    for i, grid in enumerate(grids):
+        rows = _awkward_rows(24, grid[-1], seed=i)
+        starts = np.array((0,) + grid[:-1])
+        want = np.add.reduceat(rows, starts, axis=1)
+        assert np.isnan(want).any() and np.isinf(want).any() or grid[-1] < 1000
+        assert (np.signbit(want) & (want == 0.0)).any() or grid[-1] < 7
+        for widths in ((1,), (3, 5), (7, 64, 13), (127, 129), (300,), (4096,)):
+            got = _replayed(grid, rows, widths)
+            assert got.tobytes() == want.tobytes(), (grid[-1], widths)
+
+
+def test_trajectory_batch_memory_stays_flat_as_n_max_grows(corpus):
+    # the rows are walked: no row is held whole, and the replay's per-trial
+    # arrays grow with the depth of the summation tree, not with n_max
+    peaks = []
+    for n_max in (1 << 14, 1 << 20):
+        tracemalloc.start()
+        try:
+            trajectory_batch(corpus["markov_drift"], n_max, 8, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_mixture_trajectories_sit_exactly_on_component_means(corpus):

@@ -44,6 +44,8 @@ def _bits(value) -> bytes:
         elif isinstance(x, (tuple, list)):
             for y in x:
                 walk(y)
+        elif isinstance(x, np.ndarray):
+            floats.extend(x.astype(np.float64).ravel().tolist())
         elif not isinstance(x, str):
             for y in vars(x).values():
                 walk(y)

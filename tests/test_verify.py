@@ -31,8 +31,10 @@ from masstransport import (
     sent_mass_terms,
     sign_pass,
     survival_truncation_bound,
+    trajectory_batch,
 )
 
+from masstransport import rng as rng_module
 from masstransport import scratch as scratch_module
 from masstransport import verify as verify_module
 from masstransport.processes import MarkovProcess, MovingAverage
@@ -364,6 +366,68 @@ def test_a_chain_carries_its_state_across_tiles(screened_kinds, name):
         # the state at hi is the one that emitted X_hi on the whole path
         at_hi = [payoffs.index(x) if c else -1 for x, c in zip(whole[:, hi - 1].tolist(), chained)]
         assert state.tolist() == at_hi, (lo, hi)
+
+
+@pytest.mark.parametrize("name", ["moving_average", "ma_three_values", "ma_zero_innovation"])
+def test_a_moving_average_carries_its_innovations_across_tiles(walked_kinds, name):
+    proc = walked_kinds[name] if name in walked_kinds else make_process(EXTRA_SPECS[name])
+    trials = np.arange(7, 847, 7, dtype=np.uint64)
+    whole = proc.sample_block(2, trials, 0, 64)
+    drawn = []
+    inner = proc.inner.sample_block
+
+    def recording(seed, chunk, lo, hi, scratch=FRESH, state=None):
+        drawn.append((lo, hi))
+        return inner(seed, chunk, lo, hi, scratch, state)
+
+    proc.inner.sample_block = recording
+    try:
+        state, order = proc.walk_state(2, trials, Scratch())
+        assert order is None
+        tile = Scratch()
+        for lo, hi in zip((0, 1, 2, 5, 13, 14, 40), (1, 2, 5, 13, 14, 40, 64)):
+            block = proc.sample_block(2, trials, lo, hi, tile.tile(), state)
+            want = np.ascontiguousarray(whole[:, lo:hi]).tobytes()
+            assert np.ascontiguousarray(block).tobytes() == want, (lo, hi)
+    finally:
+        del proc.inner.sample_block
+    # the first window draws the q innovations before it, and none is drawn twice
+    q = proc.order
+    assert drawn == [(-q, 1), (1, 2), (2, 5), (5, 13), (13, 14), (14, 40), (40, 64)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    # the rotation is left out: it draws its phase again in every tile
+    ["gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "two_point",
+     "two_point_chain", "three_state_chain", "mixture_with_chain"],
+)
+def test_walked_trajectories_draw_the_uniforms_of_whole_rows(walked_kinds, monkeypatch, name):
+    # one row of increments and one component id per trial, as whole rows
+    # drew them: a chain's state, a moving average's innovations and a
+    # mixture's picks cross the tiles instead of being drawn again
+    proc = walked_kinds[name]
+    counts = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[-1] += out.size
+            return out
+
+        return counted
+
+    for attr in ("uniform_block", "uniform_column"):
+        monkeypatch.setattr(rng_module, attr, counting(getattr(rng_module, attr)))
+    trials, n_max = 300, 1000
+    idx = np.arange(trials, dtype=np.uint64)
+    counts.append(0)
+    proc.sample_block(5, idx, 0, n_max)
+    proc.component_ids(5, idx)
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 4096)  # tiles of 13 positions and more
+    counts.append(0)
+    trajectory_batch(proc, n_max, trials, seed=5, threads=2)
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("n_max", [1, 7, 8, 9, 16, 64, 2048])
