@@ -261,7 +261,8 @@ def _identity_rows(checks: list[tuple]):
     Carlo sides EstimateCIs shown by their means and intervals."""
     for n, mode, lhs, rhs, ok in checks:
         if isinstance(lhs, verify.EstimateCI):
-            yield [n, lhs.mean, rhs.mean, lhs.ci_low, lhs.ci_high, rhs.ci_low, rhs.ci_high, mode, ok]
+            cis = (lhs.ci_low, lhs.ci_high, rhs.ci_low, rhs.ci_high)
+            yield [n, lhs.mean, rhs.mean, *cis, mode, ok]
         else:
             yield [n, lhs, rhs, "", "", "", "", mode, ok]
 
@@ -430,7 +431,8 @@ def cmd_birkhoff(args, process):
         }
         header = [*lead, "estimate", "std_error", "ci_low", "ci_high", "trials"]
         row = [*lead.values(), est.mean, est.std_error, est.ci_low, est.ci_high, est.trials]
-        return True, _table(header, lambda: [row]), lambda: {**lead, "estimate": dataclasses.asdict(est)}
+        payload = {**lead, "estimate": dataclasses.asdict(est)}
+        return True, _table(header, lambda: [row]), lambda: payload
 
     report = ergodic.trajectory_batch(
         process, args.n_max, args.trials, args.seed, threads=args.threads

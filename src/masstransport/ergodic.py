@@ -15,6 +15,14 @@ upper half of the horizon, a quantity that must go to zero as the
 horizon grows; measuring it on a window that scales with n_max (rather
 than a fixed tail start) is what makes the limit visible at finite
 horizon.
+
+Both walk their rows (``verify._walk``), a tile of positions at a time,
+so neither holds a whole row at any n_max.  The dip reads running sums.
+The trajectories read increments and sum each grid segment as
+``np.add.reduceat`` does, by replaying numpy's pairwise summation tree
+across tiles (``_SegmentSums``): a running sum would round the long
+segments differently.  ``trajectory`` sums one whole row with
+``reduceat`` itself, the reference the walked batch equals bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ import numpy as np
 from .errors import InvalidSpec
 from .processes import Process
 from .scratch import Scratch, check_memory, order_of
-from .verify import WALK_TILE, WALK_WIDTH, EstimateCI, Z_DEFAULT, _estimate, _fill_rows, _walk, check_work
+from .verify import WALK_TILE, WALK_WIDTH, EstimateCI, Z_DEFAULT, check_work
+from .verify import _estimate, _fill_rows, _walk
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
@@ -36,7 +45,7 @@ MIN_WINDOW_START = 64
 
 # a trajectory walk starts its chunks with tiles of this many positions,
 # so a full chunk holds TILE_BYTES // (8 * TRAJECTORY_WIDTH) trials
-TRAJECTORY_WIDTH = 64
+TRAJECTORY_WIDTH = 16
 
 
 def _targets(process: Process) -> np.ndarray:
@@ -58,24 +67,10 @@ def average_grid(n_max: int) -> tuple[int, ...]:
     return tuple(grid)
 
 
-def _running_averages(grid: tuple[int, ...]):
-    """Map rows of X_1..X_{n_max} to S_n / n on the grid: segment sums, then
-    their running sums, so a row's bits do not depend on the rows beside it.
-
-    ``trajectory`` reads one whole row through it, with ``add.reduceat``'s
-    segment sums; ``trajectory_batch`` walks its rows and replays them
-    (``_SegmentSums``)."""
-    starts = np.array((0,) + grid[:-1], dtype=np.intp)
-
-    def averages(block: np.ndarray) -> np.ndarray:
-        return _to_averages(np.add.reduceat(block, starts, axis=1), grid)
-
-    return averages
-
-
 def _to_averages(sums: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
-    """Rows of segment sums, one per grid point, turned in place into
-    S_n / n: their running sums in order, divided by n."""
+    """Rows of sums over the grid segments [0, g_1), [g_1, g_2), .., turned
+    in place into S_n / n on the grid: their running sums in order,
+    divided by n, so a row's bits do not depend on the rows beside it."""
     np.cumsum(sums, axis=1, out=sums)
     sums /= np.array(grid, dtype=np.float64)
     return sums
@@ -156,10 +151,12 @@ class _SegmentSums:
         self.steps = _grid_steps(grid)
         self.step = next(self.steps)
 
-    def feed(self, rows: np.ndarray, lo: int, cols: np.ndarray) -> None:
-        """Read positions lo .. lo + len(cols) - 1 (0-based along the row)
-        of the out rows ``rows``: cols[j] holds their increments at
-        position lo + j, in that order, in every tile."""
+    def feed(self, rows: np.ndarray, lo: int, block: np.ndarray) -> None:
+        """Read positions lo .. lo + block.shape[1] - 1 (0-based along the
+        row) of the out rows ``rows``, whose increments the rows of
+        ``block`` hold, in the same order in every tile.  It is a visit of
+        ``verify._walk``, and returns None."""
+        cols = block.T
         hi = lo + len(cols)
         p, step, stack = lo, self.step, self.stack
         while step is not None:
@@ -271,8 +268,6 @@ class TrajectoryReport:
             for a, b in arrays
         )
 
-    __hash__ = None
-
 
 def trajectory_batch(
     process: Process,
@@ -298,7 +293,7 @@ def trajectory_batch(
 
     def step(chunk: np.ndarray, tile, averages: np.ndarray, ids: np.ndarray) -> None:
         sums = _SegmentSums(grid, averages, tile)
-        _walk(process, seed, chunk, n_max, tile, lambda rows, lo, block: sums.feed(rows, lo, block.T), False)
+        _walk(process, seed, chunk, n_max, tile, sums.feed, running=False)
         _to_averages(averages, grid)
         ids[:] = process.component_ids(seed, chunk)
 
@@ -312,7 +307,11 @@ def trajectory(process: Process, n_max: int, seed: int, trial: int = 0) -> Traje
     """One trajectory's running averages; pure in (process, n_max, seed, trial)."""
     grid = average_grid(n_max)
     trials = np.array([trial], dtype=np.uint64)
-    averages = _running_averages(grid)(process.sample_block(seed, trials, 0, n_max))
+    # the whole row's segment sums, as add.reduceat gives them: the
+    # reference that trajectory_batch's walk replays (``_SegmentSums``)
+    starts = np.array((0,) + grid[:-1], dtype=np.intp)
+    row = process.sample_block(seed, trials, 0, n_max)
+    averages = _to_averages(np.add.reduceat(row, starts, axis=1), grid)
     component = int(process.component_ids(seed, trials)[0])
     target = process.components()[component][1].mean()
     return TrajectoryRow(trial, component, target, tuple(averages[0].tolist()))

@@ -611,13 +611,13 @@ class MovingAverageProcess(Process):
         out = scratch.empty((len(trials), length), order=order_of(z))
         np.multiply(self._coef_f[0], z[:, k : k + length], out=out)
         term = scratch.empty(out.shape, order=order_of(z))
-        for i in range(1, q + 1):
+        for i, c in enumerate(self._coef_f[1:], 1):
             # X_{lo+1+j} reads the innovation at lo+1+j-i, in z from
             # column j = i - k on and in the state before that
             j = min(max(i - k, 0), length)
-            out[:, j:] += np.multiply(self._coef_f[i], z[:, k - i + j : k - i + length], out=term[:, j:])
+            out[:, j:] += np.multiply(c, z[:, k - i + j : k - i + length], out=term[:, j:])
             if j:
-                out[:, :j] += np.multiply(self._coef_f[i], state[:, q - i : q - i + j], out=term[:, :j])
+                out[:, :j] += np.multiply(c, state[:, q - i : q - i + j], out=term[:, :j])
         if state is not None and q > 0:
             # the last q innovations of the carried ones, then z's
             drawn = z.shape[1]

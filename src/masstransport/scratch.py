@@ -21,21 +21,19 @@ first slots and outlive its tiles (``Scratch.tile``'s ``keep``).  Every
 temporary of the tile takes the order of the array it is computed from
 (:func:`order_of`), so no pass mixes layouts, and :func:`scan` runs a
 running sum, minimum or maximum along the positions in whichever order
-the tile has.  On a (4096, 8) tile
-numpy's ``accumulate`` along the strided positions costs 4-5 ns per
-element and the stepped scan about 0.4 ns; a tile of 4 trials of 16384
-positions would step once per position, and forcing that order made
-mc_long's Markov birkhoff command about 17 times slower on the same
-Xeon.  No result depends on the layout: every pass is elementwise, a
-scan, a minimum or maximum, or a segment sum (``add.reduceat``, whose
-bits are the same in either order), and a scan combines each trial's
-positions one after another in either order.  So a scan can also be cut
-between tiles of positions: adding the running sum carried from the last
-tile into the first column of the next one before its scan gives the
-bits of one scan over both.
+the tile has: numpy's ``accumulate`` along strided positions costs
+several times the stepped scan per element, and a tile of a few trials
+would step once per position.  No result depends on the layout: every
+pass is elementwise, a scan, or a minimum or maximum, and a scan combines
+each trial's positions one after another in either order.  So a scan can
+also be cut between tiles of positions: adding the running sum carried
+from the last tile into the first column of the next one before its scan
+gives the bits of one scan over both.  The walked trajectories cut
+numpy's pairwise segment sums between tiles the same way, by carrying
+each trial's partial sums (``ergodic._SegmentSums``).
 
 :func:`check_memory` refuses, before anything is allocated, work whose
-kept results or one trial's row could not fit in physical memory.
+kept results or one tile could not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -158,11 +156,11 @@ def scan(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def check_memory(trials: int, per_trial: int, width: int, window: str) -> None:
     """Refuse a run that the machine's physical memory could not hold.
 
-    A run keeps ``per_trial`` float64 results for each trial, and every
-    tile holds at least one trial's row of ``width`` float64 increments.
-    The error names ``window`` when the row alone is too large, else
-    trials.  Where the platform does not report its memory, nothing is
-    refused.
+    A run keeps ``per_trial`` float64 results for each trial, and a tile
+    holds at least ``width`` float64 increments: one trial's whole window
+    where tiles hold whole windows, a walk's tile where they walk.  The
+    error names ``window`` when the tile alone is too large, else trials.
+    Where the platform does not report its memory, nothing is refused.
     """
     try:
         total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

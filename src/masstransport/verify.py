@@ -22,11 +22,11 @@ of all trials for each n >= 2, and reduces it before the other side
 refills the same rows.  Running with 1 or 16 threads produces the same
 bytes.
 
-The identity's chunk, and a trajectory batch's, is one tile: as many
-whole trials as fit about ``TILE_BYTES`` of float64 increments, or fewer
-where a run of fewer tiles than threads is split among them.  Each tile
-is sampled into memory its thread reuses from tile to tile and reduced
-to per-trial values while it is still in cache.  A tile of more trials than positions (every short
+The identity's chunk is one tile: as many whole trials as fit about
+``TILE_BYTES`` of float64 increments, or fewer where a run of fewer tiles
+than threads is split among them.  Each tile is sampled into memory its
+thread reuses from tile to tile and reduced to per-trial values while it
+is still in cache.  A tile of more trials than positions (every short
 horizon) is stored trial-contiguous, and its running sums and minima
 step one position at a time over all its trials; a tile of a few long
 trials is stored trial by trial (see :mod:`masstransport.scratch`).
@@ -34,17 +34,19 @@ Every draw is keyed by its absolute (trial, position) and every
 per-trial value is reduced along its own positions in order, so neither
 the tile size nor the layout changes any output.
 
-Survival, the maximal inequality and the Birkhoff dip walk their rows
-instead (``_walk``): a chunk of trials is drawn one tile of positions at
-a time, trial-contiguous, each trial's running sum carried from tile to
-tile, so no tile holds a whole row however long the horizon.  After each
-tile a caller may drop the trials it has decided: ``_ruin`` drops every
-trial once ruined, so each trial is drawn up to the tile of its first
-ruin and no position twice, and the dip drops none.  The identity is
-screened (``_screen``) on the step next to the origin, where X_1 <= 0
-sends nothing and X_0 >= 0 receives nothing, and a chunk is one tile of
-whole windows (``mc_identity``): its right side is anchored at its
-window's end, which a walk from the left reaches last.
+Survival, the maximal inequality, the Birkhoff dip and the trajectories
+walk their rows instead (``_walk``): a chunk of trials is drawn one tile
+of positions at a time, trial-contiguous, each trial's running sum
+carried from tile to tile, so no tile holds a whole row however long the
+horizon.  Trajectories read the increments instead and carry their grid
+segments' summation trees (``ergodic._SegmentSums``).  After each tile a
+caller may drop the trials it has decided: ``_ruin`` drops every trial
+once ruined, so each trial is drawn up to the tile of its first ruin and
+no position twice, and the dip and the trajectories drop none.  The
+identity is screened (``_screen``) on the step next to the origin, where
+X_1 <= 0 sends nothing and X_0 >= 0 receives nothing, and a chunk is one
+tile of whole windows (``mc_identity``): its right side is anchored at
+its window's end, which a walk from the left reaches last.
 """
 
 from __future__ import annotations
@@ -87,13 +89,13 @@ AGREEMENT_SIGMAS = 4.0
 # cannot depend on this number.
 TILE_BYTES = 512 << 10
 # the float64 increments a walk's tile (``_walk``) holds at most, at any
-# horizon, as its chunks hold at most TILE_BYTES // (8 * WALK_WIDTH) trials
+# horizon: its width is TILE_BYTES over the trials still walking
 WALK_TILE = TILE_BYTES // 8
 
-# a walked run draws at most this many increments: about a month of
+# a walked run draws at most this many increments: about half a day of
 # sampling on one core at 2-3 ns per increment.  A walk holds no row, so
 # no memory check bounds its horizon
-MAX_INCREMENTS = 1 << 50
+MAX_INCREMENTS = 1 << 44
 
 # a walk (``_walk``) starts every chunk with tiles of this many positions,
 # so its chunks hold TILE_BYTES // (8 * WALK_WIDTH) trials: 16384 by

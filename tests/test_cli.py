@@ -380,13 +380,16 @@ def test_runs_larger_than_memory_exit_2_naming_the_field(args, field, capsys):
     assert field in err and "physical memory" in err
 
 
+# walks no run would finish: each is refused before anything is drawn
 @pytest.mark.parametrize(
     "args, field",
     [
-        (["birkhoff", "--n-max", f"{10**14}", "--trials", "64"], "trials:"),
-        (["birkhoff", "--n-max", f"{2**51}", "--trials", "2", "--epsilon", "0.1"], "n_max:"),
-        (["survival", "--horizon", f"{2**51}", "--trials", "2"], "horizon:"),
-        (["verify-maximal", "--horizon", f"{2**45}", "--trials", "64"], "trials:"),
+        (["survival", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
+        (["verify-maximal", "--horizon", f"{10**14}", "--trials", "10"], "horizon:"),
+        (["birkhoff", "--n-max", f"{10**14}", "--trials", "10", "--epsilon", "0.1"], "n_max:"),
+        (["birkhoff", "--n-max", f"{10**14}", "--trials", "10"], "n_max:"),
+        (["survival", "--horizon", f"{2**40}", "--trials", "64"], "trials:"),
+        (["birkhoff", "--n-max", f"{2**40}", "--trials", "64"], "trials:"),
     ],
 )
 def test_walks_past_the_work_cap_exit_2_naming_the_field(args, field, capsys):

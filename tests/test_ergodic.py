@@ -127,8 +127,7 @@ def _replayed(grid, rows: np.ndarray, widths) -> np.ndarray:
     sums = ergodic_module._SegmentSums(grid, out, Scratch().tile())
     lo = 0
     for width in itertools.cycle(widths):
-        tile = np.asfortranarray(rows[order, lo : lo + width])
-        sums.feed(order, lo, tile.T)
+        sums.feed(order, lo, np.asfortranarray(rows[order, lo : lo + width]))
         lo += width
         if lo >= rows.shape[1]:
             return out

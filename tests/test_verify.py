@@ -424,7 +424,8 @@ def test_walked_trajectories_draw_the_uniforms_of_whole_rows(walked_kinds, monke
     counts.append(0)
     proc.sample_block(5, idx, 0, n_max)
     proc.component_ids(5, idx)
-    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 4096)  # tiles of 13 positions and more
+    # chunks of 150 trials walk tiles of 27 positions
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 8 * 4096)
     counts.append(0)
     trajectory_batch(proc, n_max, trials, seed=5, threads=2)
     assert counts[0] == counts[1] > 0
