@@ -602,7 +602,8 @@ def main(argv=None) -> int:
 
     Calls in one process share one parser, rebuilt only when
     $MASSTRANSPORT_THREADS changes, so in-process callers (tests,
-    benchmarks, library users) pay the 2.5-3 ms of building it once.
+    benchmarks, library users) pay for building its tree of subcommands
+    once.
     """
     try:
         args = _parser(os.environ.get(THREADS_ENV)).parse_args(argv)

@@ -16,13 +16,14 @@ horizon grows; measuring it on a window that scales with n_max (rather
 than a fixed tail start) is what makes the limit visible at finite
 horizon.
 
-Both walk their rows (``verify._walk``), a tile of positions at a time,
-so neither holds a whole row at any n_max.  The dip reads running sums.
-The trajectories read increments and sum each grid segment as
-``np.add.reduceat`` does, by replaying numpy's pairwise summation tree
-across tiles (``_SegmentSums``): a running sum would round the long
-segments differently.  ``trajectory`` sums one whole row with
-``reduceat`` itself, the reference the walked batch equals bit for bit.
+Both walk their rows through ``verify._walk_rows`` (the dip by way of
+``verify._estimate``), a tile of positions at a time, so neither holds a
+whole row at any n_max.  The dip reads running sums.  The trajectories
+read increments and sum each grid segment as ``np.add.reduceat`` does,
+by replaying numpy's pairwise summation tree across tiles
+(``_SegmentSums``): a running sum would round the long segments
+differently.  ``trajectory`` sums one whole row with ``reduceat``
+itself, the reference the walked batch equals bit for bit.
 """
 
 from __future__ import annotations
@@ -35,17 +36,12 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import Process
-from .scratch import Scratch, check_memory, order_of
-from .verify import WALK_TILE, WALK_WIDTH, EstimateCI, Z_DEFAULT, check_work
-from .verify import _estimate, _fill_rows, _walk
+from .scratch import Scratch, order_of
+from .verify import EstimateCI, Z_DEFAULT, _estimate, _walk, _walk_rows
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
 # averages below this n say little; the dip window never starts earlier
 MIN_WINDOW_START = 64
-
-# a trajectory walk starts its chunks with tiles of this many positions,
-# so a full chunk holds TILE_BYTES // (8 * TRAJECTORY_WIDTH) trials
-TRAJECTORY_WIDTH = 16
 
 
 def _targets(process: Process) -> np.ndarray:
@@ -277,19 +273,11 @@ def trajectory_batch(
     *,
     threads: int = 1,
 ) -> TrajectoryReport:
-    """Running averages S_n / n on the grid for each trial.
-
-    Each chunk walks its rows (``verify._walk``) a tile of positions at a
-    time and replays the segment sums across tiles (``_SegmentSums``), so
-    no row is held whole and every average has the bits ``trajectory``
-    gives the same trial.
-    """
+    """Running averages S_n / n on the grid for each trial: walked, with
+    the bits ``trajectory`` gives the same trial (``_SegmentSums``)."""
     grid = average_grid(n_max)
     if trials < 0:
         raise InvalidSpec(f"trials must be non-negative, got {trials}")
-    # the averages and ids kept per trial; a walk holds no row
-    check_memory(trials, len(grid) + 1, WALK_TILE, "n_max")
-    check_work(trials, n_max, "n_max")
 
     def step(chunk: np.ndarray, tile, averages: np.ndarray, ids: np.ndarray) -> None:
         sums = _SegmentSums(grid, averages, tile)
@@ -297,9 +285,9 @@ def trajectory_batch(
         _to_averages(averages, grid)
         ids[:] = process.component_ids(seed, chunk)
 
-    averages = np.empty((trials, len(grid)))
-    ids = np.empty(trials, dtype=np.int64)
-    _fill_rows(step, threads, min(n_max, TRAJECTORY_WIDTH), averages, ids)
+    # the averages and the component id kept per trial; a walk holds no row
+    kept = np.dtype((np.float64, (len(grid),))), np.int64
+    averages, ids = _walk_rows(step, trials, threads, n_max, "n_max", *kept)
     return TrajectoryReport(n_max, grid, ids, _targets(process), averages)
 
 
@@ -390,5 +378,5 @@ def estimate_dip_probability(
         _walk(process, seed, chunk, n_max, tile, visit)
         return past(worst, bound)
 
-    estimate = _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "n_max")
+    estimate = _estimate(step, trials, threads, n_max, z, "n_max")
     return DipReport(epsilon, n_max, start, side, estimate)

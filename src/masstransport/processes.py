@@ -359,11 +359,10 @@ def _check_prob(x, where: str) -> Fraction:
     return x
 
 
-# tables up to this long are searched by one comparison per entry.  On a
-# 512 KiB tile of uniforms (2-core Xeon, numpy 2.4.6) the scan costs about
-# 1.05 ns per entry and element; searchsorted 23, 36 and 50 ns per element
-# at 8, 16 and 32 entries, and the scan still wins at 48 (53 vs 60 ns).
-# 16 keeps a wide margin; no bundled table comes near it.
+# tables up to this long are searched by one comparison pass per entry:
+# on short tables those passes cost less per element than searchsorted's
+# binary search of each element, and they stay ahead well past 16, which
+# keeps a wide margin.  No bundled table comes near it.
 _SCAN_MAX = 16
 
 
@@ -544,17 +543,19 @@ class MarkovProcess(Process):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        carried = state is not None and len(state) > 0 and state[0] >= 0
         # new, not from scratch: in both cases the path's first array then
         # takes the memory uniform_block's words gave back
-        start = state if carried else _inverse_cdf(self._pi_cum, u[:, 0])
+        if state is not None and len(state) > 0 and state[0] >= 0:
+            n = len(state)
+            work = np.empty(n, np.intp), np.empty(n), np.empty(n, bool)
+            start = _chain_step(state, u[:, 0], self._cut_columns, *work)
+        else:
+            start = _inverse_cdf(self._pi_cum, u[:, 0])
         if len(self._payoff_f) == 2:
             rc = self._row_cum
-            states = _two_state_path(
-                start, u, rc[0, 0], rc[1, 0], self._swaps, scratch, step_first=carried
-            )
+            states = _two_state_path(start, u, rc[0, 0], rc[1, 0], self._swaps, scratch)
         else:
-            states = _chain_path(start, u, self._cut_columns, scratch, step_first=carried)
+            states = _chain_path(start, u, self._cut_columns, scratch)
         if state is not None:
             state[:] = states[:, -1]
         return _lookup(self._payoff_f, states, u)
@@ -973,18 +974,15 @@ def _unit_mod(x: np.ndarray, scratch=FRESH) -> np.ndarray:
     return x
 
 
-def _two_state_path(
-    start, u, cut0, cut1, swaps: bool, scratch=FRESH, step_first: bool = False
-) -> np.ndarray:
+def _two_state_path(start, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndarray:
     """State path of a two-state chain, shape of u, as intp states.
 
-    Column 0 holds the initial states ``start``, or with ``step_first``
-    the states ``start`` stepped by u[:, 0]; column j >= 1 steps the
-    state s to 1 when row_cum[s, 0] < u, where cut0 = row_cum[0, 0] and
-    cut1 = row_cum[1, 0] (the last cumulative entry is exactly 1, which
-    no u exceeds).  So each column acts as one of four maps: set 0,
-    set 1, keep, or swap.  The state at column j is the value written by the latest
-    "set" column, flipped once per "swap" column after it, which
+    Column 0 holds the states ``start``; column j >= 1 steps the state s
+    to 1 when row_cum[s, 0] < u, where cut0 = row_cum[0, 0] and cut1 =
+    row_cum[1, 0] (the last cumulative entry is exactly 1, which no u
+    exceeds).  So each column acts as one of four maps: set 0, set 1,
+    keep, or swap.  The state at column j is the value written by the
+    latest "set" column, flipped once per "swap" column after it, which
     vectorizes over whole rows: encoding a set column as 2j + value makes
     the running maximum pick the latest one.  Swap columns need
     cut0 < cut1; ``swaps=False`` skips their bookkeeping and is exact
@@ -995,12 +993,7 @@ def _two_state_path(
     code = scratch.empty(u.shape, np.intp, order)
     a = np.less(cut0, u, out=scratch.empty(u.shape, bool, order))
     b = np.less(cut1, u, out=scratch.empty(u.shape, bool, order))
-    if step_first:
-        # the step from state 1 reads b's comparison, from state 0 a's
-        np.copyto(a[:, 0], b[:, 0], where=start.astype(bool))
-        b[:, 0] = a[:, 0]
-    else:
-        a[:, 0] = b[:, 0] = start
+    a[:, 0] = b[:, 0] = start
     cols2 = np.arange(0, 2 * u.shape[1], 2, dtype=np.intp)
     np.add(cols2, a, out=code)
     if swaps:
@@ -1017,11 +1010,10 @@ def _two_state_path(
     return code
 
 
-def _chain_path(start, u, cut_columns, scratch=FRESH, step_first: bool = False) -> np.ndarray:
+def _chain_path(start, u, cut_columns, scratch=FRESH) -> np.ndarray:
     """State path of a chain of any size, shape of u, as intp states.
 
-    Column 0 holds the initial states ``start``, or with ``step_first``
-    the states ``start`` stepped by u[:, 0]; column j >= 1 steps each
+    Column 0 holds the states ``start``; column j >= 1 steps each
     state s to the number of cumulative row entries row_cum[s, c] below
     u[:, j], counted over ``cut_columns`` (row_cum[:, c] for every c but
     the last, which is exactly 1 and above every u).  One column at a
@@ -1032,10 +1024,7 @@ def _chain_path(start, u, cut_columns, scratch=FRESH, step_first: bool = False) 
     states = scratch.empty(u.shape, np.intp, order)
     cut = scratch.empty(u.shape[:1])
     hit = scratch.empty(u.shape[:1], bool)
-    if step_first:
-        _chain_step(start, u[:, 0], cut_columns, states[:, 0], cut, hit)
-    else:
-        states[:, 0] = start
+    states[:, 0] = start
     for j in range(1, u.shape[1]):
         _chain_step(states[:, j - 1], u[:, j], cut_columns, states[:, j], cut, hit)
     return states
@@ -1133,11 +1122,11 @@ def _chain_decay(mean: float | Fraction, matrix: np.ndarray, payoffs: np.ndarray
     Doubling lam until the spectral radius of B reaches 1 brackets the
     minimizer.  The radius is log-convex in lam, so a ternary search
     finds it; the search stops at the first step that leaves the bracket
-    unchanged, since every later step would repeat it.  Each step is one
-    ``eigvals`` call on both probe matrices.  That is 93-94 steps on the
-    bundled specs and 91-111 on random chains of 2-6 states, 3-5 ms in
-    all on a 2-core Xeon.  The Perron eigenvector turns the matrix power
-    into C * rho^n.
+    unchanged, since every later step would repeat it.  Each step keeps
+    two thirds of the bracket and makes one ``eigvals`` call on both
+    probe matrices, so a float bracket stops narrowing after about a
+    hundred steps.  The Perron eigenvector turns the matrix power into
+    C * rho^n.
 
     Where exp overflows before the radius reaches 1, every probe had a
     radius below 1, and each gives a bound.  The bracket then ends at

@@ -3,34 +3,29 @@
 Sampling and reducing one tile makes a handful of arrays the size of the
 tile.  Allocated anew for every tile, arrays from about 256 KiB up come
 back from the C allocator as untouched pages, and faulting those in again
-cost more than the arithmetic done on them: about 1.2 us per 4 KiB page,
-some 2.4 ns per float64, on the 2-core Xeon VM the timings in CHANGES.md
-come from.  A :class:`Scratch` hands out the same memory tile after tile.
-That matters most with several threads: in 20 paired runs of the
-two-thread mc_long benchmark, reused memory was faster in 18, with a
-median wall time of 5.1 s against 6.2 s for fresh arrays, while
-single-threaded criterion 6 gained about 3%, within the spread of its runs.
+costs more than the arithmetic done on them.  A :class:`Scratch` hands
+out the same memory tile after tile, which matters most when several
+threads fault pages in at once.
 
-A tile of increments has shape (trials, positions), and its longer axis
-is the contiguous one (:func:`tile_order`): a tile of many short trials
-is stored trial-contiguous, position by position, and a tile of a few
-long trials trial by trial.  A walk along positions (``verify._walk``)
-cuts a chunk's rows into tiles of a few positions, trial-contiguous at
-any horizon while many trials walk; its own per-chunk arrays sit in the
-first slots and outlive its tiles (``Scratch.tile``'s ``keep``).  Every
-temporary of the tile takes the order of the array it is computed from
-(:func:`order_of`), so no pass mixes layouts, and :func:`scan` runs a
-running sum, minimum or maximum along the positions in whichever order
-the tile has: numpy's ``accumulate`` along strided positions costs
-several times the stepped scan per element, and a tile of a few trials
-would step once per position.  No result depends on the layout: every
-pass is elementwise, a scan, or a minimum or maximum, and a scan combines
-each trial's positions one after another in either order.  So a scan can
-also be cut between tiles of positions: adding the running sum carried
-from the last tile into the first column of the next one before its scan
-gives the bits of one scan over both.  The walked trajectories cut
-numpy's pairwise segment sums between tiles the same way, by carrying
-each trial's partial sums (``ergodic._SegmentSums``).
+The Monte Carlo lane (:mod:`masstransport.verify`) makes tiles two
+ways: the identity's hold whole windows of as many trials as fit, and a
+walk (``verify._walk_rows``) cuts a chunk's rows into tiles of a few
+positions, trial-contiguous while many trials walk, whose per-chunk
+arrays sit in the first slots and outlive its tiles (``Scratch.tile``'s
+``keep``).  A tile's longer axis is the contiguous one
+(:func:`tile_order`), and every temporary of the tile takes the order of
+the array it is computed from (:func:`order_of`), so no pass mixes
+layouts.  :func:`scan` runs a running sum, minimum or maximum along the
+positions in whichever order the tile has: numpy's ``accumulate`` along
+strided positions costs several times the stepped scan per element.  No
+result depends on the layout: every pass is elementwise, a scan, or a
+minimum or maximum, and a scan combines each trial's positions one after
+another in either order.  So a scan can also be cut between tiles of
+positions: adding the running sum carried from the last tile into the
+first column of the next one before its scan gives the bits of one scan
+over both.  The walked trajectories cut numpy's pairwise segment sums
+between tiles the same way, by carrying each trial's partial sums
+(``ergodic._SegmentSums``).
 
 :func:`check_memory` refuses, before anything is allocated, work whose
 kept results or one tile could not fit in physical memory.

@@ -14,39 +14,24 @@ Fractions that must be equal, or EstimateCIs whose intervals must
 overlap (``ci_overlap``).
 
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
-is cut into chunks of trials, each chunk is a pure function of its trial
-indices and fills its own rows of one per-trial array, and all
-reductions run on those full arrays, so no result depends on where the
-chunks end.  The identity fills one side at a time, one contiguous row
-of all trials for each n >= 2, and reduces it before the other side
-refills the same rows.  Running with 1 or 16 threads produces the same
-bytes.
+is cut into chunks of trials, each a pure function of its trial indices
+that fills its own rows of per-trial arrays (``_fill_rows``, the one
+loop), and every reduction runs on those full arrays.  Every draw is
+keyed by its absolute (trial, position) and every per-trial value is
+reduced along its own positions in order, so neither the chunks, the
+tile size nor the tile's layout (:mod:`masstransport.scratch`) changes
+any output, and 1 or 16 threads print the same bytes.  The lane has two
+entry points:
 
-The identity's chunk is one tile: as many whole trials as fit about
-``TILE_BYTES`` of float64 increments, or fewer where a run of fewer tiles
-than threads is split among them.  Each tile is sampled into memory its
-thread reuses from tile to tile and reduced to per-trial values while it
-is still in cache.  A tile of more trials than positions (every short
-horizon) is stored trial-contiguous, and its running sums and minima
-step one position at a time over all its trials; a tile of a few long
-trials is stored trial by trial (see :mod:`masstransport.scratch`).
-Every draw is keyed by its absolute (trial, position) and every
-per-trial value is reduced along its own positions in order, so neither
-the tile size nor the layout changes any output.
-
-Survival, the maximal inequality, the Birkhoff dip and the trajectories
-walk their rows instead (``_walk``): a chunk of trials is drawn one tile
-of positions at a time, trial-contiguous, each trial's running sum
-carried from tile to tile, so no tile holds a whole row however long the
-horizon.  Trajectories read the increments instead and carry their grid
-segments' summation trees (``ergodic._SegmentSums``).  After each tile a
-caller may drop the trials it has decided: ``_ruin`` drops every trial
-once ruined, so each trial is drawn up to the tile of its first ruin and
-no position twice, and the dip and the trajectories drop none.  The
-identity is screened (``_screen``) on the step next to the origin, where
-X_1 <= 0 sends nothing and X_0 >= 0 receives nothing, and a chunk is one
-tile of whole windows (``mc_identity``): its right side is anchored at
-its window's end, which a walk from the left reaches last.
+* ``mc_identity``, whose chunk is one tile of whole windows, about
+  ``TILE_BYTES`` of increments: it fills one side's row of all trials
+  for each n >= 2 and reduces them before the other side refills them;
+* ``_walk_rows``, which admits a walk, allocates what it keeps per trial
+  and fills it: survival, the maximal inequality and the Birkhoff dip
+  reach it through ``_estimate``, the trajectories directly.  A chunk
+  walks its rows (``_walk``) one tile of positions at a time, each
+  trial's running sum carried across, so no tile holds a whole row, and
+  a trial once decided (``_ruin``: once ruined) is drawn no further.
 """
 
 from __future__ import annotations
@@ -80,13 +65,9 @@ AGREEMENT_SIGMAS = 4.0
 # a tile holds about TILE_BYTES of float64 increments: as many whole
 # trials as fit, or a walk's trials over as many positions as fit.  A
 # tile and the scratch arrays behind it then stay in cache; smaller tiles
-# pay more per-tile call overhead, larger ones spill out of L2.  512 KiB
-# was the fastest of 256 KiB, 512 KiB and 1 MiB for criterion 6 on the
-# 2-core Xeon of CHANGES.md.  The chunk's shape also picks the tile's
-# memory order (``scratch.tile_order``): short windows give many trials
-# of a few positions, stored trial-contiguous.  Chunking only groups
-# trials; every draw is keyed by its absolute trial index, so results
-# cannot depend on this number.
+# pay more per-tile call overhead, larger ones spill out of L2.  Chunking
+# only groups trials; every draw is keyed by its absolute trial index, so
+# results cannot depend on this number.
 TILE_BYTES = 512 << 10
 # the float64 increments a walk's tile (``_walk``) holds at most, at any
 # horizon: its width is TILE_BYTES over the trials still walking
@@ -97,15 +78,11 @@ WALK_TILE = TILE_BYTES // 8
 # no memory check bounds its horizon
 MAX_INCREMENTS = 1 << 44
 
-# a walk (``_walk``) starts every chunk with tiles of this many positions,
-# so its chunks hold TILE_BYTES // (8 * WALK_WIDTH) trials: 16384 by
-# default.  Later tiles widen as trials drop out.  A narrow first tile
-# draws little for trials that are ruined at once: in-process on the
-# 2-core Xeon, the rotation's mc_short maximal command took 0.06, 0.07 and
-# 0.15 s at widths 2, 4 and 8, and the Gaussian one 0.20, 0.22 and 0.45 s.
-# Width 2 gives chunks of 32768 trials, whose per-trial arrays took the
-# traced peak of the rotation's mc_maximal_ergodic at 200000 trials to
-# 5.4 MiB, against 4.3 at 4.
+# a walk (``_walk_rows``) starts every chunk with tiles of this many
+# positions, so its chunks hold TILE_BYTES // (8 * WALK_WIDTH) trials.
+# Later tiles widen as trials drop out.  A narrow first tile draws little
+# for trials that are ruined at once; a narrower one makes chunks of more
+# trials, whose per-trial arrays hold more memory
 WALK_WIDTH = 4
 
 
@@ -206,31 +183,6 @@ def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
     _run_chunks(len(outs[0]), threads, worker, width)
 
 
-def _screen(
-    process: Process, seed: int, chunk: np.ndarray, tile: Scratch, window, prefix, screen, reduce, out
-) -> None:
-    """The identity's screening loop: fill ``out``, one row per trial of
-    ``chunk``, drawing whole windows only for the trials a prefix leaves
-    undecided.
-
-    ``screen(block, out)`` reads the prefix block, positions ``prefix`` =
-    (lo, hi) of every trial, writes the rows of ``out`` it decides, and
-    returns the indices of the others in order.  Each of those gets
-    ``reduce(block, tile)`` of its whole ``window``, drawn from the
-    window's first position, in groups of at most one tile.  With
-    ``screen`` None every trial's window is drawn whole.
-    """
-    lo, hi = window
-    size = _chunk_size(hi - lo)
-    if screen is None:
-        groups = [slice(s, s + size) for s in range(0, len(chunk), size)]
-    else:
-        alive = screen(process.sample_block(seed, chunk, *prefix, tile), out)
-        groups = [alive[s : s + size] for s in range(0, len(alive), size)]
-    for rows in groups:
-        out[rows] = reduce(process.sample_block(seed, chunk[rows], lo, hi, tile.tile()), tile)
-
-
 def check_z(z: float) -> None:
     """A finite positive z; any other gives an interval that cannot fail,
     or one that always does."""
@@ -281,38 +233,37 @@ def _check_interval(trials: int, z: float) -> None:
     check_z(z)
 
 
-def _estimate(
-    step, trials: int, threads: int, n_max: int, width: int, z: float, field: str
-) -> EstimateCI:
-    """EstimateCI of the one value per trial that ``step`` returns from
-    walked rows (``_walk``) of n_max increments, given chunks of
-    ``_chunk_size(width)`` trials; ``field`` is the caller's name for
-    n_max.  The per-trial values are the run's one array of ``trials``
-    floats, and their deviations overwrite them."""
+def _walk_rows(step, trials: int, threads: int, n_max: int, field: str, *kept) -> list[np.ndarray]:
+    """The walked lane's one driver: an array of ``trials`` rows for each
+    dtype in ``kept`` (a subarray dtype keeps several values per trial),
+    filled through ``_fill_rows`` by ``step(chunk, tile, *rows)``, which
+    walks its chunk (``_walk``): the trials of a tile ``min(n_max,
+    WALK_WIDTH)`` positions wide.  Before anything is allocated it
+    refuses an n_max below 1, then (``field`` naming n_max) kept arrays or
+    a walk's tile that memory could not hold and runs past the work cap.
+    """
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
-    _check_interval(trials, z)
-    check_memory(trials, 1, WALK_TILE, field)
+    check_memory(trials, sum(np.dtype(d).itemsize for d in kept) // 8, WALK_TILE, field)
     check_work(trials, n_max, field)
-    samples = np.empty(trials)
+    outs = [np.empty(trials, d) for d in kept]
+    _fill_rows(step, threads, min(n_max, WALK_WIDTH), *outs)
+    return outs
+
+
+def _estimate(step, trials: int, threads: int, n_max: int, z: float, field: str) -> EstimateCI:
+    """EstimateCI of the one value per trial that ``step(chunk, tile)``
+    returns from walked rows of n_max increments (``_walk_rows``).  The
+    per-trial values are the run's one array of ``trials`` floats, and
+    their deviations overwrite them."""
+    if n_max >= 1:  # a smaller n_max is refused first, by the walk
+        _check_interval(trials, z)
 
     def fill(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
         rows[:] = step(chunk, tile)
 
-    _fill_rows(fill, threads, width, samples)
+    [samples] = _walk_rows(fill, trials, threads, n_max, field, np.float64)
     return EstimateCI.from_samples(samples, z, samples)
-
-
-def _anchored_float_sums(block: np.ndarray, scratch: Scratch, anchor_end: bool) -> np.ndarray:
-    """Partial sum matrix with a leading zero column, in ``scratch`` in the
-    block's order; optionally re-anchor so the last column (the origin of a
-    left window) is zero."""
-    sums = scratch.empty((block.shape[0], block.shape[1] + 1), order=order_of(block))
-    sums[:, 0] = 0.0
-    scan(np.add, block, sums[:, 1:])
-    if anchor_end:
-        sums -= sums[:, -1:]
-    return sums
 
 
 def _walk(
@@ -324,13 +275,10 @@ def _walk(
     with ``running`` False its increments.
 
     A tile draws positions lo+1..hi of the trials still walking, about
-    ``TILE_BYTES`` of increments, stored trial-contiguous while it holds
-    more trials than positions.  Each trial's carried S_lo is added into
-    the tile's first column before ``scan`` turns the tile into S_lo+1 ..
-    S_hi in place; ``scan`` adds each trial's positions in order, so these
-    are the bits of a whole row's running sum.  What a kind carries from
-    tile to tile (a chain's state, a moving average's last innovations, a
-    mixture's picks) crosses through ``sample_block``'s ``state``, so
+    ``TILE_BYTES`` of increments.  Each trial's carried S_lo is added into
+    its first column before ``scan`` turns the tile into S_lo+1 .. S_hi
+    in place: the bits of a whole row's running sum.  What a kind carries
+    from tile to tile crosses through ``sample_block``'s ``state``, so
     every position is drawn once.
 
     ``visit(rows, lo, tile)`` reads the tile of the chunk's rows ``rows``
@@ -412,18 +360,6 @@ def _ruin(
     return x1, low
 
 
-def _zero_unless(keep: np.ufunc):
-    """A screen on a one-position prefix that keeps the trials whose
-    increment x has ``keep(x, 0.0)``; every row reads zero until a kept
-    one is overwritten."""
-
-    def screen(prefix: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[...] = 0.0
-        return np.flatnonzero(keep(prefix[:, 0], 0.0))
-
-    return screen
-
-
 def mc_identity(
     process: Process,
     horizon: int,
@@ -440,28 +376,25 @@ def mc_identity(
     two estimates are independent and each n passes when the confidence
     intervals overlap (``ci_overlap``).
 
-    The sides are sampled one after the other into the same buffer of
-    horizon - 1 terms per trial, one row of all trials for each n >= 2,
-    and every row's estimate is taken before the next side overwrites it.
-    Draws are keyed by (trial, position), so which side is in memory
-    changes no number.  M(0, 1) and M(-1, 0) are 0 on every path (the
-    first record receives nothing), so n = 1 stores and samples nothing.
+    The sides take turns in one buffer of horizon - 1 terms per trial, a
+    row of all trials for each n >= 2; which side is in memory changes no
+    number.  M(0, 1) and M(-1, 0) are 0 on every path (the first record
+    receives nothing), so n = 1 stores and samples nothing.
 
-    Each side is screened (``_screen``) on the step next to the origin,
-    and a chunk is one tile of whole windows.  The left side draws X_1 of
-    every trial, and a whole window only where X_1 > 0.  Elsewhere S_1 <=
-    S_0, so the running minimum behind the terms never rises above S_0
-    and every term is zero.  The right side draws X_0, the window [-1, 0],
-    and a whole window only where X_0 < 0; elsewhere the mirrored first
-    step S_-1 - S_0 is <= 0, rounding being monotone, and every term is
-    zero again.  The kept rows are a superset of the rows with mass (a
-    large S_-1 can absorb a negative X_0), and every estimate sums the
-    same full rows in trial order.  X_0 drawn alone is the last column of
-    the whole window only for a ``Process.index_pure`` kind; a chain
-    starts at its window's first position, so its right side (or a
-    mixture's holding one) is drawn whole.  The one row that reads
-    differently: a screened-out row whose later sums overflow to NaN,
-    which gave NaN terms and now gives zeros, as in ``_ruin``.
+    A chunk is one tile of whole windows, and each side is screened on
+    the step next to the origin.  The left side draws X_1 of every trial,
+    and a whole window only where X_1 > 0.  Elsewhere S_1 <= S_0, so the
+    running minimum behind the terms never rises above S_0 and every term
+    is zero.  The right side draws X_0, the window [-1, 0], and a whole
+    window only where X_0 < 0; elsewhere the mirrored first step S_-1 -
+    S_0 is <= 0, rounding being monotone, and every term is zero again.
+    The kept rows are a superset of the rows with mass (a large S_-1 can
+    absorb a negative X_0), and every estimate sums the same full rows in
+    trial order.  X_0 drawn alone is the last column of the whole window
+    only for a ``Process.index_pure`` kind; a chain starts at its
+    window's first position, so its right side (or a mixture's holding
+    one) is drawn whole.  A screened-out row whose later sums would
+    overflow to NaN reads zeros, not NaN terms, as in ``_ruin``.
     """
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
@@ -473,23 +406,30 @@ def mc_identity(
     # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
     zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)
 
-    def side(first: int, lo: int, mass_terms, prefix, screen) -> list[EstimateCI]:
-        def reduce(block: np.ndarray, tile: Scratch) -> np.ndarray:
-            sums = _anchored_float_sums(block, tile, anchor_end=lo < 0)
-            return mass_terms(sums, tile)[:, 1:]
-
+    def side(first: int, lo: int, mass_terms, keep) -> list[EstimateCI]:
         def step(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
             chunk = chunk + np.uint64(first)
-            _screen(process, seed, chunk, tile, (lo, lo + horizon), prefix, screen, reduce, rows)
+            kept = slice(None)  # unscreened: every window of the chunk
+            if keep is not None:
+                near = process.sample_block(seed, chunk, *((0, 1) if lo == 0 else (-1, 0)), tile)
+                rows[...] = 0.0
+                kept = np.flatnonzero(keep(near[:, 0], 0.0))
+            # the chunk's kept windows fill at most one tile
+            block = process.sample_block(seed, chunk[kept], lo, lo + horizon, tile.tile())
+            sums = tile.empty((len(block), horizon + 1), order=order_of(block))
+            sums[:, 0] = 0.0
+            scan(np.add, block, sums[:, 1:])
+            if lo < 0:  # re-anchored at the origin, the window's end
+                sums -= sums[:, -1:]
+            rows[kept] = mass_terms(sums, tile)[:, 1:]
 
         if horizon > 1:
             _fill_rows(step, threads, horizon, terms.T)
         # a row's deviations overwrite it once it is summed
         return [zero, *(EstimateCI.from_samples(row, z, row) for row in terms)]
 
-    left = side(0, 0, sent_mass_terms, (0, 1), _zero_unless(np.greater))
-    right_screen = _zero_unless(np.less) if process.index_pure else None
-    right = side(trials, -horizon, received_mass_terms, (-1, 0), right_screen)
+    left = side(0, 0, sent_mass_terms, np.greater)
+    right = side(trials, -horizon, received_mass_terms, np.less if process.index_pure else None)
     return tuple(zip(left, right))
 
 
@@ -570,17 +510,16 @@ def mc_maximal_ergodic(
     """Estimate E[X_1; some S_n <= 0 with n <= n_max].
 
     A trial's payout is fixed at its first ruin, so ``_ruin`` draws each
-    trial only up to the end of the tile that ruins it: a tile of
-    positions at a time, every trial walking from position 1 and none
-    drawn twice.  A ruin counts even where later increments overflow to
-    NaN sums (see ``_ruin``).
+    trial only up to the end of the tile that ruins it, and no position
+    twice.  A ruin counts even where later increments overflow to NaN
+    sums (see ``_ruin``).
     """
 
     def step(chunk: np.ndarray, tile):
         first, low = _ruin(process, seed, chunk, n_max, tile)
         return first * (low <= 0.0)
 
-    return _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "horizon")
+    return _estimate(step, trials, threads, n_max, z, "horizon")
 
 
 def _survivors(process: Process, n_max: int, atom_cap: int) -> tuple[dict, int, int]:
@@ -623,7 +562,7 @@ def mc_survival(
         _, low = _ruin(process, seed, chunk, n_max, tile, first=False)
         return low > 0.0
 
-    return _estimate(step, trials, threads, n_max, min(n_max, WALK_WIDTH), z, "horizon")
+    return _estimate(step, trials, threads, n_max, z, "horizon")
 
 
 # ---------------------------------------------------------------------------

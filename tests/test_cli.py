@@ -27,7 +27,6 @@ from masstransport import (
     spec_from_jsonable,
     spec_to_jsonable,
 )
-from masstransport import ergodic as ergodic_module
 from masstransport import processes as processes_module
 from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
@@ -418,7 +417,6 @@ def test_walked_commands_pass_the_memory_check_at_any_horizon(args, capsys, monk
             out[...] = 0
 
     monkeypatch.setattr(verify_module, "_fill_rows", fill)
-    monkeypatch.setattr(ergodic_module, "_fill_rows", fill)
     code, out, err = run([*args, "--trials", "2", "--spec", str(spec_path("p06_walk"))], capsys)
     assert (code, err) == (0, "")
     assert len(reached) == 1

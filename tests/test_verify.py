@@ -202,7 +202,7 @@ def _one_pass(process, n_max, trials, seed, threads=1):
             low = scan(np.add, block, block).min(axis=1)
             return low > 0.0 if survival else first * (low <= 0.0)
 
-        return verify_module._estimate(run, trials, threads, n_max, n_max, 2.576, "horizon")
+        return verify_module._estimate(run, trials, threads, n_max, 2.576, "horizon")
 
     return step(True), step(False)
 
