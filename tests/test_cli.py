@@ -1043,6 +1043,29 @@ GOLDEN_COMMANDS = {
 }
 
 
+def _lane_run(command: str, spec: str, mode: str, fmt: str) -> list[str]:
+    return [
+        command, "--spec", str(spec_path(spec)), "--mode", mode,
+        "--horizon", "8", "--trials", "2000", "--seed", "9", "--format", fmt,
+    ]
+
+
+# verify-maximal and survival in each --mode and --format (survival's
+# `both` pair is survival_p06.csv and survival_both_p06.json above), and a
+# survival run with no truncation bound: an empty CSV cell and a JSON null
+LANE_GOLDENS = {
+    f"{stem}_{mode}_{spec}.{fmt}": _lane_run(command, spec, mode, fmt)
+    for command, stem, spec, modes in (
+        ("verify-maximal", "maximal", "p06_walk", ("exact", "mc", "both")),
+        ("survival", "survival", "p06_walk", ("exact", "mc")),
+        ("survival", "survival", "moving_average", ("both",)),
+    )
+    for mode in modes
+    for fmt in ("csv", "json")
+}
+GOLDEN_COMMANDS.update(LANE_GOLDENS)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_outputs_are_stable(name, tmp_path, capsys):
     target = tmp_path / name
@@ -1062,6 +1085,7 @@ def test_golden_outputs_are_stable(name, tmp_path, capsys):
         "survival_both_p06.json",
         "birkhoff_markov.json",
         "birkhoff_dip_p06.json",
+        *LANE_GOLDENS,
     ],
 )
 def test_golden_outputs_ignore_thread_count(name, tmp_path, capsys):
