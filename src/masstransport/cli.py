@@ -318,95 +318,58 @@ def cmd_verify_identity(args, process):
     return passed, _table(_IDENTITY_HEADER, lambda: _identity_rows(checks)), payload
 
 
-_MAXIMAL_HEADER = ["mode", "n_max", "value", "std_error", "ci_low", "ci_high", "pass"]
+def _lanes(args, process, exact, mc, column: str, sign=None, verdict=None, **extra):
+    """(passed, csv, json) of a one-value check in the lanes ``args.mode``
+    runs, the exact one first.
+
+    ``exact(process, horizon, atom_cap)`` gives a Fraction that passes
+    ``verdict``, or always without one (its JSON object then has no
+    ``pass``).  ``mc(process, horizon, trials, seed, z=, threads=)`` gives
+    an EstimateCI that passes ``sign``, where given, and agrees with the
+    exact value where that lane ran.  The run passes when every lane run
+    does.  ``extra`` holds values computed before either lane, each a
+    column before ``pass`` in the CSV and a key after ``mode`` in the JSON;
+    ``column`` names the value's.
+    """
+    lanes = []  # (mode, CSV cells, JSON object, pass) of each lane run
+    value = None
+    if args.mode in ("exact", "both"):
+        value = exact(process, args.horizon, args.atom_cap)
+        ok = verdict is None or verdict(value)
+        obj = {"value": value} if verdict is None else {"value": value, "pass": ok}
+        lanes.append(("exact", [value, "", "", ""], obj, ok))
+    if args.mode in ("mc", "both"):
+        est = mc(process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads)
+        ok = (sign is None or sign(est)) and (
+            value is None or verify.agreement_pass(est, float(value))
+        )
+        cells = [est.mean, est.std_error, est.ci_low, est.ci_high]
+        lanes.append(("mc", cells, {"estimate": dataclasses.asdict(est), "pass": ok}, ok))
+    passed = all(lane[-1] for lane in lanes)
+    header = ["mode", "n_max", column, "std_error", "ci_low", "ci_high", *extra, "pass"]
+    rows = [[mode, args.horizon, *cells, *extra.values(), ok] for mode, cells, _, ok in lanes]
+    payload = {
+        "n_max": args.horizon,
+        "mode": args.mode,
+        **extra,
+        **{mode: obj for mode, _, obj, _ in lanes},
+        "all_passed": passed,
+    }
+    return passed, _table(header, lambda: rows), lambda: payload
 
 
 def cmd_verify_maximal(args, process):
-    exact = mc = None  # (value, pass) of each lane run
-
-    if args.mode in ("exact", "both"):
-        value = verify.exact_maximal_ergodic(process, args.horizon, args.atom_cap)
-        exact = value, value <= 0
-
-    if args.mode in ("mc", "both"):
-        est = verify.mc_maximal_ergodic(
-            process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
-        )
-        ok = verify.sign_pass(est)
-        if exact is not None:
-            ok = ok and verify.agreement_pass(est, float(exact[0]))
-        mc = est, ok
-    all_passed = all(lane[1] for lane in (exact, mc) if lane is not None)
-
-    def rows():
-        out = []
-        if exact is not None:
-            out.append(["exact", args.horizon, exact[0], "", "", "", exact[1]])
-        if mc is not None:
-            est, ok = mc
-            out.append(["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, ok])
-        return out
-
-    def payload():
-        out: dict = {"n_max": args.horizon, "mode": args.mode}
-        if exact is not None:
-            out["exact"] = {"value": exact[0], "pass": exact[1]}
-        if mc is not None:
-            out["mc"] = {"estimate": dataclasses.asdict(mc[0]), "pass": mc[1]}
-        out["all_passed"] = all_passed
-        return out
-
-    return all_passed, _table(_MAXIMAL_HEADER, rows), payload
-
-
-_SURVIVAL_HEADER = [
-    "mode",
-    "n_max",
-    "estimate",
-    "std_error",
-    "ci_low",
-    "ci_high",
-    "truncation_bound",
-    "pass",
-]
+    return _lanes(
+        args, process, verify.exact_maximal_ergodic, verify.mc_maximal_ergodic, "value",
+        sign=verify.sign_pass, verdict=lambda value: value <= 0,
+    )
 
 
 def cmd_survival(args, process):
-    bound = verify.survival_truncation_bound(process, args.horizon)
-    exact_value = mc = None
-
-    if args.mode in ("exact", "both"):
-        exact_value = verify.exact_survival(process, args.horizon, args.atom_cap)
-
-    if args.mode in ("mc", "both"):
-        est = verify.mc_survival(
-            process, args.horizon, args.trials, args.seed, z=args.z, threads=args.threads
-        )
-        ok = True if exact_value is None else verify.agreement_pass(est, float(exact_value))
-        mc = est, ok
-    all_passed = mc is None or mc[1]
-
-    def rows():
-        out = []
-        if exact_value is not None:
-            out.append(["exact", args.horizon, exact_value, "", "", "", bound, True])
-        if mc is not None:
-            est, ok = mc
-            out.append(
-                ["mc", args.horizon, est.mean, est.std_error, est.ci_low, est.ci_high, bound, ok]
-            )
-        return out
-
-    def payload():
-        out: dict = {"n_max": args.horizon, "mode": args.mode, "truncation_bound": bound}
-        if exact_value is not None:
-            out["exact"] = {"value": exact_value}
-        if mc is not None:
-            out["mc"] = {"estimate": dataclasses.asdict(mc[0]), "pass": mc[1]}
-        out["all_passed"] = all_passed
-        return out
-
-    return all_passed, _table(_SURVIVAL_HEADER, rows), payload
+    return _lanes(
+        args, process, verify.exact_survival, verify.mc_survival, "estimate",
+        truncation_bound=verify.survival_truncation_bound(process, args.horizon),
+    )
 
 
 def cmd_birkhoff(args, process):
