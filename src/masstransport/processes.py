@@ -31,8 +31,8 @@ path.  Passed the state a window ended in (``Process.sample_block``'s
 ``state``), a chain continues it instead, so consecutive windows [0, a],
 [a, b], .. are the numbers of the window [0, b].  A moving average passed
 its state keeps the innovations it last drew, so a continuing window
-draws none twice.  A mixture follows the contract of the component a
-trial picks.
+draws none twice, and a rotation passed its state reads its phases
+there.  A mixture follows the contract of the component a trial picks.
 
 Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
 and one :class:`Process` class that validates, samples and folds it;
@@ -276,26 +276,28 @@ class Process:
         The block is stored in ``tile_order(T, hi-lo)``.
 
         ``state``, an array from ``walk_state`` with one row per trial,
-        carries a kind across consecutive windows of the same trials:
-        * a chain reads its intp entry as each trial's state at lo, steps
-          from there with the draw at lo + 1, and overwrites it with the
-          state at hi.  Entries of -1 mean no state yet: the chain starts
-          from its stationary law at lo + 1, as without ``state``;
-        * a moving average of order q keeps each trial's last q
-          innovations, NaN before the first window, and draws only the
-          window's own;
+        carries a kind across consecutive windows [0, a], [a, b], .. of the
+        same trials, which then give the numbers of the window [0, b].  The
+        window at lo = 0 starts the walk and one at lo > 0 continues it:
+        * a chain starts from its stationary law at lo + 1 when lo = 0, as
+          without ``state``, and else steps its intp entry, each trial's
+          state at lo, with the draw at lo + 1; it overwrites the entry
+          with the state at hi;
+        * a moving average of order q draws the q innovations before the
+          window when lo = 0 and else reads them from the state, which
+          keeps each trial's last q innovations;
+        * a rotation reads each trial's phase from the state;
         * a mixture keeps each trial's pick beside its child's state, so
           it draws its picks once.  Passed a chain's array of one entry per
           trial, it draws its picks again and carries its chains.
-        Entries hold no state yet in all trials or in none.  So windows
-        [0, a], [a, b], .. passed one array give the numbers of the window
-        [0, b].  Kinds whose ``walk_state`` is None ignore it.
+        Kinds whose ``walk_state`` is None ignore it.
         """
         raise NotImplementedError
 
     def walk_state(self, seed: int, trials: np.ndarray, scratch=FRESH) -> tuple:
-        """(state, order) to walk ``trials`` window by window: a ``state``
-        for ``sample_block`` holding no state yet, or None when the kind
+        """(state, order) to walk ``trials`` window by window from lo = 0:
+        a ``state`` for ``sample_block``, which the window at lo = 0 fills
+        (a rotation's holds its phases already), or None when the kind
         carries nothing from one window to the next, and the order of the
         trials that samples them fastest, or None for the order given."""
         return None, None
@@ -532,9 +534,7 @@ class MarkovProcess(Process):
         return sum((p * v for p, v in zip(self.pi, self.spec.payoffs)), Fraction(0))
 
     def walk_state(self, seed, trials, scratch=FRESH):
-        state = scratch.empty((len(trials),), np.intp)
-        state.fill(-1)
-        return state, None
+        return scratch.empty((len(trials),), np.intp), None
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         # one uniform per index: the draw at lo+1 picks the initial state
@@ -545,7 +545,7 @@ class MarkovProcess(Process):
         )
         # new, not from scratch: in both cases the path's first array then
         # takes the memory uniform_block's words gave back
-        if state is not None and len(state) > 0 and state[0] >= 0:
+        if state is not None and lo > 0:
             n = len(state)
             work = np.empty(n, np.intp), np.empty(n), np.empty(n, bool)
             start = _chain_step(state, u[:, 0], self._cut_columns, *work)
@@ -597,16 +597,14 @@ class MovingAverageProcess(Process):
     def walk_state(self, seed, trials, scratch=FRESH):
         if self.order == 0:
             return None, None
-        state = scratch.empty((len(trials), self.order))
-        state.fill(np.nan)  # no innovation is NaN
-        return state, None
+        return scratch.empty((len(trials), self.order)), None
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         q = self.order
         length = hi - lo
         # the innovations before lo + 1: the last q columns of z, or the
         # state's when it carries them
-        carried = q > 0 and state is not None and len(state) > 0 and not np.isnan(state[0, 0])
+        carried = q > 0 and state is not None and lo > 0
         k = 0 if carried else q
         z = self.inner.sample_block(seed, trials, lo - k, hi, scratch)
         out = scratch.empty((len(trials), length), order=order_of(z))
@@ -676,8 +674,11 @@ class RotationProcess(Process):
     def magnitude(self) -> tuple[float, str]:
         return float(np.abs(self._values_f).max()), "pieces"
 
+    def walk_state(self, seed, trials, scratch=FRESH):
+        return rng.uniform_column(seed, self.stream, trials, 0), None
+
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
-        phase = rng.uniform_column(seed, self.stream, trials, 0)
+        phase = rng.uniform_column(seed, self.stream, trials, 0) if state is None else state
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(np.float64)
         offsets = _unit_mod(ks * self.spec.angle)
         shape = (len(trials), hi - lo)
@@ -748,7 +749,6 @@ class MixtureProcess(Process):
         picks = self._picks(seed, trials)
         order = np.argsort(picks, kind="stable")
         state = scratch.empty((len(trials), 2), np.intp)
-        state[:, 0] = -1
         np.take(picks, order, out=state[:, 1])
         return state, order
 

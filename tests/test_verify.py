@@ -398,9 +398,8 @@ def test_a_moving_average_carries_its_innovations_across_tiles(walked_kinds, nam
 
 @pytest.mark.parametrize(
     "name",
-    # the rotation is left out: it draws its phase again in every tile
-    ["gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "two_point",
-     "two_point_chain", "three_state_chain", "mixture_with_chain"],
+    ["gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "rotation",
+     "two_point", "two_point_chain", "three_state_chain", "mixture_with_chain"],
 )
 def test_walked_trajectories_draw_the_uniforms_of_whole_rows(walked_kinds, monkeypatch, name):
     # one row of increments and one component id per trial, as whole rows
