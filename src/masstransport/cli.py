@@ -568,9 +568,13 @@ def main(argv=None) -> int:
     benchmarks, library users) pay for building its tree of subcommands
     once.
     """
+    limit = sys.get_int_max_str_digits()
     try:
         args = _parser(os.environ.get(THREADS_ENV)).parse_args(argv)
         process = make_process(parse_spec_file(args.spec))
+        # exact results, and the counts a refusal names, may pass the
+        # default 4300 digits; argparse and the spec file keep the limit
+        sys.set_int_max_str_digits(0)
         if getattr(args, "mode", "mc") != "exact":  # a float lane: refuse sums that overflow
             if args.command in ("sample", "transport"):
                 length, trials = args.hi - args.lo, 1
@@ -579,12 +583,7 @@ def main(argv=None) -> int:
                 trials = args.trials
             verify.check_magnitude(process, length, trials)
         passed, csv_text, payload = args.fn(args, process)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)  # exact results may pass the default 4300 digits
-        try:
-            text = csv_text() if args.format == "csv" else _json_text(payload())
-        finally:
-            sys.set_int_max_str_digits(limit)
+        text = csv_text() if args.format == "csv" else _json_text(payload())
         if args.out is None:
             sys.stdout.write(text)
         else:
@@ -593,6 +592,8 @@ def main(argv=None) -> int:
     except (MassTransportError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -27,12 +27,15 @@ wherever they overlap.  A Markov chain starts from its stationary law at
 the first index of its window, lo + 1: chain windows with the same lo
 agree wherever they overlap (extending to the right keeps the prefix),
 while windows with different lo have the same law but not the same
-path.  Passed the state a window ended in (``Process.sample_block``'s
-``state``), a chain continues it instead, so consecutive windows [0, a],
-[a, b], .. are the numbers of the window [0, b].  A moving average passed
-its state keeps the innovations it last drew, so a continuing window
-draws none twice, and a rotation passed its state reads its phases
-there.  A mixture follows the contract of the component a trial picks.
+path.  A mixture follows the contract of the component a trial picks.
+
+A walk cuts the windows [0, a], [a, b], .. from its trials and carries
+one rule across them: every kind keeps ``walk_width`` float64 columns
+per trial (``Process.walk_state``), fills them in the window at lo = 0
+and continues from them when lo > 0, so the windows give the numbers of
+the window [0, b] and none is drawn twice.  A chain keeps its state, a
+moving average its last q innovations, a rotation its phase, and a
+mixture its pick beside each child's own columns.
 
 Each kind is one spec dataclass, whose ``kind`` string names it in JSON,
 and one :class:`Process` class that validates, samples and folds it;
@@ -249,6 +252,8 @@ class Process:
     # a longer one holds the same numbers wherever the two overlap (all but
     # a chain, which starts at its window's first position)
     index_pure: bool = True
+    # the float64 columns a walk carries per trial from window to window
+    walk_width: int = 0
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -275,32 +280,31 @@ class Process:
         (see :mod:`masstransport.scratch`); by default they are new arrays.
         The block is stored in ``tile_order(T, hi-lo)``.
 
-        ``state``, an array from ``walk_state`` with one row per trial,
-        carries a kind across consecutive windows [0, a], [a, b], .. of the
-        same trials, which then give the numbers of the window [0, b].  The
-        window at lo = 0 starts the walk and one at lo > 0 continues it:
-        * a chain starts from its stationary law at lo + 1 when lo = 0, as
-          without ``state``, and else steps its intp entry, each trial's
-          state at lo, with the draw at lo + 1; it overwrites the entry
-          with the state at hi;
-        * a moving average of order q draws the q innovations before the
-          window when lo = 0 and else reads them from the state, which
-          keeps each trial's last q innovations;
-        * a rotation reads each trial's phase from the state;
-        * a mixture keeps each trial's pick beside its child's state, so
-          it draws its picks once.  Passed a chain's array of one entry per
-          trial, it draws its picks again and carries its chains.
-        Kinds whose ``walk_state`` is None ignore it.
+        ``state``, from ``walk_state`` with its rows in the order it
+        gives, carries a kind across consecutive windows [0, a], [a, b],
+        .. of the same trials, which then give the numbers of the window
+        [0, b].  The window at lo = 0 fills the kind's ``walk_width``
+        columns and a window at lo > 0 continues from them:
+        * a chain keeps each trial's state at hi: at lo = 0 it starts
+          from its stationary law, as without ``state``, and later steps
+          the state at lo with the draw at lo + 1;
+        * a moving average of order q keeps each trial's last q
+          innovations: at lo = 0 it draws the q before the window;
+        * a rotation keeps each trial's phase, drawn at lo = 0;
+        * a mixture keeps each trial's pick in column 0, drawn by
+          ``walk_state``, and hands each child the view ``state[rows, 1 :
+          1 + child.walk_width]`` of its trials' rows.
+        Kinds of width 0 (the iid ones) ignore it.
         """
         raise NotImplementedError
 
     def walk_state(self, seed: int, trials: np.ndarray, scratch=FRESH) -> tuple:
         """(state, order) to walk ``trials`` window by window from lo = 0:
-        a ``state`` for ``sample_block``, which the window at lo = 0 fills
-        (a rotation's holds its phases already), or None when the kind
-        carries nothing from one window to the next, and the order of the
-        trials that samples them fastest, or None for the order given."""
-        return None, None
+        ``state`` holds ``walk_width`` float64 columns for each trial, rows
+        in ``order``, for ``sample_block`` to fill and continue, and
+        ``order`` is the order of the trials that samples them fastest, or
+        None for the order given."""
+        return scratch.empty((len(trials), self.walk_width)), None
 
     def component_ids(self, seed: int, trials: np.ndarray) -> np.ndarray:
         """Which ergodic component each trial follows, shape (T,)."""
@@ -500,6 +504,7 @@ class GaussianProcess(Process):
 
 class MarkovProcess(Process):
     index_pure = False
+    walk_width = 1
 
     def __init__(self, spec: MarkovChain, stream: int, build=None):
         rows = _stochastic_rows(spec.transitions)
@@ -533,9 +538,6 @@ class MarkovProcess(Process):
             return None
         return sum((p * v for p, v in zip(self.pi, self.spec.payoffs)), Fraction(0))
 
-    def walk_state(self, seed, trials, scratch=FRESH):
-        return scratch.empty((len(trials),), np.intp), None
-
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         # one uniform per index: the draw at lo+1 picks the initial state
         # from the stationary law, or steps a carried one; later draws step
@@ -548,7 +550,7 @@ class MarkovProcess(Process):
         if state is not None and lo > 0:
             n = len(state)
             work = np.empty(n, np.intp), np.empty(n), np.empty(n, bool)
-            start = _chain_step(state, u[:, 0], self._cut_columns, *work)
+            start = _chain_step(state[:, 0].astype(np.intp), u[:, 0], self._cut_columns, *work)
         else:
             start = _inverse_cdf(self._pi_cum, u[:, 0])
         if len(self._payoff_f) == 2:
@@ -557,7 +559,7 @@ class MarkovProcess(Process):
         else:
             states = _chain_path(start, u, self._cut_columns, scratch)
         if state is not None:
-            state[:] = states[:, -1]
+            state[:, 0] = states[:, -1]
         return _lookup(self._payoff_f, states, u)
 
     def step_law(self, cap):
@@ -576,7 +578,7 @@ class MovingAverageProcess(Process):
         self.spec = MovingAverage(spec.coefficients, inner.spec)
         self.stream = stream
         self.inner = inner
-        self.order = len(spec.coefficients) - 1
+        self.order = self.walk_width = len(spec.coefficients) - 1
         self._coef_f = [float(c) for c in spec.coefficients]
 
     def mean(self) -> float:
@@ -594,18 +596,12 @@ class MovingAverageProcess(Process):
             return None
         return im * sum(self.spec.coefficients, Fraction(0))
 
-    def walk_state(self, seed, trials, scratch=FRESH):
-        if self.order == 0:
-            return None, None
-        return scratch.empty((len(trials), self.order)), None
-
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
         q = self.order
         length = hi - lo
         # the innovations before lo + 1: the last q columns of z, or the
         # state's when it carries them
-        carried = q > 0 and state is not None and lo > 0
-        k = 0 if carried else q
+        k = 0 if state is not None and lo > 0 else q
         z = self.inner.sample_block(seed, trials, lo - k, hi, scratch)
         out = scratch.empty((len(trials), length), order=order_of(z))
         np.multiply(self._coef_f[0], z[:, k : k + length], out=out)
@@ -617,7 +613,7 @@ class MovingAverageProcess(Process):
             out[:, j:] += np.multiply(c, z[:, k - i + j : k - i + length], out=term[:, j:])
             if j:
                 out[:, :j] += np.multiply(c, state[:, q - i : q - i + j], out=term[:, :j])
-        if state is not None and q > 0:
+        if state is not None:
             # the last q innovations of the carried ones, then z's
             drawn = z.shape[1]
             if drawn < q:
@@ -642,6 +638,8 @@ class MovingAverageProcess(Process):
 
 
 class RotationProcess(Process):
+    walk_width = 1
+
     def __init__(self, spec: Rotation, stream: int, build=None):
         if len(spec.pieces) == 0:
             raise InvalidSpec("piece list is empty", "pieces")
@@ -674,11 +672,13 @@ class RotationProcess(Process):
     def magnitude(self) -> tuple[float, str]:
         return float(np.abs(self._values_f).max()), "pieces"
 
-    def walk_state(self, seed, trials, scratch=FRESH):
-        return rng.uniform_column(seed, self.stream, trials, 0), None
-
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
-        phase = rng.uniform_column(seed, self.stream, trials, 0) if state is None else state
+        if state is not None and lo > 0:
+            phase = state[:, 0]
+        else:
+            phase = rng.uniform_column(seed, self.stream, trials, 0)
+            if state is not None:
+                state[:, 0] = phase
         ks = np.arange(lo + 1, hi + 1, dtype=np.int64).astype(np.float64)
         offsets = _unit_mod(ks * self.spec.angle)
         shape = (len(trials), hi - lo)
@@ -701,6 +701,8 @@ class MixtureProcess(Process):
         self.children = children
         self.weights = weights
         self.index_pure = all(c.index_pure for c in children)
+        # column 0 holds a trial's pick, the columns after it its child's
+        self.walk_width = 1 + max(c.walk_width for c in children)
         self._w_cum = _cumulative(weights)
         # each child's first index in the flat list of leaf components
         sizes = [len(c.components()) for c in children[:-1]]
@@ -727,10 +729,10 @@ class MixtureProcess(Process):
         u = rng.uniform_column(seed, self.stream, trials, 0)
         return _inverse_cdf(self._w_cum, u)
 
-    def _by_pick(self, picks, out, fill):
-        """Rows of out from fill(c, child, rows), the rows of the trials
-        that picked child c: one slice each where the picks are sorted,
-        else index arrays."""
+    def _groups(self, picks):
+        """(c, child, rows) for each child c some trial picked, rows those
+        trials' rows: one slice each where the picks are sorted, else an
+        index array."""
         k = len(self.children)
         if len(picks) < 2 or (picks[1:] >= picks[:-1]).all():
             cuts = np.searchsorted(picks, np.arange(k + 1)).tolist()
@@ -739,44 +741,40 @@ class MixtureProcess(Process):
             groups = [(rows, len(rows)) for rows in (np.nonzero(picks == c)[0] for c in range(k))]
         for c, (child, (rows, count)) in enumerate(zip(self.children, groups)):
             if count:
-                out[rows] = fill(c, child, rows)
-        return out
+                yield c, child, rows
 
     def walk_state(self, seed, trials, scratch=FRESH):
-        # per trial: its chain's state, as a chain's own array, and its
-        # pick, drawn once; the trials walk in the order of their picks,
-        # so each child's rows of a window are one slice
+        # the trials walk in the order of their picks, and each child's in
+        # the child's own order, so each child's rows are one slice, and a
+        # nested mixture's children's rows slices of that
         picks = self._picks(seed, trials)
         order = np.argsort(picks, kind="stable")
-        state = scratch.empty((len(trials), 2), np.intp)
-        np.take(picks, order, out=state[:, 1])
+        state = scratch.empty((len(trials), self.walk_width))
+        state[:, 0] = picks[order]
+        for _, child, rows in self._groups(state[:, 0]):
+            sub, sub_order = child.walk_state(seed, trials[order[rows]])
+            if sub_order is not None:
+                order[rows] = order[rows][sub_order]
+            state[rows, 1 : 1 + child.walk_width] = sub
         return state, order
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
-        if state is not None and state.ndim == 2:
-            state, picks = state[:, 0], state[:, 1]
-        else:
-            picks = self._picks(seed, trials)
+        picks = self._picks(seed, trials) if state is None else state[:, 0]
         # a child's block of fewer trials may take the other order
         shape = (len(trials), hi - lo)
         out = scratch.empty(shape, order=tile_order(*shape))
-
-        def fill(c, child, rows):
-            if state is None or child.index_pure:
-                return child.sample_block(seed, trials[rows], lo, hi, scratch)
-            carried = state[rows]
-            block = child.sample_block(seed, trials[rows], lo, hi, scratch, carried)
-            state[rows] = carried
-            return block
-
-        return self._by_pick(picks, out, fill)
+        for _, child, rows in self._groups(picks):
+            # a walk's picks are sorted: rows is a slice, and the child's
+            # columns a view it continues in place
+            carried = None if state is None else state[rows, 1 : 1 + child.walk_width]
+            out[rows] = child.sample_block(seed, trials[rows], lo, hi, scratch, carried)
+        return out
 
     def component_ids(self, seed, trials):
         out = np.empty(len(trials), dtype=np.int64)
-        return self._by_pick(
-            self._picks(seed, trials), out,
-            lambda c, child, rows: self._offsets[c] + child.component_ids(seed, trials[rows]),
-        )
+        for c, child, rows in self._groups(self._picks(seed, trials)):
+            out[rows] = self._offsets[c] + child.component_ids(seed, trials[rows])
+        return out
 
     def step_law(self, cap):
         # state (c, s): following child c in its state s; None picks a child

@@ -325,11 +325,11 @@ def _front(a: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
 
 
 def _ruin(
-    process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch, first: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+    process: Process, seed: int, chunk: np.ndarray, n_max: int, tile: Scratch
+) -> tuple[np.ndarray, np.ndarray]:
     """(X_1, min(S_1..S_n_max)) for each trial of ``chunk``, except that a
     trial ruined early keeps the minimum up to the end of the tile that
-    ruined it, which is <= 0.  X_1 is None unless ``first``.
+    ruined it, which is <= 0.
 
     It walks the chunk (``_walk``) and stops walking a trial after the
     tile where its running minimum first reaches <= 0 or NaN: a ruin is a
@@ -344,11 +344,11 @@ def _ruin(
     do that (a Gaussian or moving average of huge values), no bundled
     spec, and nothing the command line accepts (``check_magnitude``).
     """
-    x1 = tile.empty((len(chunk),)) if first else None
+    x1 = tile.empty((len(chunk),))
     low = tile.empty((len(chunk),))
 
     def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> np.ndarray:
-        if lo == 0 and first:
+        if lo == 0:
             x1[rows] = sums[:, 0]
         m = np.minimum.reduce(sums, axis=1, out=tile.empty((len(rows),)))
         if lo:
@@ -559,7 +559,7 @@ def mc_survival(
     """
 
     def step(chunk: np.ndarray, tile):
-        _, low = _ruin(process, seed, chunk, n_max, tile, first=False)
+        _, low = _ruin(process, seed, chunk, n_max, tile)
         return low > 0.0
 
     return _estimate(step, trials, threads, n_max, z, "horizon")
@@ -577,8 +577,12 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
     bounds by sum of P(S_n <= 0) over n > n_max.  Available for positive
     mean kinds with a step law of at most 1024 branches, the Gaussian, and
     mixtures of those; None when no geometric tail bound is known.  A
-    positive bound is never below the smallest normal float.
+    positive bound is never below the smallest normal float.  An n_max
+    past 2^64 reads as 2^64, whose power already underflows: a looser
+    bound, and a valid one.
     """
+    if n_max < 1:
+        raise InvalidSpec("n_max must be at least 1")
     decay = process.ruin_decay()
     if decay is None:
         return None
@@ -587,7 +591,7 @@ def survival_truncation_bound(process: Process, n_max: int) -> float | None:
         return 0.0
     if rho >= 1.0:
         return None
-    bound = float(min(1.0, c * rho ** (n_max + 1) / (1.0 - rho)))
+    bound = float(min(1.0, c * rho ** (min(n_max, 1 << 64) + 1) / (1.0 - rho)))
     # below the smallest normal float the power loses its precision or
     # underflows to 0.0, under the positive bias it bounds: round it up
     return max(bound, sys.float_info.min) if c > 0.0 else bound

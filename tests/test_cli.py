@@ -1142,6 +1142,43 @@ def test_bundled_spec_files_parse(specs):
         assert parse_spec_file(spec_path(name)) == specs[name]
 
 
+# arguments past the float range and past Python's 4300-digit limit on
+# turning integers into text; argparse still refuses longer ones
+NINES = "9" * 4300
+ASTRONOMICAL = {
+    **{
+        f"survival-{name}-{mode}-{tag}": [
+            "survival", "--spec", str(spec_path(name)), "--mode", mode, "--horizon", str(horizon)
+        ]
+        for name in ("p06_walk", "markov_drift", "two_point", "two_point_chain", "gaussian_drift")
+        for mode in ("exact", "mc", "both")
+        for tag, horizon in (("minus-1e14", -(10**14)), ("minus-2^63", -(2**63)), ("1e400", 10**400))
+    },
+    **{
+        name: [command, "--spec", str(spec_path("p06_walk")), *extra]
+        for name, command, extra in (
+            ("trajectories", "birkhoff", ["--n-max", NINES[1:], "--trials", "11"]),
+            ("dip", "birkhoff", ["--n-max", NINES[1:], "--trials", "11", "--epsilon", "0.05"]),
+            ("maximal", "verify-maximal", ["--horizon", NINES[1:], "--trials", "11"]),
+            ("identity", "verify-identity", ["--horizon", NINES]),
+            ("sample", "sample", ["--lo", "-" + NINES]),
+            ("transport", "transport", ["--lo", "-" + NINES]),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", ASTRONOMICAL)
+def test_astronomical_arguments_exit_2_with_one_message(name, capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(ASTRONOMICAL[name], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    if "minus" in name:  # the walk's and the exact fold's message
+        assert err == "error: n_max must be at least 1\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ---------------------------------------------------------------------------
 # fuzz: small argument combinations, out-of-range values included
 # ---------------------------------------------------------------------------
@@ -1179,7 +1216,7 @@ def cli_argv(draw):
             argv += ["--epsilon", pick(draw, ("1e-300", "0.05", "0.5", "1e300"), BAD_FLOATS)]
         return argv
     mode = draw(st.sampled_from(("exact", "mc", "both")))
-    argv += ["--mode", mode, "--horizon", pick(draw, (1, 4, 6), (-3, 0, 10**14))]
+    argv += ["--mode", mode, "--horizon", pick(draw, (1, 4, 6), (-3, 0, 10**14, -(10**14), 10**400))]
     return argv + ["--atom-cap", pick(draw, (50, 1 << 20), (-1, 0))]
 
 

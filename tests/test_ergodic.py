@@ -28,6 +28,7 @@ from masstransport.scratch import Scratch
 
 from conftest import SPEC_NAMES
 from test_exact_oracle import THREE_STATE_CHAIN
+from test_verify import NESTED_SPECS
 
 F = Fraction
 
@@ -109,14 +110,29 @@ def test_trajectory_matches_batch_row(corpus):
     assert batch.rows[5].component == single.component
 
 
-@pytest.mark.parametrize("name", [*SPEC_NAMES, "three_state_chain"])
+EXTRA_KINDS = {"three_state_chain": THREE_STATE_CHAIN, **NESTED_SPECS}
+
+
+@pytest.mark.parametrize("name", [*SPEC_NAMES, *EXTRA_KINDS])
 def test_trajectory_is_its_batch_row_bit_for_bit(name, corpus):
     # 4096 is a power of two and 3000 is not, so both grid ends are covered
-    process = make_process(THREE_STATE_CHAIN) if name == "three_state_chain" else corpus[name]
+    process = make_process(EXTRA_KINDS[name]) if name in EXTRA_KINDS else corpus[name]
     for n_max in (4096, 3000):
         batch = trajectory_batch(process, n_max, 16, seed=9)
         for t, row in enumerate(batch.rows):
             assert trajectory(process, n_max, seed=9, trial=t) == row
+
+
+@pytest.mark.parametrize("name", NESTED_SPECS)
+def test_walked_trajectories_of_nested_mixtures_are_their_rows_bit_for_bit(name, monkeypatch):
+    # 32 KiB tiles: two chunks of 32 trials, each walking tiles of 128
+    # positions, so every component's columns cross about 24 tiles
+    process = make_process(NESTED_SPECS[name])
+    monkeypatch.setattr(verify_module, "TILE_BYTES", 32 << 10)
+    batch = trajectory_batch(process, 3000, 64, seed=9, threads=2)
+    assert len(set(batch.ids.tolist())) == len(process.components())  # every one walks
+    for t, row in enumerate(batch.rows):
+        assert trajectory(process, 3000, seed=9, trial=t) == row
 
 
 def _replayed(grid, rows: np.ndarray, widths) -> np.ndarray:

@@ -37,11 +37,11 @@ from masstransport import (
 from masstransport import rng as rng_module
 from masstransport import scratch as scratch_module
 from masstransport import verify as verify_module
-from masstransport.processes import MarkovProcess, MovingAverage
+from masstransport.processes import MarkovChain, MarkovProcess, Mixture, MovingAverage, Rotation
 from masstransport.scratch import FRESH, Scratch, order_of, scan
 
 from conftest import EXACT_NAMES
-from test_exact_oracle import EXTRA_SPECS
+from test_exact_oracle import EXTRA_SPECS, THREE_STATE_CHAIN
 from test_layout import LONG_TABLE
 
 F = Fraction
@@ -259,6 +259,49 @@ OVERFLOWING = MovingAverage(
     innovation=IidDiscrete(values=(1e308, -1e308, 1, -2), probs=(F(1, 8), F(1, 8), F(3, 8), F(3, 8))),
 )
 
+FAIR_SIGN = IidDiscrete(values=(1, -1), probs=(F(1, 2), F(1, 2)))
+SQUARE_ROTATION = Rotation(pieces=((0, 1), (0.5, -1)))
+# mixtures whose components carry float columns of their own across a walk's
+# tiles: a rotation's phase and a moving average's innovations, then the
+# same one level down, then a chain, a rotation and a moving average beside
+# each other at two levels
+ROTATION_OR_MA = Mixture(
+    components=(
+        (F(1, 2), SQUARE_ROTATION),
+        (F(1, 2), MovingAverage(coefficients=(F(1, 2), F(1, 4), F(1, 4)), innovation=FAIR_SIGN)),
+    )
+)
+NESTED_MIXTURE = Mixture(
+    components=(
+        (
+            F(1, 3),
+            Mixture(
+                components=(
+                    (F(1, 2), IidDiscrete(values=(1, -1), probs=(F(3, 4), F(1, 4)))),
+                    (F(1, 2), SQUARE_ROTATION),
+                )
+            ),
+        ),
+        (F(2, 3), MovingAverage(coefficients=(1, F(1, 2)), innovation=FAIR_SIGN)),
+    )
+)
+FOUR_WAY_MIXTURE = Mixture(
+    components=(
+        (F(1, 4), Mixture(components=((F(1, 2), THREE_STATE_CHAIN), (F(1, 2), SQUARE_ROTATION)))),
+        (F(1, 4), MovingAverage(coefficients=(F(1, 2), F(1, 4), F(1, 4)), innovation=FAIR_SIGN)),
+        (
+            F(1, 4),
+            MarkovChain(transitions=((F(3, 4), F(1, 4)), (F(1, 3), F(2, 3))), payoffs=(1, -1)),
+        ),
+        (F(1, 4), IidDiscrete(values=(2, -1), probs=(F(1, 3), F(2, 3)))),
+    )
+)
+NESTED_SPECS = {
+    "rotation_or_ma": ROTATION_OR_MA,
+    "nested_mixture": NESTED_MIXTURE,
+    "four_way_mixture": FOUR_WAY_MIXTURE,
+}
+
 
 def _recording(proc, monkeypatch) -> list:
     """The (lo, hi, trials) of every ``sample_block`` call on ``proc`` from
@@ -303,6 +346,7 @@ def walked_kinds(screened_kinds):
         **screened_kinds,
         "long_table": make_process(LONG_TABLE),
         "overflowing": make_process(OVERFLOWING),
+        **{name: make_process(spec) for name, spec in NESTED_SPECS.items()},
     }
 
 
@@ -312,7 +356,7 @@ def walked_kinds(screened_kinds):
     [
         "gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "rotation",
         "two_point", "two_point_chain", "three_state_chain", "mixture_with_chain", "long_table",
-        "overflowing",
+        "overflowing", "rotation_or_ma", "nested_mixture", "four_way_mixture",
     ],
 )
 def test_the_walk_equals_whole_rows(walked_kinds, monkeypatch, name):
@@ -354,18 +398,22 @@ def test_a_chain_carries_its_state_across_tiles(screened_kinds, name):
     payoffs = [float(v) for v in chain.spec.payoffs]
     assert len(set(payoffs)) == len(payoffs)  # a value names its state
     trials = np.arange(7, 847, 7, dtype=np.uint64)
-    # the rows that follow the chain; a mixture's others keep -1
-    chained = np.ones(len(trials), bool) if chain is proc else proc._picks(2, trials) == 0
-    assert 0 < chained.sum()
+    state, order = proc.walk_state(2, trials, Scratch())
+    if order is not None:  # the state's rows follow the walk's order
+        trials = trials[order]
+    # the chain's column and the rows that follow it: a mixture keeps its
+    # pick in column 0 and hands child 0, the chain, column 1
+    column = 0 if chain is proc else 1
+    chained = np.ones(len(trials), bool) if chain is proc else state[:, 0] == 0
+    assert 0 < chained.sum() and state.shape == (len(trials), proc.walk_width)
     whole = proc.sample_block(2, trials, 0, 64)
-    state = np.full(len(trials), -1, dtype=np.intp)
     tile = Scratch()
     for lo, hi in zip((0, 1, 2, 5, 13, 14, 40), (1, 2, 5, 13, 14, 40, 64)):
         block = proc.sample_block(2, trials, lo, hi, tile.tile(), state)
         assert np.ascontiguousarray(block).tobytes() == np.ascontiguousarray(whole[:, lo:hi]).tobytes()
         # the state at hi is the one that emitted X_hi on the whole path
-        at_hi = [payoffs.index(x) if c else -1 for x, c in zip(whole[:, hi - 1].tolist(), chained)]
-        assert state.tolist() == at_hi, (lo, hi)
+        at_hi = [payoffs.index(x) for x in whole[chained, hi - 1].tolist()]
+        assert state[chained, column].tolist() == at_hi, (lo, hi)
 
 
 @pytest.mark.parametrize("name", ["moving_average", "ma_three_values", "ma_zero_innovation"])
@@ -399,12 +447,14 @@ def test_a_moving_average_carries_its_innovations_across_tiles(walked_kinds, nam
 @pytest.mark.parametrize(
     "name",
     ["gaussian_drift", "markov_drift", "mixture", "moving_average", "p06_walk", "rotation",
-     "two_point", "two_point_chain", "three_state_chain", "mixture_with_chain"],
+     "two_point", "two_point_chain", "three_state_chain", "mixture_with_chain",
+     "rotation_or_ma", "nested_mixture", "four_way_mixture"],
 )
 def test_walked_trajectories_draw_the_uniforms_of_whole_rows(walked_kinds, monkeypatch, name):
     # one row of increments and one component id per trial, as whole rows
-    # drew them: a chain's state, a moving average's innovations and a
-    # mixture's picks cross the tiles instead of being drawn again
+    # drew them: a chain's state, a moving average's innovations, a
+    # rotation's phase and a mixture's picks, its children's beside them,
+    # cross the tiles instead of being drawn again
     proc = walked_kinds[name]
     counts = []
 
@@ -551,6 +601,19 @@ def test_truncation_bound_clips_at_one_when_uninformative(corpus):
     # Positive drift gives a valid geometric bound, but at tiny horizons
     # the constant pushes it past 1 and the probability cap takes over.
     assert survival_truncation_bound(corpus["two_point"], 1) == 1.0
+
+
+@pytest.mark.parametrize("name", ["p06_walk", "markov_drift", "gaussian_drift", "moving_average"])
+def test_truncation_bound_takes_any_horizon_the_lanes_take(corpus, name):
+    # the lanes' refusal below 1, whether or not a bound exists; past the
+    # float range the exponent stops at 2^64, a bound the smaller horizon
+    # would give too
+    for n_max in (0, -(10**14), -(2**63)):
+        with pytest.raises(InvalidSpec, match="^n_max must be at least 1$"):
+            survival_truncation_bound(corpus[name], n_max)
+    far = survival_truncation_bound(corpus[name], 10**400)
+    assert far == survival_truncation_bound(corpus[name], 1 << 64)
+    assert far is None or far <= survival_truncation_bound(corpus[name], 2048)
 
 
 # ---------------------------------------------------------------------------
