@@ -183,11 +183,19 @@ def format_spec(spec: ProcessSpec) -> str:
 
 def parse_spec_text(text: str, source: str = "<string>") -> ProcessSpec:
     try:
-        return spec_from_jsonable(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise InvalidSpec(f"invalid JSON in {source}: {e}") from None
+        return spec_from_jsonable(_load_json(text, source))
     except RecursionError:  # both readers recurse once per level of nesting
         raise InvalidSpec(f"{source} nests too deeply to read") from None
+
+
+def _load_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InvalidSpec(f"invalid JSON in {source}: {e}") from None
+    except ValueError as e:  # an integer literal longer than Python's digit limit
+        # the message's advice after ";" is Python's, not the spec writer's
+        raise InvalidSpec(f"cannot read {source}: {str(e).partition(';')[0]}") from None
 
 
 def parse_spec_file(path: Union[str, Path]) -> ProcessSpec:

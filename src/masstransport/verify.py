@@ -14,24 +14,25 @@ Fractions that must be equal, or EstimateCIs whose intervals must
 overlap (``ci_overlap``).
 
 The Monte Carlo lanes are deterministic given (spec, seed, trials): work
-is cut into chunks of trials, each a pure function of its trial indices
-that fills its own rows of per-trial arrays (``_fill_rows``, the one
-loop), and every reduction runs on those full arrays.  Every draw is
-keyed by its absolute (trial, position) and every per-trial value is
-reduced along its own positions in order, so neither the chunks, the
-tile size nor the tile's layout (:mod:`masstransport.scratch`) changes
-any output, and 1 or 16 threads print the same bytes.  The lane has two
-entry points:
+is cut into chunks of trials (``_run_chunks``), each a pure function of
+its trial indices, and every reduction runs on full arrays of trials
+that the chunks' results fill.  Every draw is keyed by its absolute
+(trial, position) and every per-trial value is reduced along its own
+positions in order, so neither the chunks, the tile size nor the
+tile's layout (:mod:`masstransport.scratch`) changes any output, and 1
+or 16 threads print the same bytes.  The lane has two entry points:
 
 * ``mc_identity``, whose chunk is one tile of whole windows, about
-  ``TILE_BYTES`` of increments: it fills one side's row of all trials
-  for each n >= 2 and reduces them before the other side refills them;
+  ``TILE_BYTES`` of increments: a chunk returns its nonzero mass terms,
+  and each side scatters them into one row of all trials for each
+  n >= 2 in turn and reduces it;
 * ``_walk_rows``, which admits a walk, allocates what it keeps per trial
-  and fills it: survival, the maximal inequality and the Birkhoff dip
-  reach it through ``_estimate``, the trajectories directly.  A chunk
-  walks its rows (``_walk``) one tile of positions at a time, each
-  trial's running sum carried across, so no tile holds a whole row, and
-  a trial once decided (``_ruin``: once ruined) is drawn no further.
+  and fills it (``_fill_rows``): survival, the maximal inequality and
+  the Birkhoff dip reach it through ``_estimate``, the trajectories
+  directly.  A chunk walks its rows (``_walk``) one tile of positions at
+  a time, each trial's running sum carried across, so no tile holds a
+  whole row, and a trial once decided (``_ruin``: once ruined) is drawn
+  no further.
 """
 
 from __future__ import annotations
@@ -164,15 +165,13 @@ def _run_chunks(total: int, threads: int, worker, width: int = 1):
 
 
 def _fill_rows(step, threads: int, width: int, *outs: np.ndarray) -> None:
-    """The one Monte Carlo loop: fill ``outs``, indexed by trial along
+    """The walked lane's loop: fill ``outs``, indexed by trial along
     axis 0, by tiles.
 
     ``step(chunk, tile, *rows)`` samples and reduces the trials in
     ``chunk`` in the scratch memory ``tile`` and writes them into
     ``rows``, the chunk's rows of each out, before the thread's next tile
-    reuses ``tile``.  An out may be a transposed view, as the identity's
-    position-major terms are; a trial-contiguous part then copies into
-    contiguous runs of it.
+    reuses ``tile``.
     """
     scratch = Scratch()
 
@@ -376,10 +375,18 @@ def mc_identity(
     two estimates are independent and each n passes when the confidence
     intervals overlap (``ci_overlap``).
 
-    The sides take turns in one buffer of horizon - 1 terms per trial, a
-    row of all trials for each n >= 2; which side is in memory changes no
-    number.  M(0, 1) and M(-1, 0) are 0 on every path (the first record
-    receives nothing), so n = 1 stores and samples nothing.
+    Each side keeps only its nonzero terms.  A term M(0, n) is nonzero
+    only where the running minimum falls at step n while still above S_0,
+    which needs X_1 > 0 and X_n < 0 (mirrored, X_0 < 0 and X_{1-n} > 0):
+    by stationarity, in expectation at most min(P(X > 0), P(X < 0)) <=
+    1/2 of a row, at 12 bytes each (an int32 trial and a float64 value)
+    against a dense row's 8.  A chunk returns, for each n >= 2, its trials
+    whose term differs from +0.0 in any bit (NaN and -0.0 count) and
+    their values.  Then for each n in turn the side scatters them into
+    one zeroed row of all trials: bit for bit the row a dense
+    (horizon - 1) x trials buffer would hold, so every sum is the same at
+    any thread count.  M(0, 1) and M(-1, 0) are 0 on every path (the
+    first record receives nothing), so n = 1 stores and samples nothing.
 
     A chunk is one tile of whole windows, and each side is screened on
     the step next to the origin.  The left side draws X_1 of every trial,
@@ -400,33 +407,52 @@ def mc_identity(
         raise InvalidSpec("horizon must be at least 1")
     _check_interval(trials, z)
     check_memory(trials, horizon - 1, horizon, "horizon")
-    # position-major: row n-2 holds every trial's term for n, contiguously;
-    # one side's terms at a time
-    terms = np.empty((horizon - 1, trials))
     # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
     zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)
+    if horizon == 1:
+        return ((zero, zero),)
+    scratch = Scratch()
+    row = np.empty(trials)
 
     def side(first: int, lo: int, mass_terms, keep) -> list[EstimateCI]:
-        def step(chunk: np.ndarray, tile: Scratch, rows: np.ndarray) -> None:
+        def worker(chunk: np.ndarray):
+            tile = scratch.tile()
+            start = int(chunk[0])
             chunk = chunk + np.uint64(first)
-            kept = slice(None)  # unscreened: every window of the chunk
             if keep is not None:
                 near = process.sample_block(seed, chunk, *((0, 1) if lo == 0 else (-1, 0)), tile)
-                rows[...] = 0.0
                 kept = np.flatnonzero(keep(near[:, 0], 0.0))
+                chunk = chunk[kept]
             # the chunk's kept windows fill at most one tile
-            block = process.sample_block(seed, chunk[kept], lo, lo + horizon, tile.tile())
+            block = process.sample_block(seed, chunk, lo, lo + horizon, tile.tile())
             sums = tile.empty((len(block), horizon + 1), order=order_of(block))
             sums[:, 0] = 0.0
             scan(np.add, block, sums[:, 1:])
             if lo < 0:  # re-anchored at the origin, the window's end
                 sums -= sums[:, -1:]
-            rows[kept] = mass_terms(sums, tile)[:, 1:]
+            # one row per n >= 2, in a trial-contiguous tile's memory order
+            terms = mass_terms(sums, tile).T[1:]
+            held = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
+            j, at = np.divmod(np.flatnonzero(held), len(block))
+            trial = (at if keep is None else kept[at]).astype(np.int32)
+            # nothing returned views the tile, which the thread's next chunk reuses
+            return start, trial, terms[j, at], np.searchsorted(j, np.arange(horizon))
 
-        if horizon > 1:
-            _fill_rows(step, threads, horizon, terms.T)
-        # a row's deviations overwrite it once it is summed
-        return [zero, *(EstimateCI.from_samples(row, z, row) for row in terms)]
+        starts, trial, values, bounds = zip(*_run_chunks(trials, threads, worker, horizon))
+        # chunk c's terms for n = j + 2 are [bounds[j, c], bounds[j + 1, c])
+        bounds = np.stack(bounds, axis=1)
+        out = [zero]
+        for j in range(horizon - 1):
+            row[:] = 0.0
+            # only the chunks holding terms for this n: a long horizon cuts
+            # trials into many small chunks, most of them holding none
+            begin, end = bounds[j], bounds[j + 1]
+            holding = np.flatnonzero(begin < end)
+            for c, a, b in zip(holding.tolist(), begin[holding].tolist(), end[holding].tolist()):
+                row[starts[c]:][trial[c][a:b]] = values[c][a:b]
+            # the row's deviations overwrite it once it is summed
+            out.append(EstimateCI.from_samples(row, z, row))
+        return out
 
     left = side(0, 0, sent_mass_terms, np.greater)
     right = side(trials, -horizon, received_mass_terms, np.less if process.index_pure else None)

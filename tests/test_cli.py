@@ -140,6 +140,21 @@ def test_deep_nesting_exits_2_naming_the_spec_file(tmp_path, capsys):
         assert f"error: {bad} nests too deeply" in err
 
 
+# an iid_discrete spec whose one value is 1 followed by 5000 zeros: past
+# Python's 4300-digit limit, json.loads raises a plain ValueError
+LONG_INTEGER = Path(__file__).parent / "data" / "long_integer.json"
+
+
+def test_an_over_long_json_integer_exits_2_naming_the_spec_file(capsys):
+    for command in ("sample", "verify-identity"):
+        code, out, err = run([command, "--spec", str(LONG_INTEGER)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read {LONG_INTEGER}: Exceeds the limit (4300 digits) "
+            "for integer string conversion: value has 5001 digits\n"
+        )
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_results_that_overflow_to_nan_or_infinity_exit_2_not_as_json(tmp_path, capsys):
     # S_n overflows: the identity's terms turn NaN and the averages
@@ -1196,7 +1211,7 @@ def pick(draw, valid, invalid):
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(("sample", "transport") + MC_COMMANDS))
-    spec = str(spec_path(draw(st.sampled_from(SPEC_NAMES))))
+    spec = str(draw(st.sampled_from([*map(spec_path, SPEC_NAMES), LONG_INTEGER])))
     argv = [command, "--spec", spec, "--seed", pick(draw, (0, 3), (-1, 2**64))]
     if draw(st.booleans()):
         argv += ["--format", "json"]

@@ -40,7 +40,7 @@ from masstransport import verify as verify_module
 from masstransport.processes import MarkovChain, MarkovProcess, Mixture, MovingAverage, Rotation
 from masstransport.scratch import FRESH, Scratch, order_of, scan
 
-from conftest import EXACT_NAMES
+from conftest import EXACT_NAMES, SPEC_NAMES
 from test_exact_oracle import EXTRA_SPECS, THREE_STATE_CHAIN
 from test_layout import LONG_TABLE
 
@@ -776,6 +776,71 @@ def test_mc_identity_keeps_one_side_of_terms_in_memory(corpus):
     pairs, peak = _traced_peak(lambda: mc_identity(corpus["p06_walk"], 8, trials, seed=0))
     assert peak <= 7 * trials * 8 + (4 << 20)
     assert mc_identity(corpus["p06_walk"], 8, trials, seed=0, threads=3) == pairs
+
+
+def _dense_identity(process, horizon, trials, seed, z):
+    """mc_identity the dense way: each side's terms of whole windows, one
+    contiguous row of all trials per n, and from_samples of each row."""
+    idx = np.arange(trials, dtype=np.uint64)
+
+    def sums(block):
+        return np.concatenate([np.zeros((trials, 1)), np.cumsum(block, axis=1)], axis=1)
+
+    lhs = sent_mass_terms(sums(process.sample_block(seed, idx, 0, horizon)))
+    right = sums(process.sample_block(seed, idx + np.uint64(trials), -horizon, 0))
+    rhs = received_mass_terms(right - right[:, -1:])
+    rows = (np.ascontiguousarray(terms.T) for terms in (lhs, rhs))
+    return tuple(
+        (EstimateCI.from_samples(a, z), EstimateCI.from_samples(b, z)) for a, b in zip(*rows)
+    )
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_mc_identity_equals_a_dense_buffer_of_terms_bit_for_bit(corpus, name):
+    # 20000 trials span three tiles at horizon 8 and twenty at horizon 64
+    for horizon in (8, 64):
+        want = _dense_identity(corpus[name], horizon, 20_000, 11, 2.5)
+        for threads in (1, 3):
+            got = mc_identity(corpus[name], horizon, 20_000, seed=11, z=2.5, threads=threads)
+            assert got == want, (horizon, threads)
+
+
+@pytest.mark.parametrize("name, horizon", [("p06_walk", 8), ("moving_average", 16)])
+def test_mc_identity_keeps_its_nonzero_terms_and_one_row(corpus, name, horizon):
+    # 5% of p06_walk's terms and 2% of moving_average's are nonzero: the
+    # store and the row fit in two floats per trial, where a dense buffer
+    # of horizon - 1 floats per trial did not
+    trials = 200_000
+    pairs, peak = _traced_peak(lambda: mc_identity(corpus[name], horizon, trials, seed=0))
+    assert peak <= 2 * trials * 8 + (4 << 20)
+    assert mc_identity(corpus[name], horizon, trials, seed=0, threads=3) == pairs
+
+
+# X alternates +2, -1 from a uniform phase, so P(X > 0) = P(X < 0) = 1/2:
+# M(0, 2) is nonzero on every path with X_1 > 0, and M(-2, 0) on every
+# path with X_0 < 0, the densest a row of terms can be
+ALTERNATING = Rotation(pieces=((0.0, 2), (0.5, -1)), angle=0.5)
+
+
+def test_a_half_dense_row_stores_no_more_bytes_than_a_dense_buffer(monkeypatch):
+    proc, trials, horizon = make_process(ALTERNATING), 200_000, 2
+    stores = []
+    run_chunks = verify_module._run_chunks
+
+    def recording(*args):
+        parts = run_chunks(*args)
+        stores.append(parts)
+        return parts
+
+    monkeypatch.setattr(verify_module, "_run_chunks", recording)
+    pairs = mc_identity(proc, horizon, trials, seed=0, z=2.5, threads=2)
+    assert pairs == _dense_identity(proc, horizon, trials, 0, 2.5)
+    assert len(stores) == 2  # one store per side
+    for parts in stores:
+        held = sum(len(values) for _, _, values, _ in parts)
+        assert abs(held / trials - 0.5) < 0.01
+        nbytes = sum(a.nbytes for part in parts for a in part if isinstance(a, np.ndarray))
+        assert nbytes <= 8 * (horizon - 1) * trials
 
 
 def test_mc_maximal_ergodic_keeps_one_float_per_trial(corpus):

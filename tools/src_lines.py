@@ -55,20 +55,26 @@ def count(text: str) -> dict[str, int]:
     return counts
 
 
-def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
-    columns = ("total", "code", "docstring", "comment", "blank")
-    rows, sums = [], dict.fromkeys(columns, 0)
+COLUMNS = ("total", "code", "docstring", "comment", "blank")
+
+
+def count_tree(root: pathlib.Path) -> dict[str, dict[str, int]]:
+    """The counts of each module under ``root``, by its path relative to
+    it, then their sums as "all"."""
+    rows, sums = {}, dict.fromkeys(COLUMNS, 0)
     for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
-        rows.append((str(path.relative_to(root)), counts))
-        for c in columns:
+        counts = rows[str(path.relative_to(root))] = count(path.read_text(encoding="utf-8"))
+        for c in COLUMNS:
             sums[c] += counts[c]
-    rows.append(("all", sums))
-    width = max(len(name) for name, _ in rows)
-    print(f"{'module':<{width}}" + "".join(f"{c:>10}" for c in columns))
-    for name, counts in rows:
-        print(f"{name:<{width}}" + "".join(f"{counts[c]:>10}" for c in columns))
+    return {**rows, "all": sums}
+
+
+def main(argv: list[str]) -> int:
+    rows = count_tree(pathlib.Path(argv[1] if len(argv) > 1 else "src"))
+    width = max(map(len, rows))
+    print(f"{'module':<{width}}" + "".join(f"{c:>10}" for c in COLUMNS))
+    for name, counts in rows.items():
+        print(f"{name:<{width}}" + "".join(f"{counts[c]:>10}" for c in COLUMNS))
     return 0
 
 
