@@ -435,20 +435,27 @@ def mc_identity(
             held = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
             j, at = np.divmod(np.flatnonzero(held), len(block))
             trial = (at if keep is None else kept[at]).astype(np.int32)
+            # the terms come in runs of one n each: each run's j and bounds
+            run = np.flatnonzero(np.diff(j, prepend=-1))
             # nothing returned views the tile, which the thread's next chunk reuses
-            return start, trial, terms[j, at], np.searchsorted(j, np.arange(horizon))
+            return start, trial, terms[j, at], j[run], np.append(run, len(j))
 
-        starts, trial, values, bounds = zip(*_run_chunks(trials, threads, worker, horizon))
-        # chunk c's terms for n = j + 2 are [bounds[j, c], bounds[j + 1, c])
-        bounds = np.stack(bounds, axis=1)
+        starts, trial, values, js, cuts = zip(*_run_chunks(trials, threads, worker, horizon))
+        # (chunk, begin, end) of each run of terms a chunk holds, ordered by
+        # n and then by chunk: a long horizon's many small chunks cost
+        # nothing where they hold no terms
+        run_j = np.concatenate(js)
+        by_n = np.argsort(run_j, kind="stable")
+        table = np.stack([
+            np.repeat(np.arange(len(js)), [len(c) - 1 for c in cuts]),
+            np.concatenate([c[:-1] for c in cuts]),
+            np.concatenate([c[1:] for c in cuts]),
+        ], axis=1)[by_n]
+        group = np.searchsorted(run_j[by_n], np.arange(horizon))
         out = [zero]
         for j in range(horizon - 1):
             row[:] = 0.0
-            # only the chunks holding terms for this n: a long horizon cuts
-            # trials into many small chunks, most of them holding none
-            begin, end = bounds[j], bounds[j + 1]
-            holding = np.flatnonzero(begin < end)
-            for c, a, b in zip(holding.tolist(), begin[holding].tolist(), end[holding].tolist()):
+            for c, a, b in table[group[j]:group[j + 1]].tolist():
                 row[starts[c]:][trial[c][a:b]] = values[c][a:b]
             # the row's deviations overwrite it once it is summed
             out.append(EstimateCI.from_samples(row, z, row))

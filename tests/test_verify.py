@@ -837,7 +837,7 @@ def test_a_half_dense_row_stores_no_more_bytes_than_a_dense_buffer(monkeypatch):
     assert pairs == _dense_identity(proc, horizon, trials, 0, 2.5)
     assert len(stores) == 2  # one store per side
     for parts in stores:
-        held = sum(len(values) for _, _, values, _ in parts)
+        held = sum(len(values) for _, _, values, *_ in parts)
         assert abs(held / trials - 0.5) < 0.01
         nbytes = sum(a.nbytes for part in parts for a in part if isinstance(a, np.ndarray))
         assert nbytes <= 8 * (horizon - 1) * trials
