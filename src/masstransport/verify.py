@@ -430,15 +430,19 @@ def mc_identity(
             scan(np.add, block, sums[:, 1:])
             if lo < 0:  # re-anchored at the origin, the window's end
                 sums -= sums[:, -1:]
-            # one row per n >= 2, in a trial-contiguous tile's memory order
+            # row j holds the terms for n = j + 2, in a trial-contiguous tile's
+            # memory order; a term is held where any bit differs from +0.0
             terms = mass_terms(sums, tile).T[1:]
-            held = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
-            j, at = np.divmod(np.flatnonzero(held), len(block))
+            nonzero = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
+            held = np.flatnonzero(nonzero)  # j * k + the trial's place in the tile
+            k = len(block)
+            cuts = np.searchsorted(held, k * np.arange(horizon))  # row j: cuts[j]:cuts[j + 1]
+            counts = np.diff(cuts)
+            at = held - np.repeat(k * np.arange(horizon - 1), counts)
             trial = (at if keep is None else kept[at]).astype(np.int32)
-            # the terms come in runs of one n each: each run's j and bounds
-            run = np.flatnonzero(np.diff(j, prepend=-1))
+            js = np.flatnonzero(counts)  # the rows holding terms, one run each
             # nothing returned views the tile, which the thread's next chunk reuses
-            return start, trial, terms[j, at], j[run], np.append(run, len(j))
+            return start, trial, terms.reshape(-1)[held], js, np.append(cuts[js], len(held))
 
         starts, trial, values, js, cuts = zip(*_run_chunks(trials, threads, worker, horizon))
         # (chunk, begin, end) of each run of terms a chunk holds, ordered by
