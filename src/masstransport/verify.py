@@ -430,8 +430,8 @@ def mc_identity(
             scan(np.add, block, sums[:, 1:])
             if lo < 0:  # re-anchored at the origin, the window's end
                 sums -= sums[:, -1:]
-            # row j holds the terms for n = j + 2, in a trial-contiguous tile's
-            # memory order; a term is held where any bit differs from +0.0
+            # row j holds the terms for n = j + 2, held where any bit differs
+            # from +0.0; flatnonzero and reshape(-1) both read (j, trial) order
             terms = mass_terms(sums, tile).T[1:]
             nonzero = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
             held = np.flatnonzero(nonzero)  # j * k + the trial's place in the tile

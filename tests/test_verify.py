@@ -664,14 +664,12 @@ def _mc_identity_by_columns(process, horizon, trials, seed):
     return [(estimate(lhs[:, n]), estimate(rhs[:, n])) for n in range(horizon)]
 
 
-@pytest.mark.parametrize(
-    "name", ["p06_walk", "two_point_chain", "moving_average", "gaussian_drift"]
-)
+@pytest.mark.parametrize("name", SPEC_NAMES)
 def test_mc_identity_equals_per_column_reference(corpus, name):
     # 5000 trials span at least two tiles at every horizon here
     for horizon in (1, 8, 64):
         want = _mc_identity_by_columns(corpus[name], horizon, 5_000, 3)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             pairs = mc_identity(corpus[name], horizon, 5_000, seed=3, z=2.0, threads=threads)
             got = [((a.mean, a.std_error), (b.mean, b.std_error)) for a, b in pairs]
             assert got == want, (horizon, threads)
@@ -778,33 +776,6 @@ def test_mc_identity_keeps_one_side_of_terms_in_memory(corpus):
     assert mc_identity(corpus["p06_walk"], 8, trials, seed=0, threads=3) == pairs
 
 
-def _dense_identity(process, horizon, trials, seed, z):
-    """mc_identity the dense way: each side's terms of whole windows, one
-    contiguous row of all trials per n, and from_samples of each row."""
-    idx = np.arange(trials, dtype=np.uint64)
-
-    def sums(block):
-        return np.concatenate([np.zeros((trials, 1)), np.cumsum(block, axis=1)], axis=1)
-
-    lhs = sent_mass_terms(sums(process.sample_block(seed, idx, 0, horizon)))
-    right = sums(process.sample_block(seed, idx + np.uint64(trials), -horizon, 0))
-    rhs = received_mass_terms(right - right[:, -1:])
-    rows = (np.ascontiguousarray(terms.T) for terms in (lhs, rhs))
-    return tuple(
-        (EstimateCI.from_samples(a, z), EstimateCI.from_samples(b, z)) for a, b in zip(*rows)
-    )
-
-
-@pytest.mark.parametrize("name", SPEC_NAMES)
-def test_mc_identity_equals_a_dense_buffer_of_terms_bit_for_bit(corpus, name):
-    # 20000 trials span three tiles at horizon 8 and twenty at horizon 64
-    for horizon in (8, 64):
-        want = _dense_identity(corpus[name], horizon, 20_000, 11, 2.5)
-        for threads in (1, 3):
-            got = mc_identity(corpus[name], horizon, 20_000, seed=11, z=2.5, threads=threads)
-            assert got == want, (horizon, threads)
-
-
 @pytest.mark.parametrize("name, horizon", [("p06_walk", 8), ("moving_average", 16)])
 def test_mc_identity_keeps_its_nonzero_terms_and_one_row(corpus, name, horizon):
     # 5% of p06_walk's terms and 2% of moving_average's are nonzero: the
@@ -833,8 +804,9 @@ def test_a_half_dense_row_stores_no_more_bytes_than_a_dense_buffer(monkeypatch):
         return parts
 
     monkeypatch.setattr(verify_module, "_run_chunks", recording)
-    pairs = mc_identity(proc, horizon, trials, seed=0, z=2.5, threads=2)
-    assert pairs == _dense_identity(proc, horizon, trials, 0, 2.5)
+    pairs = mc_identity(proc, horizon, trials, seed=0, threads=2)
+    got = [((a.mean, a.std_error), (b.mean, b.std_error)) for a, b in pairs]
+    assert got == _mc_identity_by_columns(proc, horizon, trials, 0)
     assert len(stores) == 2  # one store per side
     for parts in stores:
         held = sum(len(values) for _, _, values, *_ in parts)

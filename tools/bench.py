@@ -1,15 +1,15 @@
 """Record the benchmark's numbers for this tree in BENCH_<YYYY-MM-DD>.json.
 
 For each workload it runs ``perfbench/run.py`` unchanged, as a
-subprocess: once at ``--trace 0`` for ``--seconds``, whose raw record
-(``.perfbench/run-<workload>-seed<seed>.json``) holds every repetition,
+subprocess at seed 0: once at ``--trace 0`` for ``--seconds``, whose raw
+record (``.perfbench/run-<workload>-seed0.json``) holds every repetition,
 then once at ``--trace 1`` for the per-layer metrics.  The file holds
 the median and quartiles of ``wall_s``, ``peak_rss_mb`` and ``setup_s``
 over the repetitions, each command's median wall, the traced metrics,
 the commit, the host, the versions and ``tools/src_lines.py``'s counts
 of ``src/``.  Standard library only.  Run from the repository root:
 
-    python3 tools/bench.py [--seconds 15] [--seed 0] [--out PATH]
+    python3 tools/bench.py [--seconds 15]
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import src_lines
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("mc_short", "mc_long", "exact_lane")
+SEED = 0  # perfbench's default seed, the one the benchmark runs at
 
 # what the metrics cannot show, next to the metrics they affect
 CAVEATS = {
@@ -66,11 +67,11 @@ def summarize(raw: dict, commands: list[str]) -> dict:
     }
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, list[str]]:
+def perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, list[str]]:
     """(the result line, the '# ...' notes) of one run of perfbench/run.py."""
     argv = [
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace),
     ]
     # its stderr (progress, a failing child's traceback) passes through
     proc = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
@@ -82,25 +83,25 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
 
-def bench(seed: int, seconds: float) -> dict:
+def bench(seconds: float) -> dict:
     record: dict = {
         "date": datetime.date.today().isoformat(),
-        "command": f"python3 tools/bench.py --seconds {seconds:g} --seed {seed}",
+        "command": f"python3 tools/bench.py --seconds {seconds:g}",
         "commit": git("rev-parse", "HEAD"),
         # tracked files changed since that commit: the numbers are not the commit's
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "cpu_count": os.cpu_count(),
         "src_lines": src_lines.count_tree(ROOT / "src"),
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "caveats": CAVEATS,
         "workloads": {},
     }
     for workload in WORKLOADS:
-        result, notes = perfbench(workload, seed, seconds, 0)
-        raw = json.loads((ROOT / ".perfbench" / f"run-{workload}-seed{seed}.json").read_text())
+        result, notes = perfbench(workload, seconds, 0)
+        raw = json.loads((ROOT / ".perfbench" / f"run-{workload}-seed{SEED}.json").read_text())
         commands = [n.split("  ", 1)[1] for n in notes if n.startswith("command ")]
-        traced, _ = perfbench(workload, seed, seconds, 1)
+        traced, _ = perfbench(workload, seconds, 1)
         record["versions"] = raw["reps"][0]["versions"]
         record["workloads"][workload] = {
             "correct": result["correct"] and traced["correct"],
@@ -115,11 +116,9 @@ def bench(seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seconds", type=float, default=15.0, help="per --trace 0 run (default 15)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=pathlib.Path, default=None, help="default BENCH_<date>.json")
     args = p.parse_args(argv)
-    record = bench(args.seed, args.seconds)
-    out = args.out or ROOT / f"BENCH_{record['date']}.json"
+    record = bench(args.seconds)
+    out = ROOT / f"BENCH_{record['date']}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
     return 0
