@@ -20,16 +20,36 @@ a plain SplitMix64 sequence; distinct trials or streams land in unrelated
 sequences.  Statistical quality is more than enough for Monte Carlo;
 nothing here is cryptographic.
 
-All integer arithmetic is mod 2**64.  Scalar helpers use Python ints with
-explicit masking; block helpers use numpy uint64 arrays, whose arithmetic
-wraps natively.  The two paths are bit-identical (tested).
+All integer arithmetic is mod 2**64, and a word maps to (0, 1) by its
+top 53 bits.  Three paths compute it, bit-identical (tested):
+
+* scalar: :func:`uniform`, on Python ints with explicit masking;
+* numpy: :func:`_mixed_to_unit`, about a dozen passes over uint64 arrays,
+  whose arithmetic wraps natively;
+* compiled: ``_uniforms.c``, one pass per tile in the tile's own memory
+  order, called through ``ctypes``, which releases the GIL for the call.
+
+:func:`uniform_block` and :func:`uniform_column` take the compiled path
+wherever its library loads, and the numpy path elsewhere;
+:func:`uniform_path` names the one in use.  The library is looked for at
+import, beside this file in ``_build/`` under a name keyed by a CRC of
+the C source and the compiler flags.  Where it is missing, importing this
+module compiles it once with the system's ``cc`` into a temporary file
+and renames that into place, so concurrent first imports are safe.  Any
+failure (no compiler, a directory that takes no files, a library that
+does not load) leaves the numpy path in use, and nothing is printed.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import zlib
+from pathlib import Path
+
 import numpy as np
 
-from .scratch import FRESH, tile_order
+from .scratch import FRESH, order_of, tile_order
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -110,26 +130,42 @@ def uniform_block(
     ``trials`` has shape (T,), ``positions`` shape (L,); the result has
     shape (T, L), stored in ``tile_order(T, L)``.  Row t column j equals
     ``uniform(seed, stream, trials[t], positions[j])`` bit for bit.  The
-    result and the words behind it come from ``scratch``, and the words are
-    handed back (``Scratch.give_back``): the next array asked for reuses
-    their memory, so a sampler's tile needs one tile-sized array less.
+    result comes from ``scratch``.  The numpy path takes its words from
+    ``scratch`` too and hands them back (``Scratch.give_back``): the next
+    array asked for reuses their memory, so a sampler's tile needs one
+    tile-sized array less.
     """
     tkeys = trial_keys(seed, stream, trials)
-    pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
-    shape = (len(tkeys), len(pos))
-    order = tile_order(*shape)
-    out = scratch.empty(shape, order=order)
-    words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(shape, np.uint64, order))
-    _mixed_to_unit(words, out)
-    scratch.give_back()
-    return out
+    shape = (len(tkeys), len(positions))
+    return _units(tkeys, positions, scratch.empty(shape, order=tile_order(*shape)), scratch)
 
 
 def uniform_column(seed: int, stream: int, trials: np.ndarray, position: int) -> np.ndarray:
     """One uniform per trial, all at the same position.  Shape (T,)."""
-    words = trial_keys(seed, stream, trials)
-    words += np.uint64((position & MASK) * GOLDEN & MASK)
-    return _mixed_to_unit(words, np.empty(len(words)))
+    tkeys = trial_keys(seed, stream, trials)
+    pos = np.array([position & MASK], dtype=np.uint64)
+    return _units(tkeys, pos, np.empty((len(tkeys), 1)))[:, 0]
+
+
+def _units(tkeys: np.ndarray, positions: np.ndarray, out: np.ndarray, scratch=FRESH):
+    """The uniform of word ``tkeys[t] + positions[j] * GOLDEN`` into each
+    ``out[t, j]``, by the compiled kernel where it loaded, else by numpy."""
+    order = order_of(out)
+    if _kernel is not None:
+        tkeys = np.ascontiguousarray(tkeys, dtype=np.uint64)
+        pos = np.ascontiguousarray(positions, dtype=np.uint64)
+        # the kernel walks raw memory: check what its pointers point at
+        if out.shape != (len(tkeys), len(pos)) or out.dtype != np.float64 or not out.flags.forc:
+            raise ValueError("the uniform kernel fills a contiguous float64 (T, L) tile")
+        _kernel(
+            tkeys.ctypes.data, len(tkeys), pos.ctypes.data, len(pos), order == "F", out.ctypes.data
+        )
+        return out
+    pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
+    words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(out.shape, np.uint64, order))
+    _mixed_to_unit(words, out)
+    scratch.give_back()
+    return out
 
 
 def _mixed_to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -157,3 +193,62 @@ def index_positions(lo_plus_1: int, hi: int) -> np.ndarray:
     """Positions for the increment indices lo+1 .. hi, as uint64."""
     ks = np.arange(lo_plus_1, hi + 1, dtype=np.int64)
     return ks.view(np.uint64)
+
+
+# the compiled path: its C source, and where and how it is built
+_SOURCE = Path(__file__).with_name("_uniforms.c")
+_BUILD_DIR = Path(__file__).with_name("_build")
+# no -march (the library may be shared between machines) and no
+# -ffast-math or fused multiply-adds, which would change the rounding
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _load_kernel(directory: Path = _BUILD_DIR):
+    """The compiled ``uniform_tile`` from ``directory``, compiled there
+    first where missing; None where no library builds or loads."""
+    try:
+        library = directory / _library_name()
+        if not library.exists():
+            _compile(library)
+        kernel = ctypes.CDLL(str(library)).uniform_tile
+    except OSError:
+        return None
+    c_u64p = c_f64p = ctypes.c_void_p
+    kernel.argtypes = (c_u64p, ctypes.c_size_t, c_u64p, ctypes.c_size_t, ctypes.c_int, c_f64p)
+    kernel.restype = None
+    return kernel
+
+
+def _library_name() -> str:
+    """The library's file name, keyed by the C source and the flags."""
+    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
+    return f"uniforms-{key:08x}.so"
+
+
+def _compile(library: Path) -> None:
+    """Compile ``_SOURCE`` to ``library``, through a temporary file beside
+    it that is renamed into place; OSError on any failure."""
+    import subprocess  # only here: a build is rare, and the import is not free
+
+    library.parent.mkdir(exist_ok=True)
+    partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run(
+            ["cc", *_CFLAGS, "-o", str(partial), str(_SOURCE)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            check=True, timeout=120,
+        )
+        os.replace(partial, library)
+    except subprocess.SubprocessError as e:
+        raise OSError(f"cc could not build {library.name}") from e
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def uniform_path() -> str:
+    """"compiled" where the C kernel draws the block and column uniforms,
+    else "numpy"."""
+    return "numpy" if _kernel is None else "compiled"
+
+
+_kernel = _load_kernel()

@@ -28,6 +28,7 @@ from masstransport import (
     spec_to_jsonable,
 )
 from masstransport import processes as processes_module
+from masstransport import rng as rng_module
 from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
 
@@ -1108,6 +1109,13 @@ def test_golden_outputs_ignore_thread_count(name, tmp_path, capsys):
     code, _, _ = run(GOLDEN_COMMANDS[name] + ["--threads", "3", "--out", str(target)], capsys)
     assert code == 0
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_outputs_hold_on_the_numpy_uniforms(name, tmp_path, capsys, monkeypatch):
+    # the path taken wherever the compiled kernel does not build or load
+    monkeypatch.setattr(rng_module, "_kernel", None)
+    test_golden_outputs_are_stable(name, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------

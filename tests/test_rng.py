@@ -1,10 +1,14 @@
-"""Counter-based generator: scalar/vector agreement, determinism, range."""
+"""Counter-based generator: scalar/vector agreement, determinism, range,
+and the compiled and numpy paths agreeing bit for bit."""
 
 from __future__ import annotations
 
+import shutil
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from masstransport import rng as rng_module
@@ -22,6 +26,19 @@ from masstransport.rng import (
 )
 
 U64 = st.integers(min_value=0, max_value=MASK)
+
+NO_KERNEL = "no compiled uniform kernel loaded here (no cc, or its library did not load)"
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def uniform_path(request, monkeypatch):
+    """Each path of uniform_block and uniform_column in turn."""
+    if request.param == "numpy":
+        monkeypatch.setattr(rng_module, "_kernel", None)
+    elif rng_module._kernel is None:
+        pytest.skip(NO_KERNEL)
+    assert rng_module.uniform_path() == request.param
+    return request.param
 
 
 @given(U64)
@@ -137,7 +154,7 @@ def _position_of_word(seed: int, stream: int, trial: int, word: int) -> int:
     return ((_unmix64(word) - tkey) * pow(GOLDEN, -1, 1 << 64)) & MASK
 
 
-def test_top_word_maps_below_one_in_every_path():
+def test_top_word_maps_below_one_in_every_path(uniform_path):
     # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0; that one word must map to
     # the largest double below 1 instead, and no other word may move
     seed, stream, trial = 5, 2, 11
@@ -166,3 +183,54 @@ def test_words_below_the_top_keep_their_formula(words):
     for word, u in zip(words, units):
         if word >> 11 != (1 << 53) - 1:
             assert u == ((word >> 11) + 0.5) / (1 << 53) == rng_module._word_to_unit(word)
+
+
+@pytest.mark.skipif(rng_module._kernel is None, reason=NO_KERNEL)
+@given(U64, U64, st.lists(U64, min_size=1, max_size=48), st.lists(U64, min_size=1, max_size=48))
+@example(3, 1, [7], [0, 1, MASK])  # one trial
+@example(3, 1, [0, 1, MASK], [7])  # one position
+@example(3, 1, [7], [MASK])
+def test_the_kernel_matches_the_numpy_path_bit_for_bit(seed, stream, trials, positions):
+    # more trials than positions makes a trial-contiguous tile, else a
+    # position-contiguous one: both orders come up
+    trials, positions = np.array(trials, np.uint64), np.array(positions, np.uint64)
+    block = uniform_block(seed, stream, trials, positions)
+    column = uniform_column(seed, stream, trials, int(positions[-1]))
+    with mock.patch.object(rng_module, "_kernel", None):
+        reference = uniform_block(seed, stream, trials, positions)
+        reference_column = uniform_column(seed, stream, trials, int(positions[-1]))
+    assert block.strides == reference.strides
+    np.testing.assert_array_equal(block.view(np.uint64), reference.view(np.uint64))
+    np.testing.assert_array_equal(column.view(np.uint64), reference_column.view(np.uint64))
+    np.testing.assert_array_equal(column, block[:, -1])
+
+
+def test_the_loader_falls_back_to_numpy_without_raising(tmp_path, monkeypatch):
+    # a read-only mode does not stop root, so the directory that takes no
+    # files is one whose path runs through a regular file
+    (tmp_path / "file").write_text("")
+    assert rng_module._load_kernel(tmp_path / "file" / "_build") is None
+    # a library at the keyed name that does not load, and no compiler on
+    # the PATH to build a missing one
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / rng_module._library_name()).write_bytes(b"not a shared object")
+    monkeypatch.setenv("PATH", "")
+    assert rng_module._load_kernel(broken) is None
+    assert rng_module._load_kernel(tmp_path / "fresh") is None
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on the PATH")
+def test_the_loader_builds_a_missing_library_once(tmp_path):
+    kernel = rng_module._load_kernel(tmp_path)
+    library = tmp_path / rng_module._library_name()
+    assert kernel is not None and list(tmp_path.iterdir()) == [library]
+    built = library.stat().st_mtime_ns
+    assert rng_module._load_kernel(tmp_path) is not None
+    assert library.stat().st_mtime_ns == built
+    trials, positions = np.arange(5, dtype=np.uint64), index_positions(-2, 2)
+    with mock.patch.object(rng_module, "_kernel", kernel):
+        block = uniform_block(1, 2, trials, positions)
+    with mock.patch.object(rng_module, "_kernel", None):
+        np.testing.assert_array_equal(block, uniform_block(1, 2, trials, positions))
