@@ -211,10 +211,10 @@ def _load_kernel(directory: Path = _BUILD_DIR):
         if not library.exists():
             _compile(library)
         kernel = ctypes.CDLL(str(library)).uniform_tile
-    except OSError:
+    except (OSError, AttributeError):  # AttributeError: no such function in it
         return None
-    c_u64p = c_f64p = ctypes.c_void_p
-    kernel.argtypes = (c_u64p, ctypes.c_size_t, c_u64p, ctypes.c_size_t, ctypes.c_int, c_f64p)
+    ptr = ctypes.c_void_p
+    kernel.argtypes = (ptr, ctypes.c_size_t, ptr, ctypes.c_size_t, ctypes.c_int, ptr)
     kernel.restype = None
     return kernel
 

@@ -31,6 +31,19 @@ def test_the_latest_bench_record_names_its_tree_and_host():
     lines = record["src_lines"]["all"]
     assert lines["total"] == sum(lines[c] for c in ("code", "docstring", "comment", "blank"))
     assert set(record["caveats"]) == {"setup_s", "trace.overhead_frac"}
+    assert record["rng_path"] in ("compiled", "numpy")
+
+
+def test_the_latest_bench_record_times_mc_long_at_one_and_two_threads():
+    _, record = latest_record()
+    table = record["mc_long_threads"]
+    listed = record["workloads"]["mc_long"]["command_wall_s"]
+    commands = {c.replace(" --threads 2", "") for c in listed}
+    for threads in ("1", "2"):
+        walls = table[threads]["command_wall_s"]
+        assert set(walls) == commands and all(t > 0 for t in walls.values())
+        assert table[threads]["total_s"] == pytest.approx(sum(walls.values()))
+    assert table["speedup"] == pytest.approx(table["1"]["total_s"] / table["2"]["total_s"])
 
 
 def test_the_latest_bench_record_holds_every_workload_and_metric():

@@ -7,7 +7,11 @@ then once at ``--trace 1`` for the per-layer metrics.  The file holds
 the median and quartiles of ``wall_s``, ``peak_rss_mb`` and ``setup_s``
 over the repetitions, each command's median wall, the traced metrics,
 the commit, the host, the versions and ``tools/src_lines.py``'s counts
-of ``src/``.  Standard library only.  Run from the repository root:
+of ``src/``.  It also names the uniform path that ran (``rng_path``:
+the compiled kernel or numpy), and times mc_long's command list
+in-process at ``--threads 1`` and ``--threads 2``, best of two per
+command (``mc_long_threads``).  Besides the package, standard library
+only.  Run from the repository root:
 
     python3 tools/bench.py [--seconds 15]
 """
@@ -15,19 +19,23 @@ of ``src/``.  Standard library only.  Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import os
 import pathlib
 import statistics
 import subprocess
 import sys
+import time
 
 import src_lines
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("mc_short", "mc_long", "exact_lane")
 SEED = 0  # perfbench's default seed, the one the benchmark runs at
+THREAD_ROUNDS = 2
 
 # what the metrics cannot show, next to the metrics they affect
 CAVEATS = {
@@ -35,7 +43,9 @@ CAVEATS = {
         "includes compiling the package's sources wherever PYTHONDONTWRITEBYTECODE is set: "
         "perfbench's untimed first set-up child is meant to fill the bytecode cache, but no "
         "__pycache__ is written, so every set-up sample compiles src/ again; most of the rest "
-        "of mc_short's and mc_long's set-up is importing scipy"
+        "of mc_short's and mc_long's set-up is importing scipy; where the compiled uniform "
+        "kernel's library is missing, perfbench's untimed first set-up child compiles it "
+        "(about 50 ms), and no timed sample does"
     ),
     "trace.overhead_frac": (
         "noise on exact_lane: its whole traced command list runs in about 0.01 s, so the "
@@ -79,6 +89,34 @@ def perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, list[str
     return json.loads(lines[-1]), [line[2:] for line in lines if line.startswith("# ")]
 
 
+def thread_table(rounds: int = THREAD_ROUNDS) -> dict:
+    """mc_long's command list run in-process at one and at two threads:
+    each command's best wall of ``rounds``, alternating which count goes
+    first, and the list's total of them."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from masstransport.cli import main
+    from workloads import WORKLOADS as LISTS
+
+    walls: dict[int, dict[str, float]] = {1: {}, 2: {}}
+    for r in range(rounds):
+        for threads in (1, 2) if r % 2 == 0 else (2, 1):
+            for cmd in LISTS["mc_long"]:
+                argv = cmd.with_seed(SEED)
+                argv[argv.index("--spec") + 1] = str(ROOT / cmd.spec)
+                argv[argv.index("--threads") + 1] = str(threads)
+                key = cmd.key.replace(" --threads 2", "")
+                t0 = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                wall = time.perf_counter() - t0
+                if code != 0:
+                    raise RuntimeError(f"{key} at --threads {threads} exited {code}")
+                walls[threads][key] = min(wall, walls[threads].get(key, wall))
+    table = {str(t): {"total_s": sum(w.values()), "command_wall_s": w} for t, w in walls.items()}
+    table["speedup"] = table["1"]["total_s"] / table["2"]["total_s"]
+    return table
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -110,6 +148,11 @@ def bench(seconds: float) -> dict:
             **summarize(raw, commands),
             "per_layer": {n: m["value"] for n, m in traced["metrics"].items()},
         }
+    # after the runs: their first set-up child builds the kernel if it must
+    record["mc_long_threads"] = thread_table()
+    from masstransport import rng  # imported from src/ by thread_table
+
+    record["rng_path"] = rng.uniform_path()
     return record
 
 
