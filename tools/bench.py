@@ -89,16 +89,16 @@ def perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, list[str
     return json.loads(lines[-1]), [line[2:] for line in lines if line.startswith("# ")]
 
 
-def thread_table(rounds: int = THREAD_ROUNDS) -> dict:
+def thread_table() -> dict:
     """mc_long's command list run in-process at one and at two threads:
-    each command's best wall of ``rounds``, alternating which count goes
-    first, and the list's total of them."""
+    each command's best wall of ``THREAD_ROUNDS``, alternating which count
+    goes first, and the list's total of them."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from masstransport.cli import main
     from workloads import WORKLOADS as LISTS
 
     walls: dict[int, dict[str, float]] = {1: {}, 2: {}}
-    for r in range(rounds):
+    for r in range(THREAD_ROUNDS):
         for threads in (1, 2) if r % 2 == 0 else (2, 1):
             for cmd in LISTS["mc_long"]:
                 argv = cmd.with_seed(SEED)
