@@ -10,6 +10,9 @@ positive-mean walks, and the convergence of S_n / n.
 Finite-support processes with rational data are checked in exact
 arithmetic; everything else is estimated by seeded, reproducible Monte
 Carlo.
+
+The names imported here are the public API, the ones README's Library
+section uses; everything else is imported from its module.
 """
 
 from .errors import (
@@ -20,110 +23,27 @@ from .errors import (
     UnsupportedProcess,
 )
 from .processes import (
-    DEFAULT_ATOM_CAP,
     IidDiscrete,
     IidGaussian,
     MarkovChain,
     Mixture,
     MovingAverage,
     PathWindow,
-    Process,
     Rotation,
-    exact_window_distribution,
     make_process,
-    negate_spec,
     sample_window,
-    stationary_distribution,
 )
-from .transport import (
-    DEFAULT_TOLERANCE,
-    close,
-    first_nonpositive,
-    ladder_epochs_before_zero,
-    mass_received_at_zero,
-    mass_row,
-    received_mass_terms,
-    records_after,
-    sent_mass_terms,
-    total_sent,
-)
+from .transport import ladder_epochs_before_zero, mass_received_at_zero, mass_row, records_after
 from .verify import (
     EstimateCI,
-    agreement_pass,
-    ci_overlap,
     exact_identity,
     exact_maximal_ergodic,
     exact_survival,
     mc_identity,
     mc_maximal_ergodic,
     mc_survival,
-    sign_pass,
-    survival_truncation_bound,
 )
-from .ergodic import (
-    DipReport,
-    TrajectoryReport,
-    TrajectoryRow,
-    average_grid,
-    estimate_dip_probability,
-    trajectory,
-    trajectory_batch,
-)
-from .specio import format_spec, parse_spec_file, parse_spec_text, spec_from_jsonable, spec_to_jsonable
+from .ergodic import TrajectoryReport, TrajectoryRow, estimate_dip_probability, trajectory_batch
+from .specio import parse_spec_file
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MassTransportError",
-    "InvalidSpec",
-    "NoStationaryDistribution",
-    "UnsupportedProcess",
-    "ExplosionCap",
-    "IidDiscrete",
-    "IidGaussian",
-    "MarkovChain",
-    "MovingAverage",
-    "Rotation",
-    "Mixture",
-    "PathWindow",
-    "Process",
-    "make_process",
-    "sample_window",
-    "exact_window_distribution",
-    "stationary_distribution",
-    "negate_spec",
-    "DEFAULT_ATOM_CAP",
-    "DEFAULT_TOLERANCE",
-    "received_mass_terms",
-    "records_after",
-    "sent_mass_terms",
-    "mass_row",
-    "total_sent",
-    "ladder_epochs_before_zero",
-    "mass_received_at_zero",
-    "close",
-    "first_nonpositive",
-    "EstimateCI",
-    "agreement_pass",
-    "ci_overlap",
-    "exact_identity",
-    "mc_identity",
-    "exact_maximal_ergodic",
-    "mc_maximal_ergodic",
-    "exact_survival",
-    "mc_survival",
-    "sign_pass",
-    "survival_truncation_bound",
-    "TrajectoryRow",
-    "TrajectoryReport",
-    "DipReport",
-    "average_grid",
-    "trajectory",
-    "trajectory_batch",
-    "estimate_dip_probability",
-    "parse_spec_file",
-    "parse_spec_text",
-    "spec_from_jsonable",
-    "spec_to_jsonable",
-    "format_spec",
-]

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import InvalidSpec, MassTransportError
 from .processes import DEFAULT_ATOM_CAP, make_process, sample_window
+from .scratch import check_memory
 from .specio import parse_spec_file
 from . import ergodic, transport, verify
 
@@ -161,10 +162,20 @@ def cmd_sample(args, process):
     return True, _table(["index", "x", "s"], rows), payload
 
 
+# on a falling walk every later site is a record of every sender, and the
+# peak memory of `transport` grew by about 186 bytes per record, its mass
+# and output rows included (CSV; JSON took about 130)
+_TRANSPORT_ENTRY_BYTES = 192
+
+
 def cmd_transport(args, process):
     tol = args.epsilon
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidSpec(f"epsilon must be finite and non-negative, got {tol}")
+    # sender lo + k has at most n - k records after it
+    n = args.hi - args.lo
+    entries = n * (n + 1) // 2
+    check_memory(1, 0, entries * _TRANSPORT_ENTRY_BYTES // 8, f"window [{args.lo}, {args.hi}]")
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
     failures: list[str] = []
 

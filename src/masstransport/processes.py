@@ -545,8 +545,6 @@ class MarkovProcess(Process):
         u = rng.uniform_block(
             seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
         )
-        # new, not from scratch: in both cases the path's first array then
-        # takes the slot after u's, where the numpy path's words were
         if state is not None and lo > 0:
             n = len(state)
             work = np.empty(n, np.intp), np.empty(n), np.empty(n, bool)
@@ -987,8 +985,6 @@ def _two_state_path(start, u, cut0, cut1, swaps: bool, scratch=FRESH) -> np.ndar
     only when cut0 >= cut1.
     """
     order = order_of(u)
-    # the codes first: they take the slot after u's, where the numpy
-    # path's words were
     code = scratch.empty(u.shape, np.intp, order)
     a = np.less(cut0, u, out=scratch.empty(u.shape, bool, order))
     b = np.less(cut1, u, out=scratch.empty(u.shape, bool, order))

@@ -130,10 +130,7 @@ def uniform_block(
     ``trials`` has shape (T,), ``positions`` shape (L,); the result has
     shape (T, L), stored in ``tile_order(T, L)``.  Row t column j equals
     ``uniform(seed, stream, trials[t], positions[j])`` bit for bit.  The
-    result comes from ``scratch``.  The numpy path takes its words from
-    ``scratch`` too and hands them back (``Scratch.give_back``): the next
-    array asked for reuses their memory, so a sampler's tile needs one
-    tile-sized array less.
+    result comes from ``scratch``, and so do the numpy path's words.
     """
     tkeys = trial_keys(seed, stream, trials)
     shape = (len(tkeys), len(positions))
@@ -163,9 +160,7 @@ def _units(tkeys: np.ndarray, positions: np.ndarray, out: np.ndarray, scratch=FR
         return out
     pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
     words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(out.shape, np.uint64, order))
-    _mixed_to_unit(words, out)
-    scratch.give_back()
-    return out
+    return _mixed_to_unit(words, out)
 
 
 def _mixed_to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:

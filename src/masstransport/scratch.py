@@ -67,11 +67,6 @@ class Scratch(threading.local):
         self._used = keep
         return self
 
-    def give_back(self) -> None:
-        """Hand the last array asked for back: the next request takes its
-        slot.  Nothing may use that array afterwards."""
-        self._used -= 1
-
     @property
     def used(self) -> int:
         """How many arrays the current tile has asked for."""
@@ -107,10 +102,6 @@ class _Fresh:
     @staticmethod
     def empty(shape, dtype=np.float64, order="C") -> np.ndarray:
         return np.empty(shape, dtype=dtype, order=order)
-
-    @staticmethod
-    def give_back() -> None:
-        pass
 
 
 FRESH = _Fresh()

@@ -1,4 +1,4 @@
-"""Reading and writing process descriptions as JSON.
+"""Reading process descriptions from JSON.
 
 Exactness survives the trip through JSON by convention: probabilities,
 weights and transition entries must be integers or strings ("3/4",
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InvalidSpec
-from .processes import IID_SPECS, SPEC_KINDS, ProcessSpec, _coerce_real, _process_class
+from .processes import IID_SPECS, SPEC_KINDS, ProcessSpec, _coerce_real
 
 
 def _need(obj: dict, key: str, path: str):
@@ -113,36 +113,19 @@ def _iid_spec(x, path: str) -> ProcessSpec:
     return spec
 
 
-def _real_jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return float(v)
-
-
-def _list_out(write):
-    return lambda xs: [write(x) for x in xs]
-
-
-def _same(x):
-    return x
-
-
-# every field of every kind: (read from JSON at a path, write to JSON)
+# every field of every kind, and how to read it from JSON at a path
 _FIELDS = {
-    "values": (_list_of(_parse_real), _list_out(_real_jsonable)),
-    "probs": (_list_of(_parse_rational), _list_out(str)),
-    "mean": (_parse_float, _same),
-    "stddev": (_parse_float, _same),
-    "transitions": (_list_of(_list_of(_parse_rational)), _list_out(_list_out(str))),
-    "payoffs": (_list_of(_parse_real), _list_out(_real_jsonable)),
-    "coefficients": (_list_of(_parse_real), _list_out(_real_jsonable)),
-    "innovation": (_iid_spec, lambda spec: spec_to_jsonable(spec)),
-    "pieces": (_list_of(_piece), _list_out(lambda piece: [piece[0], _real_jsonable(piece[1])])),
-    "angle": (_parse_float, _same),
-    "components": (
-        _list_of(_component),
-        _list_out(lambda comp: {"weight": str(comp[0]), "process": spec_to_jsonable(comp[1])}),
-    ),
+    "values": _list_of(_parse_real),
+    "probs": _list_of(_parse_rational),
+    "mean": _parse_float,
+    "stddev": _parse_float,
+    "transitions": _list_of(_list_of(_parse_rational)),
+    "payoffs": _list_of(_parse_real),
+    "coefficients": _list_of(_parse_real),
+    "innovation": _iid_spec,
+    "pieces": _list_of(_piece),
+    "angle": _parse_float,
+    "components": _list_of(_component),
 }
 
 
@@ -161,24 +144,11 @@ def spec_from_jsonable(obj, path: str = "$") -> ProcessSpec:
     # a field with a default may be left out
     return cls(
         **{
-            f.name: _FIELDS[f.name][0](_need(obj, f.name, path), f"{path}.{f.name}")
+            f.name: _FIELDS[f.name](_need(obj, f.name, path), f"{path}.{f.name}")
             for f in fields(cls)
             if f.name in obj or f.default is MISSING
         }
     )
-
-
-def spec_to_jsonable(spec: ProcessSpec) -> dict:
-    """Inverse of spec_from_jsonable; round trips exactly."""
-    _process_class(spec)
-    return {
-        "kind": spec.kind,
-        **{f.name: _FIELDS[f.name][1](getattr(spec, f.name)) for f in fields(spec)},
-    }
-
-
-def format_spec(spec: ProcessSpec) -> str:
-    return json.dumps(spec_to_jsonable(spec), indent=2) + "\n"
 
 
 def parse_spec_text(text: str, source: str = "<string>") -> ProcessSpec:
@@ -194,9 +164,14 @@ def _load_json(text: str, source: str):
     except json.JSONDecodeError as e:
         raise InvalidSpec(f"invalid JSON in {source}: {e}") from None
     except ValueError as e:  # an integer literal longer than Python's digit limit
-        # the message's advice after ";" is Python's, not the spec writer's
+        # the message's advice after ";" is Python's, not the spec's author's
         raise InvalidSpec(f"cannot read {source}: {str(e).partition(';')[0]}") from None
 
 
 def parse_spec_file(path: Union[str, Path]) -> ProcessSpec:
-    return parse_spec_text(Path(path).read_text(), source=str(path))
+    # JSON's encoding is UTF-8 (RFC 8259), whatever the locale's is
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidSpec(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
+    return parse_spec_text(text, source=str(path))

@@ -119,9 +119,6 @@ class EstimateCI:
         std_error = math.sqrt(float(np.add.reduce(dev)) / (n - 1)) / math.sqrt(n)
         return cls(mean, std_error, n, z, mean - z * std_error, mean + z * std_error)
 
-    def covers(self, x: float) -> bool:
-        return self.ci_low <= x <= self.ci_high
-
 
 def ci_overlap(a: EstimateCI, b: EstimateCI) -> bool:
     return a.ci_low <= b.ci_high and b.ci_low <= a.ci_high

@@ -24,18 +24,17 @@ from masstransport import (
     PathWindow,
     exact_identity,
     exact_maximal_ergodic,
-    exact_window_distribution,
     estimate_dip_probability,
-    first_nonpositive,
     mass_received_at_zero,
     mass_row,
     mc_maximal_ergodic,
     mc_survival,
-    survival_truncation_bound,
-    total_sent,
     trajectory_batch,
 )
 from masstransport.cli import main
+from masstransport.processes import exact_window_distribution
+from masstransport.transport import first_nonpositive, total_sent
+from masstransport.verify import survival_truncation_bound
 
 from conftest import ERGODIC_NAMES, EXACT_NAMES, SPEC_NAMES, spec_path
 

@@ -18,19 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masstransport import (
-    InvalidSpec,
-    format_spec,
-    make_process,
-    parse_spec_file,
-    parse_spec_text,
-    spec_from_jsonable,
-    spec_to_jsonable,
-)
+from masstransport import InvalidSpec, make_process, parse_spec_file
 from masstransport import processes as processes_module
 from masstransport import rng as rng_module
+from masstransport import cli as cli_module
 from masstransport import verify as verify_module
 from masstransport.cli import THREADS_ENV, build_parser, main
+from masstransport.specio import parse_spec_text, spec_from_jsonable
 
 from conftest import EXACT_NAMES, SPEC_NAMES, spec_path
 
@@ -67,6 +61,14 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code, _, err = run(["sample", "--spec", str(bad)], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_a_spec_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run(["sample", "--spec", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {bad} is not UTF-8" in err
 
 
 def test_unknown_kind_names_the_field(tmp_path, capsys):
@@ -393,6 +395,25 @@ def test_runs_larger_than_memory_exit_2_naming_the_field(args, field, capsys):
     assert code == 2
     assert out == ""
     assert field in err and "physical memory" in err
+
+
+def test_transport_refuses_a_window_whose_tables_could_not_fit(monkeypatch, capsys):
+    # [-4, 4]: its 8 senders have at most 8 + 7 + ... + 1 = 36 records
+    argv = ["transport", "--spec", str(spec_path("p06_walk")), "--lo", "-4", "--hi", "4"]
+    needed = 36 * cli_module._TRANSPORT_ENTRY_BYTES
+    built, records_after = [], cli_module.transport.records_after
+    monkeypatch.setattr(
+        cli_module.transport, "records_after", lambda *a: built.append(a) or records_after(*a)
+    )
+    for nbytes in (needed - 1, needed):
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(os, "sysconf", memory.get)
+        code, out, err = run(argv, capsys)
+        if nbytes < needed:
+            assert (code, out, built) == (2, "", [])
+            assert f"error: window [-4, 4]: needs {needed} bytes" in err
+        else:
+            assert code == 0 and built
 
 
 # walks no run would finish: each is refused before anything is drawn
@@ -1123,27 +1144,12 @@ def test_golden_outputs_hold_on_the_numpy_uniforms(name, tmp_path, capsys, monke
 # ---------------------------------------------------------------------------
 
 
-def test_bundled_specs_round_trip(specs):
-    for name in SPEC_NAMES:
-        spec = specs[name]
-        assert spec_from_jsonable(spec_to_jsonable(spec)) == spec
-
-
-def test_format_spec_is_idempotent(specs):
-    for name in SPEC_NAMES:
-        text = format_spec(specs[name])
-        assert text.endswith("\n")
-        again = format_spec(parse_spec_text(text))
-        assert again == text
-
-
 def test_rationals_survive_the_round_trip():
     spec = parse_spec_text(
         json.dumps({"kind": "iid_discrete", "values": ["7/3", -1], "probs": ["1/3", "2/3"]})
     )
     assert spec.values == (F(7, 3), F(-1))
-    payload = spec_to_jsonable(spec)
-    assert payload["probs"] == ["1/3", "2/3"]
+    assert spec.probs == (F(1, 3), F(2, 3))
 
 
 def test_nested_mixture_error_paths_point_into_components():

@@ -14,16 +14,15 @@ from masstransport import (
     InvalidSpec,
     MarkovChain,
     Mixture,
-    average_grid,
     estimate_dip_probability,
     make_process,
-    negate_spec,
-    trajectory,
     trajectory_batch,
 )
 
 from masstransport import ergodic as ergodic_module
 from masstransport import verify as verify_module
+from masstransport.ergodic import average_grid, trajectory
+from masstransport.processes import negate_spec
 from masstransport.scratch import Scratch
 
 from conftest import SPEC_NAMES

@@ -22,7 +22,6 @@ from fractions import Fraction
 import pytest
 
 from masstransport import (
-    DEFAULT_ATOM_CAP,
     IidDiscrete,
     MarkovChain,
     Mixture,
@@ -31,21 +30,22 @@ from masstransport import (
     exact_identity,
     exact_maximal_ergodic,
     exact_survival,
-    exact_window_distribution,
-    first_nonpositive,
     make_process,
     mass_received_at_zero,
     mass_row,
 )
 from masstransport.processes import (
+    DEFAULT_ATOM_CAP,
     IidDiscreteProcess,
     MarkovProcess,
     MixtureProcess,
     MovingAverageProcess,
     exact_fold,
+    exact_window_distribution,
     reversed_law,
     window_fold,
 )
+from masstransport.transport import first_nonpositive
 
 from conftest import EXACT_NAMES
 

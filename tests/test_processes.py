@@ -21,11 +21,8 @@ from masstransport import (
     Rotation,
     UnsupportedProcess,
     exact_survival,
-    exact_window_distribution,
     make_process,
-    negate_spec,
     sample_window,
-    stationary_distribution,
 )
 
 from masstransport import rng
@@ -35,6 +32,9 @@ from masstransport.processes import (
     _chain_decay,
     _chain_path,
     exact_fold,
+    exact_window_distribution,
+    negate_spec,
+    stationary_distribution,
     _count_cuts,
     _inverse_cdf,
     _two_state_path,

@@ -16,17 +16,19 @@ from hypothesis import strategies as st
 
 from masstransport import (
     PathWindow,
-    close,
-    first_nonpositive,
     ladder_epochs_before_zero,
     mass_received_at_zero,
     mass_row,
-    received_mass_terms,
     records_after,
+)
+from masstransport.scratch import Scratch
+from masstransport.transport import (
+    close,
+    first_nonpositive,
+    received_mass_terms,
     sent_mass_terms,
     total_sent,
 )
-from masstransport.scratch import Scratch
 
 F = Fraction
 

@@ -1,11 +1,12 @@
-"""Count the lines of each module under src/: total, code, docstring,
-comment and blank.
+"""Count the lines of each module and C source under src/: total, code,
+docstring, comment and blank.
 
 A code line holds a token of a statement or expression (a string
 spanning lines counts on each of its lines); a docstring line is a line
 of a module's, class's or function's docstring; a comment line holds
-only a comment; a blank line holds none of these.  Standard library
-only.  Run from the repository root:
+only a comment; a blank line holds none of these.  In C, a comment is a
+``//`` or ``/* */`` comment, and there are no docstrings.  Standard
+library only.  Run from the repository root:
 
     python3 tools/src_lines.py [root]
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import ast
 import io
 import pathlib
+import re
 import sys
 import tokenize
 
@@ -57,13 +59,31 @@ def count(text: str) -> dict[str, int]:
 
 COLUMNS = ("total", "code", "docstring", "comment", "blank")
 
+# C comments, and the string and character literals they cannot start in
+_C_TOKENS = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.S)
+
+
+def count_c(text: str) -> dict[str, int]:
+    """The line counts of one C source."""
+    # every non-space character of a comment becomes a NUL
+    marked = _C_TOKENS.sub(lambda m: m[0] if m[0][0] in "\"'" else re.sub(r"\S", "\0", m[0]), text)
+    counts = dict.fromkeys(COLUMNS, 0)
+    for line in marked.splitlines():
+        if line.replace("\0", "").strip():
+            counts["code"] += 1
+        else:
+            counts["comment" if "\0" in line else "blank"] += 1
+    counts["total"] = len(text.splitlines())
+    return counts
+
 
 def count_tree(root: pathlib.Path) -> dict[str, dict[str, int]]:
-    """The counts of each module under ``root``, by its path relative to
-    it, then their sums as "all"."""
+    """The counts of each module and C source under ``root``, by its path
+    relative to it, then their sums as "all"."""
     rows, sums = {}, dict.fromkeys(COLUMNS, 0)
-    for path in sorted(root.rglob("*.py")):
-        counts = rows[str(path.relative_to(root))] = count(path.read_text(encoding="utf-8"))
+    for path in sorted(p for p in root.rglob("*") if p.suffix in (".py", ".c")):
+        counter = count if path.suffix == ".py" else count_c
+        counts = rows[str(path.relative_to(root))] = counter(path.read_text(encoding="utf-8"))
         for c in COLUMNS:
             sums[c] += counts[c]
     return {**rows, "all": sums}
