@@ -59,14 +59,14 @@ def count(text: str) -> dict[str, int]:
 
 COLUMNS = ("total", "code", "docstring", "comment", "blank")
 
-# C comments, and the string and character literals they cannot start in
-_C_TOKENS = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.S)
+# C comments (the C sources here hold no string that looks like one)
+_C_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
 def count_c(text: str) -> dict[str, int]:
     """The line counts of one C source."""
     # every non-space character of a comment becomes a NUL
-    marked = _C_TOKENS.sub(lambda m: m[0] if m[0][0] in "\"'" else re.sub(r"\S", "\0", m[0]), text)
+    marked = _C_COMMENT.sub(lambda m: re.sub(r"\S", "\0", m[0]), text)
     counts = dict.fromkeys(COLUMNS, 0)
     for line in marked.splitlines():
         if line.replace("\0", "").strip():
