@@ -140,7 +140,15 @@ def _table(header: list[str], rows):
     return lambda: _csv_text(header, rows())
 
 
+# the window's values and sums as Python floats, a row per index and the
+# text: the peak memory of `sample` grew by 260-285 bytes per increment
+# (CSV and JSON alike)
+_SAMPLE_ENTRY_BYTES = 288
+
+
 def cmd_sample(args, process):
+    n = args.hi - args.lo
+    check_memory(1, 0, n * _SAMPLE_ENTRY_BYTES // 8, f"window [{args.lo}, {args.hi}]")
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
 
     def rows():

@@ -467,33 +467,27 @@ class IidDiscreteProcess(Process):
 
 class GaussianProcess(Process):
     def __init__(self, spec: IidGaussian, stream: int, build=None):
-        # scipy takes most of the package's import time; only this kind needs it
-        from scipy.special import ndtri
-
         mean = float(_coerce_real(spec.mean, "mean"))
         stddev = float(_coerce_real(spec.stddev, "stddev"))
         if not stddev > 0:
             raise InvalidSpec("stddev must be positive", "stddev")
         self.spec = IidGaussian(mean, stddev)
         self.stream = stream
-        self._ndtri = ndtri
 
     def mean(self) -> float:
         return self.spec.mean
 
     def magnitude(self) -> tuple[float, str]:
-        # |ndtri(u)| < 8.3 for every u on the rng's lattice
+        # |ndtri(u)| < 8.3 for every u on the rng's lattice (tested at its
+        # extreme words)
         mu, sd = abs(self.spec.mean), 9.0 * self.spec.stddev
         return mu + sd, "mean" if mu > sd else "stddev"
 
     def sample_block(self, seed, trials, lo, hi, scratch=FRESH, state=None):
-        u = rng.uniform_block(
-            seed, self.stream, trials, rng.index_positions(lo + 1, hi), scratch
+        return rng.gaussian_block(
+            seed, self.stream, trials, rng.index_positions(lo + 1, hi), self.spec.mean,
+            self.spec.stddev, scratch,
         )
-        z = self._ndtri(u, out=u)
-        z *= self.spec.stddev
-        z += self.spec.mean
-        return z
 
     def ruin_decay(self):
         mu, sd = self.spec.mean, self.spec.stddev

@@ -29,15 +29,22 @@ top 53 bits.  Three paths compute it, bit-identical (tested):
 * compiled: ``_uniforms.c``, one pass per tile in the tile's own memory
   order, called through ``ctypes``, which releases the GIL for the call.
 
-:func:`uniform_block` and :func:`uniform_column` take the compiled path
-wherever its library loads, and the numpy path elsewhere;
-:func:`uniform_path` names the one in use.  The library is looked for at
-import, beside this file in ``_build/`` under a name keyed by a CRC of
-the C source and the compiler flags.  Where it is missing, importing this
-module compiles it once with the system's ``cc`` into a temporary file
-and renames that into place, so concurrent first imports are safe.  Any
-failure (no compiler, a directory that takes no files, a library that
-does not load) leaves the numpy path in use, and nothing is printed.
+:func:`gaussian_block` draws Gaussian increments from the same uniforms:
+compiled, the library's second function writes them in the same pass,
+with a port of the Cephes ``ndtri`` that ``scipy.special`` runs, bit for
+bit; on the numpy path scipy's own ``ndtri`` transforms the uniforms.
+So ``scipy.special`` is imported only where the library did not load.
+
+:func:`uniform_block`, :func:`uniform_column` and :func:`gaussian_block`
+take the compiled path wherever its library loads, and the numpy path
+elsewhere; :func:`uniform_path` names the one in use.  The library is
+looked for at import, beside this file in ``_build/`` under a name keyed
+by a CRC of the C source, the compiler flags and the linked libraries.
+Where it is missing, importing this module compiles it once with the
+system's ``cc`` into a temporary file and renames that into place, so
+concurrent first imports are safe.  Any failure (no compiler, a directory
+that takes no files, a library that does not load) leaves the numpy path
+in use, and nothing is printed.
 """
 
 from __future__ import annotations
@@ -144,23 +151,55 @@ def uniform_column(seed: int, stream: int, trials: np.ndarray, position: int) ->
     return _units(tkeys, pos, np.empty((len(tkeys), 1)))[:, 0]
 
 
+def gaussian_block(
+    seed: int, stream: int, trials: np.ndarray, positions: np.ndarray, mean: float,
+    stddev: float, scratch=FRESH,
+) -> np.ndarray:
+    """``mean + stddev * ndtri(u)`` for the uniforms u of
+    ``uniform_block(seed, stream, trials, positions)``, in its shape and
+    order, with ndtri the inverse normal distribution function of
+    ``scipy.special.ndtri`` bit for bit, and the multiply and the add
+    rounded one after the other.  The compiled kernel draws it in one
+    pass; where it did not load, numpy draws the uniforms and scipy,
+    imported only then, transforms them."""
+    if _kernel is None:
+        from scipy.special import ndtri  # about 0.2 s and 20 MiB: only on this path
+
+        u = uniform_block(seed, stream, trials, positions, scratch)
+        z = ndtri(u, out=u)
+        z *= stddev
+        z += mean
+        return z
+    tkeys = trial_keys(seed, stream, trials)
+    shape = (len(tkeys), len(positions))
+    out = scratch.empty(shape, order=tile_order(*shape))
+    return _tile(_kernel.gaussian_tile, tkeys, positions, out, mean, stddev)
+
+
 def _units(tkeys: np.ndarray, positions: np.ndarray, out: np.ndarray, scratch=FRESH):
     """The uniform of word ``tkeys[t] + positions[j] * GOLDEN`` into each
     ``out[t, j]``, by the compiled kernel where it loaded, else by numpy."""
-    order = order_of(out)
     if _kernel is not None:
-        tkeys = np.ascontiguousarray(tkeys, dtype=np.uint64)
-        pos = np.ascontiguousarray(positions, dtype=np.uint64)
-        # the kernel walks raw memory: check what its pointers point at
-        if out.shape != (len(tkeys), len(pos)) or out.dtype != np.float64 or not out.flags.forc:
-            raise ValueError("the uniform kernel fills a contiguous float64 (T, L) tile")
-        _kernel(
-            tkeys.ctypes.data, len(tkeys), pos.ctypes.data, len(pos), order == "F", out.ctypes.data
-        )
-        return out
+        return _tile(_kernel.uniform_tile, tkeys, positions, out)
+    order = order_of(out)
     pos = positions.astype(np.uint64) * np.uint64(GOLDEN)
     words = np.add(tkeys[:, None], pos[None, :], out=scratch.empty(out.shape, np.uint64, order))
     return _mixed_to_unit(words, out)
+
+
+def _tile(kernel, tkeys: np.ndarray, positions: np.ndarray, out: np.ndarray, *args):
+    """Call a compiled tile function on ``out``, ``args`` between the
+    tile's memory order and its pointer, and return ``out``."""
+    tkeys = np.ascontiguousarray(tkeys, dtype=np.uint64)
+    pos = np.ascontiguousarray(positions, dtype=np.uint64)
+    # the kernel walks raw memory: check what its pointers point at
+    if out.shape != (len(tkeys), len(pos)) or out.dtype != np.float64 or not out.flags.forc:
+        raise ValueError("the compiled kernels fill a contiguous float64 (T, L) tile")
+    kernel(
+        tkeys.ctypes.data, len(tkeys), pos.ctypes.data, len(pos), order_of(out) == "F", *args,
+        out.ctypes.data,
+    )
+    return out
 
 
 def _mixed_to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -196,27 +235,33 @@ _BUILD_DIR = Path(__file__).with_name("_build")
 # no -march (the library may be shared between machines) and no
 # -ffast-math or fused multiply-adds, which would change the rounding
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# libm's log and sqrt, the ones scipy's ndtri calls
+_LIBS = ("-lm",)
 
 
 def _load_kernel(directory: Path = _BUILD_DIR):
-    """The compiled ``uniform_tile`` from ``directory``, compiled there
-    first where missing; None where no library builds or loads."""
+    """The compiled library from ``directory``, compiled there first where
+    missing, with ``uniform_tile`` and ``gaussian_tile`` ready to call;
+    None where no library builds or loads."""
     try:
         library = directory / _library_name()
         if not library.exists():
             _compile(library)
-        kernel = ctypes.CDLL(str(library)).uniform_tile
+        kernel = ctypes.CDLL(str(library))
+        uniform, gaussian = kernel.uniform_tile, kernel.gaussian_tile
     except (OSError, AttributeError):  # AttributeError: no such function in it
         return None
-    ptr = ctypes.c_void_p
-    kernel.argtypes = (ptr, ctypes.c_size_t, ptr, ctypes.c_size_t, ctypes.c_int, ptr)
-    kernel.restype = None
+    ptr, size, flag, real = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_double
+    uniform.argtypes = (ptr, size, ptr, size, flag, ptr)
+    gaussian.argtypes = (ptr, size, ptr, size, flag, real, real, ptr)
+    uniform.restype = gaussian.restype = None
     return kernel
 
 
 def _library_name() -> str:
-    """The library's file name, keyed by the C source and the flags."""
-    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
+    """The library's file name, keyed by the C source, the flags and the
+    libraries."""
+    key = zlib.crc32(_SOURCE.read_bytes() + " ".join(_CFLAGS + _LIBS).encode())
     return f"uniforms-{key:08x}.so"
 
 
@@ -229,7 +274,7 @@ def _compile(library: Path) -> None:
     partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
     try:
         subprocess.run(
-            ["cc", *_CFLAGS, "-o", str(partial), str(_SOURCE)],
+            ["cc", *_CFLAGS, "-o", str(partial), str(_SOURCE), *_LIBS],
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             check=True, timeout=120,
         )
@@ -241,8 +286,8 @@ def _compile(library: Path) -> None:
 
 
 def uniform_path() -> str:
-    """"compiled" where the C kernel draws the block and column uniforms,
-    else "numpy"."""
+    """"compiled" where the C kernel draws the block and column uniforms
+    and the Gaussian blocks, else "numpy"."""
     return "numpy" if _kernel is None else "compiled"
 
 

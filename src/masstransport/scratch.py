@@ -28,7 +28,8 @@ between tiles the same way, by carrying each trial's partial sums
 (``ergodic._SegmentSums``).
 
 :func:`check_memory` refuses, before anything is allocated, work whose
-kept results or one tile could not fit in physical memory.
+kept results or one tile could not fit in physical memory, and
+:func:`check_bytes` any other amount that could not.
 """
 
 from __future__ import annotations
@@ -146,14 +147,20 @@ def check_memory(trials: int, per_trial: int, width: int, window: str) -> None:
     holds at least ``width`` float64 increments: one trial's whole window
     where tiles hold whole windows, a walk's tile where they walk.  The
     error names ``window`` when the tile alone is too large, else trials.
-    Where the platform does not report its memory, nothing is refused.
     """
+    check_bytes(8 * width, window)
+    check_bytes(8 * trials * per_trial, "trials")
+
+
+def check_bytes(nbytes: int, field: str) -> None:
+    """Refuse, naming ``field``, a run that needs ``nbytes`` of memory at
+    once, more than the machine's physical memory.  Where the platform
+    does not report its memory, nothing is refused."""
     try:
         total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    for field, nbytes in ((window, 8 * width), ("trials", 8 * trials * per_trial)):
-        if nbytes > total:
-            raise InvalidSpec(
-                f"needs {nbytes} bytes, more than the {total} bytes of physical memory", field
-            )
+    if nbytes > total:
+        raise InvalidSpec(
+            f"needs {nbytes} bytes, more than the {total} bytes of physical memory", field
+        )

@@ -43,12 +43,13 @@ from fractions import Fraction
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .processes import DEFAULT_ATOM_CAP, Process, exact_fold, reversed_law
-from .scratch import Scratch, check_memory, order_of, scan
+from .scratch import Scratch, check_bytes, check_memory, order_of, scan
 from .transport import received_mass_terms, sent_mass_terms
 
 # perfbench/spans.py patches these names here; nothing in this module calls them
@@ -384,6 +385,9 @@ def mc_identity(
     (horizon - 1) x trials buffer would hold, so every sum is the same at
     any thread count.  M(0, 1) and M(-1, 0) are 0 on every path (the
     first record receives nothing), so n = 1 stores and samples nothing.
+    Before the run, memory must hold the row and one trial's window; as
+    the chunks return their terms, the row and the terms held must fit
+    too, else the run is refused naming trials.
 
     A chunk is one tile of whole windows, and each side is screened on
     the step next to the origin.  The left side draws X_1 of every trial,
@@ -403,7 +407,10 @@ def mc_identity(
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
     _check_interval(trials, z)
-    check_memory(trials, horizon - 1, horizon, "horizon")
+    # the row of all trials and one trial's window; the held terms are
+    # checked as the chunks return them
+    check_memory(trials, 1, horizon, "horizon")
+    check_work(trials, 2 * horizon, "horizon")
     # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
     zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)
     if horizon == 1:
@@ -412,7 +419,11 @@ def mc_identity(
     row = np.empty(trials)
 
     def side(first: int, lo: int, mass_terms, keep) -> list[EstimateCI]:
+        # the row, then 12 bytes for each term the chunks hold
+        held_bytes, lock = 8 * trials, threading.Lock()
+
         def worker(chunk: np.ndarray):
+            nonlocal held_bytes
             tile = scratch.tile()
             start = int(chunk[0])
             chunk = chunk + np.uint64(first)
@@ -432,6 +443,9 @@ def mc_identity(
             terms = mass_terms(sums, tile).T[1:]
             nonzero = np.not_equal(terms.view(np.int64), 0, out=tile.empty(terms.shape, bool))
             held = np.flatnonzero(nonzero)  # j * k + the trial's place in the tile
+            with lock:
+                held_bytes += 12 * len(held)
+                check_bytes(held_bytes, "trials")
             k = len(block)
             cuts = np.searchsorted(held, k * np.arange(horizon))  # row j: cuts[j]:cuts[j + 1]
             counts = np.diff(cuts)

@@ -416,6 +416,27 @@ def test_transport_refuses_a_window_whose_tables_could_not_fit(monkeypatch, caps
             assert code == 0 and built
 
 
+def test_sample_refuses_a_window_whose_rows_could_not_fit(monkeypatch, capsys):
+    # [-4, 4]: 8 increments, each kept as Python floats in a row of output
+    argv = ["sample", "--spec", str(spec_path("p06_walk")), "--lo", "-4", "--hi", "4"]
+    needed = 8 * cli_module._SAMPLE_ENTRY_BYTES
+    drawn, sample_block = [], processes_module.IidDiscreteProcess.sample_block
+    monkeypatch.setattr(
+        processes_module.IidDiscreteProcess,
+        "sample_block",
+        lambda *a, **k: drawn.append(a) or sample_block(*a, **k),
+    )
+    for nbytes in (needed - 1, needed):
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(os, "sysconf", memory.get)
+        code, out, err = run(argv, capsys)
+        if nbytes < needed:
+            assert (code, out, drawn) == (2, "", [])
+            assert f"error: window [-4, 4]: needs {needed} bytes" in err
+        else:
+            assert code == 0 and drawn
+
+
 # walks no run would finish: each is refused before anything is drawn
 @pytest.mark.parametrize(
     "args, field",
@@ -894,17 +915,50 @@ def test_malformed_threads_env_exits_2_naming_it(raw, monkeypatch, capsys):
 
 
 def test_only_gaussian_processes_import_scipy():
+    # building and running a spec imports scipy.special only where the
+    # compiled kernel did not load and the spec is a Gaussian: compiled,
+    # the kernel draws the Gaussian increments itself
     script = (
-        "import sys; from masstransport import cli, make_process, parse_spec_file; "
-        "[make_process(parse_spec_file(p)) for p in sys.argv[1:-1]]; "
-        "assert ('scipy' in sys.modules) == (sys.argv[-1] == 'yes'), sorted(sys.modules)"
+        "import sys; from masstransport import cli, rng; "
+        "rng._kernel = None if sys.argv[1] == 'numpy' else rng._kernel; "
+        "assert rng.uniform_path() == sys.argv[1]; "
+        "[cli.main([c, '--spec', p, *a]) for p in sys.argv[3:] for c, *a in ("
+        "('sample',), ('survival', '--mode', 'mc', '--horizon', '16', '--trials', '40'))]; "
+        "assert ('scipy.special' in sys.modules) == (sys.argv[2] == 'yes'), sorted(sys.modules)"
     )
+    gaussian = [str(spec_path("gaussian_drift"))]
     others = [str(spec_path(n)) for n in SPEC_NAMES if n != "gaussian_drift"]
-    for paths, imported in ((others, "no"), ([str(spec_path("gaussian_drift"))], "yes")):
+    cases = [("numpy", others, "no"), ("numpy", gaussian, "yes")]
+    if rng_module._kernel is not None:
+        cases.append(("compiled", others + gaussian, "no"))
+    for path, paths, imported in cases:
         proc = subprocess.run(
-            [sys.executable, "-c", script, *paths, imported], capture_output=True, text=True
+            [sys.executable, "-c", script, path, imported, *paths], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+
+GAUSSIAN_COMMANDS = [
+    ["sample", "--lo", "-300", "--hi", "300"],
+    ["verify-identity", "--horizon", "24", "--trials", "3000"],
+    ["verify-maximal", "--horizon", "300", "--trials", "3000"],
+    ["survival", "--horizon", "300", "--trials", "3000", "--format", "json"],
+    ["birkhoff", "--n-max", "600", "--trials", "200"],
+    ["birkhoff", "--n-max", "600", "--trials", "500", "--epsilon", "0.05"],
+]
+
+
+def test_gaussian_outputs_hold_on_the_numpy_uniforms(capsys, monkeypatch):
+    # the repo's goldens hold no Gaussian run, so each Gaussian command is
+    # run on both paths: the compiled kernel's ndtri against scipy's
+    if rng_module._kernel is None:
+        pytest.skip("no compiled uniform kernel loaded here")
+    spec = ["--spec", str(spec_path("gaussian_drift")), "--seed", "11"]
+    compiled = [run(command + spec, capsys) for command in GAUSSIAN_COMMANDS]
+    monkeypatch.setattr(rng_module, "_kernel", None)
+    for command, expected in zip(GAUSSIAN_COMMANDS, compiled):
+        assert expected[0] == 0 and expected[1]
+        assert run(command + spec, capsys) == expected, command
 
 
 def test_module_entrypoint_smoke():

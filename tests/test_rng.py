@@ -3,6 +3,7 @@ and the compiled and numpy paths agreeing bit for bit."""
 
 from __future__ import annotations
 
+import math
 import shutil
 from unittest import mock
 
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from masstransport import rng as rng_module
 from masstransport.rng import (
     GOLDEN,
     MASK,
+    gaussian_block,
     index_position,
     index_positions,
     mix64,
@@ -204,6 +207,68 @@ def test_the_kernel_matches_the_numpy_path_bit_for_bit(seed, stream, trials, pos
     np.testing.assert_array_equal(column.view(np.uint64), reference_column.view(np.uint64))
 
 
+@pytest.mark.skipif(rng_module._kernel is None, reason=NO_KERNEL)
+@given(
+    U64, U64, U64, st.integers(1, 600), st.integers(-(1 << 62), 1 << 62), st.integers(1, 600),
+    st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+)
+@example(3, 1, 7, 1, -5, 600, 0.0, 1.0)  # one trial
+@example(3, 1, 7, 600, -5, 1, 0.0, 1.0)  # one position
+@example(3, 1, MASK, 1, -1, 1, -2.5, 0.25)
+def test_the_gaussian_kernel_matches_scipy_ndtri_bit_for_bit(
+    seed, stream, first, trials, lo, positions, mean, stddev
+):
+    # runs of up to 600 draws cross the kernel's passes of 256, and both
+    # tile orders come up
+    trials = (np.arange(trials, dtype=np.uint64) + np.uint64(first)) & np.uint64(MASK)
+    positions = index_positions(lo, lo + positions - 1)
+    block = gaussian_block(seed, stream, trials, positions, mean, stddev)
+    with mock.patch.object(rng_module, "_kernel", None):
+        u = uniform_block(seed, stream, trials, positions)
+        fallback = gaussian_block(seed, stream, trials, positions, mean, stddev)
+    reference = ndtri(u)
+    reference *= stddev
+    reference += mean
+    assert block.strides == u.strides == fallback.strides
+    np.testing.assert_array_equal(block.view(np.uint64), reference.view(np.uint64))
+    np.testing.assert_array_equal(fallback.view(np.uint64), reference.view(np.uint64))
+
+
+def _lattice_words(edge: float, count: int) -> list[int]:
+    """The ``2 * count`` words whose uniforms lie nearest ``edge``."""
+    w = int(edge * (1 << 53))
+    return [max(0, min(k, (1 << 53) - 1)) << 11 for k in range(w - count, w + count)]
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_the_gaussian_draw_of_the_extreme_words_and_the_branch_edges(path, monkeypatch):
+    # ndtri's branches meet at e^-2 and 1 - e^-2 (central part and tails)
+    # and at e^-32 (the two tail fits), and the lattice's smallest and
+    # largest words are its largest |ndtri(u)|: GaussianProcess.magnitude
+    # rests on |ndtri(u)| < 8.3 on the lattice
+    if path == "numpy":
+        monkeypatch.setattr(rng_module, "_kernel", None)
+    elif rng_module._kernel is None:
+        pytest.skip(NO_KERNEL)
+    edges = (0.0, math.exp(-32), math.exp(-2), 0.5, 1 - math.exp(-2), 1 - math.exp(-32), 1.0)
+    words = sorted({w for edge in edges for w in _lattice_words(edge, 1000)})
+    seed, stream, trial = 8, 3, 21
+    positions = np.array(
+        [_position_of_word(seed, stream, trial, w) for w in words], dtype=np.uint64
+    )
+    trials = np.array([trial], dtype=np.uint64)
+    u = np.array([((w >> 11) + 0.5) / (1 << 53) for w in words])
+    u[-1] = np.nextafter(1.0, 0.0)  # the top word's uniform
+    np.testing.assert_array_equal(uniform_block(seed, stream, trials, positions)[0], u)
+    z = gaussian_block(seed, stream, trials, positions, 0.0, 1.0)[0]
+    np.testing.assert_array_equal(z.view(np.uint64), ndtri(u).view(np.uint64))
+    assert np.abs(z).max() < 8.3
+    shifted = gaussian_block(seed, stream, trials, positions, -1.25, 3.5)[0]
+    reference = ndtri(u) * 3.5
+    reference += -1.25
+    np.testing.assert_array_equal(shifted.view(np.uint64), reference.view(np.uint64))
+
+
 def test_the_loader_falls_back_to_numpy_without_raising(tmp_path, monkeypatch):
     # a read-only mode does not stop root, so the directory that takes no
     # files is one whose path runs through a regular file
@@ -231,5 +296,7 @@ def test_the_loader_builds_a_missing_library_once(tmp_path):
     trials, positions = np.arange(5, dtype=np.uint64), index_positions(-2, 2)
     with mock.patch.object(rng_module, "_kernel", kernel):
         block = uniform_block(1, 2, trials, positions)
+        gaussian = gaussian_block(1, 2, trials, positions, 0.5, 2.0)
     with mock.patch.object(rng_module, "_kernel", None):
         np.testing.assert_array_equal(block, uniform_block(1, 2, trials, positions))
+        np.testing.assert_array_equal(gaussian, gaussian_block(1, 2, trials, positions, 0.5, 2.0))

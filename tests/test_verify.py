@@ -462,7 +462,9 @@ def test_walked_trajectories_draw_the_uniforms_of_whole_rows(walked_kinds, monke
 
         return counted
 
-    for attr in ("uniform_block", "uniform_column"):
+    # the compiled kernel draws a Gaussian's increments without
+    # uniform_block, so gaussian_block's elements count too
+    for attr in ("uniform_block", "uniform_column", "gaussian_block"):
         monkeypatch.setattr(rng_module, attr, counting(getattr(rng_module, attr)))
     trials, n_max = 300, 1000
     idx = np.arange(trials, dtype=np.uint64)
@@ -739,18 +741,72 @@ def test_the_identity_draws_whole_windows_only_where_the_first_step_can_carry_ma
     assert {(a, b) for a, b, _ in calls} <= {(0, 1), (-1, 0), (0, horizon), (-horizon, 0)}
 
 
+def _held_terms(proc, horizon: int, first: int, lo: int, mass_terms) -> int:
+    """The mass terms for n = 2..horizon that differ from +0.0 in any bit,
+    of one side of mc_identity's 100 trials starting at ``first``."""
+    block = proc.sample_block(0, np.arange(first, first + 100, dtype=np.uint64), lo, lo + horizon)
+    sums = np.concatenate([np.zeros((100, 1)), np.cumsum(block, axis=1)], axis=1)
+    if lo < 0:
+        sums -= sums[:, -1:]
+    return int(np.count_nonzero(mass_terms(sums)[:, 1:].view(np.int64)))
+
+
 def test_mc_identity_memory_check_counts_one_side_of_terms(corpus, monkeypatch):
-    # 100 trials at horizon 4 keep one side's terms for n = 2..4 at a time:
-    # 3 * 100 floats, 2400 bytes
-    for nbytes in (2399, 2400):
+    # 100 trials at horizon 16 keep a row of all trials (800 bytes) and,
+    # one side at a time, 12 bytes for each term they hold for n = 2..16
+    proc = corpus["p06_walk"]
+    held = max(
+        _held_terms(proc, 16, 0, 0, sent_mass_terms),
+        _held_terms(proc, 16, 100, -16, received_mass_terms),
+    )
+    assert 0 < held < 15 * 100 // 2
+    needed = 800 + 12 * held
+    for nbytes in (needed - 1, needed):
         memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
         monkeypatch.setattr(scratch_module.os, "sysconf", memory.get)
-        if nbytes < 2400:
+        if nbytes < needed:
             with pytest.raises(InvalidSpec) as err:
-                mc_identity(corpus["p06_walk"], 4, 100, seed=0)
+                mc_identity(proc, 16, 100, seed=0)
             assert err.value.where == "trials"
         else:
-            assert len(mc_identity(corpus["p06_walk"], 4, 100, seed=0)) == 4
+            assert len(mc_identity(proc, 16, 100, seed=0)) == 16
+
+
+class _Started(Exception):
+    pass
+
+
+def _refusal(monkeypatch, memory: int, horizon: int, trials: int) -> str | None:
+    """The field mc_identity's checks before the run refuse, with
+    ``memory`` bytes of physical memory, or None where the run starts."""
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+    monkeypatch.setattr(scratch_module.os, "sysconf", sizes.get)
+
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(verify_module, "_run_chunks", started)
+    try:
+        mc_identity(make_process(IidDiscrete((1,), (1,))), horizon, trials, seed=0)
+    except InvalidSpec as err:
+        return err.where
+    except _Started:
+        return None
+    raise AssertionError("the identity ran no chunk")
+
+
+def test_mc_identity_memory_check_sizes_the_row_not_a_dense_buffer(monkeypatch):
+    # a dense buffer at horizon 1024 and 1.1 M trials took 9.0 GB, and the
+    # row takes 8.8 MB; an 8.4 GB machine starts the run
+    assert _refusal(monkeypatch, 8_408_645_632, 1024, 1_100_000) is None
+    assert _refusal(monkeypatch, 8 * 1_100_000 - 1, 1024, 1_100_000) == "trials"
+    # one trial's window is the tile's least
+    assert _refusal(monkeypatch, 8 * 1024 - 1, 1024, 2) == "horizon"
+    # past the memory, the work cap: both sides draw 2 * horizon a trial
+    big = 1 << 60
+    assert _refusal(monkeypatch, big, verify_module.MAX_INCREMENTS // 2, 2) == "trials"
+    assert _refusal(monkeypatch, big, verify_module.MAX_INCREMENTS // 2 + 1, 2) == "horizon"
+    assert _refusal(monkeypatch, big, 10**400, 2) == "horizon"
 
 
 def _traced_peak(run):

@@ -42,10 +42,10 @@ CAVEATS = {
     "setup_s": (
         "includes compiling the package's sources wherever PYTHONDONTWRITEBYTECODE is set: "
         "perfbench's untimed first set-up child is meant to fill the bytecode cache, but no "
-        "__pycache__ is written, so every set-up sample compiles src/ again; most of the rest "
-        "of mc_short's and mc_long's set-up is importing scipy; where the compiled uniform "
-        "kernel's library is missing, perfbench's untimed first set-up child compiles it "
-        "(about 50 ms), and no timed sample does"
+        "__pycache__ is written, so every set-up sample compiles src/ again; scipy is "
+        "imported only where the compiled kernel did not load; where the kernel's library "
+        "is missing, perfbench's untimed first set-up child compiles it (about 50 ms), and "
+        "no timed sample does"
     ),
     "trace.overhead_frac": (
         "noise on exact_lane: its whole traced command list runs in about 0.01 s, so the "
