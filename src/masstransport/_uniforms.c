@@ -169,15 +169,10 @@ void gaussian_tile(const uint64_t *tkey, size_t trials, const uint64_t *pos, siz
         for (size_t s = 0; s < length; s += BLOCK) {
             size_t n = length - s < BLOCK ? length - s : BLOCK;
             double *x = out + s;
-            if (trials_contiguous) {
-                uint64_t step = pos[r] * GOLDEN;
-                for (size_t i = 0; i < n; i++)
-                    x[i] = unit(tkey[s + i] + step);
-            } else {
-                uint64_t key = tkey[r];
-                for (size_t i = 0; i < n; i++)
-                    x[i] = unit(key + pos[s + i] * GOLDEN);
-            }
+            if (trials_contiguous)
+                uniform_tile(tkey + s, n, pos + r, 1, 1, x);
+            else
+                uniform_tile(tkey + r, 1, pos + s, n, 0, x);
             gaussian_run(x, n, mean, stddev);
         }
     }
