@@ -41,8 +41,6 @@ from .scratch import check_memory
 from .specio import parse_spec_file
 from . import ergodic, transport, verify
 
-THREADS_ENV = "MASSTRANSPORT_THREADS"
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):  # numpy's float64 too
@@ -116,14 +114,6 @@ def _write_out(path: str, text: str) -> None:
             return
     with open(path, "w") as f:
         f.write(text)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise MassTransportError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +468,8 @@ def _add_mc(p: argparse.ArgumentParser, default_trials: int) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help=f"worker threads; results do not depend on this (default ${THREADS_ENV} or 1)",
+        default=1,
+        help="worker threads; results do not depend on this (default 1)",
     )
     p.add_argument("--z", type=float, default=verify.Z_DEFAULT, help="CI half-width in standard errors")
 
@@ -572,24 +562,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(threads_env: str | None) -> argparse.ArgumentParser:
-    # the tree's only input from outside is --threads' default; a malformed
-    # value raises here, and lru_cache keeps no exception, so it raises again
-    return build_parser()
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     """Run one command; returns its exit code (see the module docstring).
 
-    Calls in one process share one parser, rebuilt only when
-    $MASSTRANSPORT_THREADS changes, so in-process callers (tests,
+    Calls in one process share one parser, so in-process callers (tests,
     benchmarks, library users) pay for building its tree of subcommands
     once.
     """
     limit = sys.get_int_max_str_digits()
     try:
-        args = _parser(os.environ.get(THREADS_ENV)).parse_args(argv)
+        args = _parser().parse_args(argv)
         process = make_process(parse_spec_file(args.spec))
         # exact results, and the counts a refusal names, may pass the
         # default 4300 digits; argparse and the spec file keep the limit

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import Process
-from .scratch import Scratch, order_of
+from .scratch import order_of
 from .verify import EstimateCI, Z_DEFAULT, _estimate, _walk, _walk_rows
 from .verify import _run_chunks  # noqa: F401  perfbench/spans.py patches ergodic._run_chunks
 
@@ -133,16 +133,16 @@ class _SegmentSums:
 
     It replays numpy's summation tree of each segment across tiles: each
     trial's open leaf (eight accumulators) and the stack of finished
-    subtree sums live in per-chunk arrays, a column of trials per slot,
-    and each full group of 8 positions of a leaf is one add.  That is a
-    few dozen floats per trial at any n_max.
+    subtree sums live in arrays of the chunk, one row of trials per
+    accumulator or stack entry, and each full group of 8 positions of a
+    leaf is one add.  That is a few dozen floats per trial at any n_max.
     """
 
-    def __init__(self, grid: tuple[int, ...], out: np.ndarray, tile: Scratch):
+    def __init__(self, grid: tuple[int, ...], out: np.ndarray):
         trials = out.shape[0]
         self.out = out
-        self.acc = tile.empty((8, trials))
-        self.stack = tile.empty((_stack_depth(grid), trials))
+        self.acc = np.empty((8, trials))
+        self.stack = np.empty((_stack_depth(grid), trials))
         self.depth = 0
         self.steps = _grid_steps(grid)
         self.step = next(self.steps)
@@ -280,7 +280,7 @@ def trajectory_batch(
         raise InvalidSpec(f"trials must be non-negative, got {trials}")
 
     def step(chunk: np.ndarray, tile, averages: np.ndarray, ids: np.ndarray) -> None:
-        sums = _SegmentSums(grid, averages, tile)
+        sums = _SegmentSums(grid, averages)
         _walk(process, seed, chunk, n_max, tile, sums.feed, running=False)
         _to_averages(averages, grid)
         ids[:] = process.component_ids(seed, chunk)
@@ -357,7 +357,7 @@ def estimate_dip_probability(
 
     def step(chunk: np.ndarray, tile):
         target = targets[process.component_ids(seed, chunk)]
-        worst = tile.empty((len(chunk),))
+        worst = np.empty(len(chunk))
 
         # no trial is dropped, so every tile holds every row of the chunk,
         # in the walk's order

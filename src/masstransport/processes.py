@@ -298,13 +298,13 @@ class Process:
         """
         raise NotImplementedError
 
-    def walk_state(self, seed: int, trials: np.ndarray, scratch=FRESH) -> tuple:
+    def walk_state(self, seed: int, trials: np.ndarray) -> tuple:
         """(state, order) to walk ``trials`` window by window from lo = 0:
         ``state`` holds ``walk_width`` float64 columns for each trial, rows
         in ``order``, for ``sample_block`` to fill and continue, and
         ``order`` is the order of the trials that samples them fastest, or
         None for the order given."""
-        return scratch.empty((len(trials), self.walk_width)), None
+        return np.empty((len(trials), self.walk_width)), None
 
     def component_ids(self, seed: int, trials: np.ndarray) -> np.ndarray:
         """Which ergodic component each trial follows, shape (T,)."""
@@ -735,13 +735,13 @@ class MixtureProcess(Process):
             if count:
                 yield c, child, rows
 
-    def walk_state(self, seed, trials, scratch=FRESH):
+    def walk_state(self, seed, trials):
         # the trials walk in the order of their picks, and each child's in
         # the child's own order, so each child's rows are one slice, and a
         # nested mixture's children's rows slices of that
         picks = self._picks(seed, trials)
         order = np.argsort(picks, kind="stable")
-        state = scratch.empty((len(trials), self.walk_width))
+        state = np.empty((len(trials), self.walk_width))
         state[:, 0] = picks[order]
         for _, child, rows in self._groups(state[:, 0]):
             sub, sub_order = child.walk_state(seed, trials[order[rows]])

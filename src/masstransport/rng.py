@@ -78,14 +78,6 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array.
-
-    The input array is left untouched; the result is a fresh array.
-    """
-    return _mix64_inplace(x.copy(), np.empty_like(x))
-
-
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over x in place; ``scratch`` (same shape and
     dtype) holds the shifted words, so no other array is allocated."""

@@ -10,9 +10,9 @@ threads fault pages in at once.
 The Monte Carlo lane (:mod:`masstransport.verify`) makes tiles two
 ways: the identity's hold whole windows of as many trials as fit, and a
 walk (``verify._walk_rows``) cuts a chunk's rows into tiles of a few
-positions, trial-contiguous while many trials walk, whose per-chunk
-arrays sit in the first slots and outlive its tiles (``Scratch.tile``'s
-``keep``).  A tile's longer axis is the contiguous one
+positions, trial-contiguous while many trials walk.  A Scratch holds
+only a tile's temporaries; what a chunk keeps across its tiles is its
+own.  A tile's longer axis is the contiguous one
 (:func:`tile_order`), and every temporary of the tile takes the order of
 the array it is computed from (:func:`order_of`), so no pass mixes
 layouts.  :func:`scan` runs a running sum, minimum or maximum along the
@@ -60,18 +60,10 @@ class Scratch(threading.local):
         self._carved: list[tuple] = []
         self._used = 0
 
-    def tile(self, keep: int = 0) -> "Scratch":
-        """Start a tile.  The first ``keep`` arrays asked for since the
-        last start stay as they are: a loop of tiles inside one chunk
-        passes ``used`` as it was before the loop, so the chunk's own
-        arrays outlive its tiles."""
-        self._used = keep
+    def tile(self) -> "Scratch":
+        """Start a tile."""
+        self._used = 0
         return self
-
-    @property
-    def used(self) -> int:
-        """How many arrays the current tile has asked for."""
-        return self._used
 
     def empty(self, shape, dtype=np.float64, order="C") -> np.ndarray:
         k = self._used

@@ -282,23 +282,20 @@ def _walk(
     and returns None, or a boolean mask of those rows that walk on: the
     others are decided and drawn no further.  The rows walk in the order
     the kind asks for (``Process.walk_state``: a mixture's trials grouped
-    by pick), which dropping rows keeps.  The chunk's own arrays come
-    from ``tile`` before the loop and outlive its tiles.
+    by pick), which dropping rows keeps.  ``tile`` holds each tile's
+    temporaries; what the chunk carries across its tiles is its own.
     """
     n = len(chunk)
-    state, order = process.walk_state(seed, chunk, tile)
-    rows = tile.empty((n,), np.intp)
-    rows[:] = np.arange(n) if order is None else order
-    trials = tile.empty((n,), np.uint64)
-    np.take(chunk, rows, out=trials)
-    carry = tile.empty((n,)) if running else None
-    base = tile.used
+    state, order = process.walk_state(seed, chunk)
+    rows = np.arange(n) if order is None else order
+    trials = chunk[rows]
+    carry = np.empty(n) if running else None
     lo = 0
     while lo < n_max and len(rows):
         # sized as if for at least 8 trials: the arrays along a tile's
         # positions stay small however few trials walk on
         hi = min(n_max, lo + max(1, TILE_BYTES // (8 * max(len(rows), 8))))
-        block = process.sample_block(seed, trials, lo, hi, tile.tile(base), state)
+        block = process.sample_block(seed, trials, lo, hi, tile.tile(), state)
         if running:
             if lo:
                 block[:, 0] += carry
@@ -341,8 +338,8 @@ def _ruin(
     do that (a Gaussian or moving average of huge values), no bundled
     spec, and nothing the command line accepts (``check_magnitude``).
     """
-    x1 = tile.empty((len(chunk),))
-    low = tile.empty((len(chunk),))
+    x1 = np.empty(len(chunk))
+    low = np.empty(len(chunk))
 
     def visit(rows: np.ndarray, lo: int, sums: np.ndarray) -> np.ndarray:
         if lo == 0:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import EXACT_NAMES
+
 ROOT = Path(__file__).parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -60,6 +62,30 @@ def test_the_latest_bench_record_holds_every_workload_and_metric():
         assert draws == 0 if name == "exact_lane" else draws > 0
 
 
+def test_the_latest_bench_record_times_each_acceptance_criterion():
+    _, record = latest_record()
+    criteria = record["criteria_s"]
+    assert set(criteria) == {str(n) for n in range(1, 8)}
+    for n, c in criteria.items():
+        assert c["verdict"] == "PASS", n
+        # criterion 3 shares criterion 2's corpus and prints no time
+        assert c["s"] is None if n == "3" else c["s"] >= 0, n
+
+
+def test_the_latest_bench_record_times_the_exact_lane_against_the_horizon():
+    _, record = latest_record()
+    table = record["exact_horizons"]
+    assert set(table) == set(EXACT_NAMES)
+    for name, lanes in table.items():
+        assert set(lanes) == {"exact_identity", "exact_survival"}, name
+        assert set(lanes["exact_identity"]) == {"64", "128", "256", "512", "1024"}, name
+        assert set(lanes["exact_survival"]) == {"256", "512", "1024", "2048"}, name
+        for rows in lanes.values():
+            for row in rows.values():
+                assert set(row) == {"s", "refused"} and row["s"] > 0, name
+                assert row["refused"] is None or isinstance(row["refused"], str), name
+
+
 def test_spread_gives_the_median_and_quartiles(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     bench = importlib.import_module("bench")
@@ -70,3 +96,19 @@ def test_spread_gives_the_median_and_quartiles(monkeypatch):
     assert summary["end_to_end"]["wall_s"]["median"] == pytest.approx(3.0)
     assert summary["end_to_end"]["peak_rss_mb"]["median"] == 2.0
     assert summary["command_wall_s"] == {"a": 1.0, "b": 2.0}
+
+
+def test_criterion_time_reads_a_verdict_line(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench = importlib.import_module("bench")
+    assert bench.criterion_time("criterion 1 (exact identity, n <= 8, 0.1s): PASS") == (
+        "1", {"s": 0.1, "verdict": "PASS"}
+    )
+    # the total comes first, before a colon and its breakdown
+    line = "criterion 6 (gap 0.0100 <= 0.02, dips ['0.0012'], 12.8s: trajectories 7.9s): FAIL"
+    assert bench.criterion_time(line) == ("6", {"s": 12.8, "verdict": "FAIL"})
+    assert bench.criterion_time("criterion 3 (telescoping, same corpus): PASS") == (
+        "3", {"s": None, "verdict": "PASS"}
+    )
+    assert bench.criterion_time("tests/test_acceptance.py .") is None
+    assert bench.EXACT_NAMES == tuple(EXACT_NAMES)

@@ -23,7 +23,6 @@ from masstransport import ergodic as ergodic_module
 from masstransport import verify as verify_module
 from masstransport.ergodic import average_grid, trajectory
 from masstransport.processes import negate_spec
-from masstransport.scratch import Scratch
 
 from conftest import SPEC_NAMES
 from test_exact_oracle import THREE_STATE_CHAIN
@@ -139,7 +138,7 @@ def _replayed(grid, rows: np.ndarray, widths) -> np.ndarray:
     turn, with the trials walked in reverse order."""
     out = np.empty((len(rows), len(grid)))
     order = np.arange(len(rows))[::-1].copy()
-    sums = ergodic_module._SegmentSums(grid, out, Scratch().tile())
+    sums = ergodic_module._SegmentSums(grid, out)
     lo = 0
     for width in itertools.cycle(widths):
         sums.feed(order, lo, np.asfortranarray(rows[order, lo : lo + width]))

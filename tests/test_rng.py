@@ -21,7 +21,6 @@ from masstransport.rng import (
     index_position,
     index_positions,
     mix64,
-    mix64_array,
     trial_key,
     uniform,
     uniform_block,
@@ -53,11 +52,12 @@ def test_mix64_stays_in_range(x):
 
 @given(st.lists(U64, min_size=1, max_size=64))
 def test_mix64_array_matches_scalar(xs):
+    # the array finalizer that trial_keys and the numpy uniforms run
     arr = np.array(xs, dtype=np.uint64)
-    out = mix64_array(arr)
-    assert out.dtype == np.uint64
-    for x, y in zip(xs, out):
-        assert mix64(x) == int(y)
+    out = rng_module._mix64_inplace(arr, np.empty_like(arr))
+    assert out is arr and out.dtype == np.uint64
+    for x, y in zip(xs, out.tolist()):
+        assert mix64(x) == y
 
 
 def test_mix64_avalanche_on_adjacent_inputs():

@@ -394,7 +394,7 @@ def test_a_chain_carries_its_state_across_tiles(screened_kinds, name):
     payoffs = [float(v) for v in chain.spec.payoffs]
     assert len(set(payoffs)) == len(payoffs)  # a value names its state
     trials = np.arange(7, 847, 7, dtype=np.uint64)
-    state, order = proc.walk_state(2, trials, Scratch())
+    state, order = proc.walk_state(2, trials)
     if order is not None:  # the state's rows follow the walk's order
         trials = trials[order]
     # the chain's column and the rows that follow it: a mixture keeps its
@@ -426,7 +426,7 @@ def test_a_moving_average_carries_its_innovations_across_tiles(walked_kinds, nam
 
     proc.inner.sample_block = recording
     try:
-        state, order = proc.walk_state(2, trials, Scratch())
+        state, order = proc.walk_state(2, trials)
         assert order is None
         tile = Scratch()
         for lo, hi in zip((0, 1, 2, 5, 13, 14, 40), (1, 2, 5, 13, 14, 40, 64)):

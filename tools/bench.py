@@ -10,8 +10,13 @@ the commit, the host, the versions and ``tools/src_lines.py``'s counts
 of ``src/``.  It also names the uniform path that ran (``rng_path``:
 the compiled kernel or numpy), and times mc_long's command list
 in-process at ``--threads 1`` and ``--threads 2``, best of two per
-command (``mc_long_threads``).  Besides the package, standard library
-only.  Run from the repository root:
+command (``mc_long_threads``).  Outside perfbench it records each
+acceptance criterion's wall time as its verdict line prints it
+(``criteria_s``: the tests run once, under pytest), and the exact lane's
+in-process time against the horizon on each exact bundled spec
+(``exact_horizons``), a refused run with its time and its message.
+Besides the package and pytest, standard library only.  Run from the
+repository root:
 
     python3 tools/bench.py [--seconds 15]
 """
@@ -25,6 +30,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +42,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ("mc_short", "mc_long", "exact_lane")
 SEED = 0  # perfbench's default seed, the one the benchmark runs at
 THREAD_ROUNDS = 2
+# the bundled specs with an exact lane (tests/conftest.py's EXACT_NAMES)
+EXACT_NAMES = (
+    "mixture", "moving_average", "markov_drift", "p06_walk", "two_point", "two_point_chain",
+)
+IDENTITY_HORIZONS = (64, 128, 256, 512, 1024)
+SURVIVAL_HORIZONS = (256, 512, 1024, 2048)
+# "criterion N (...): PASS", whose text ends in the criterion's wall time,
+# or holds it before a colon that starts a breakdown of it
+VERDICT = re.compile(r"criterion (\d+) \((.*)\): (PASS|FAIL)")
+WALL = re.compile(r"(?<![\w.])(\d+\.\d)s(?=:|$)")
 
 # what the metrics cannot show, next to the metrics they affect
 CAVEATS = {
@@ -117,6 +133,55 @@ def thread_table() -> dict:
     return table
 
 
+def criterion_time(line: str) -> tuple[str, dict] | None:
+    """(criterion, {"s": its wall time or None, "verdict": ...}) of an
+    acceptance verdict line, or None for any other line."""
+    m = VERDICT.fullmatch(line.strip())
+    if m is None:
+        return None
+    wall = WALL.search(m[2])
+    return m[1], {"s": None if wall is None else float(wall[1]), "verdict": m[3]}
+
+
+def criteria_times() -> dict:
+    """Each acceptance criterion's wall time, from one run of
+    tests/test_acceptance.py: its verdict lines, printed past pytest's
+    capture, hold them."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    times = dict(filter(None, map(criterion_time, proc.stdout.splitlines())))
+    if len(times) != 7:
+        raise RuntimeError(f"read {len(times)} of 7 verdict lines:\n{proc.stdout}")
+    return times
+
+
+def exact_table() -> dict:
+    """The in-process time of ``exact_identity`` at each H in
+    IDENTITY_HORIZONS and of ``exact_survival`` at each N in
+    SURVIVAL_HORIZONS, on each spec in EXACT_NAMES, at the default atom
+    cap: {"s": seconds, "refused": None, or the message of a refusal}."""
+    from masstransport import MassTransportError, make_process, parse_spec_file, verify
+
+    table: dict = {}
+    for name in EXACT_NAMES:
+        process = make_process(parse_spec_file(ROOT / "specs" / f"{name}.json"))
+        for fn, horizons in (
+            (verify.exact_identity, IDENTITY_HORIZONS), (verify.exact_survival, SURVIVAL_HORIZONS),
+        ):
+            for horizon in horizons:
+                refused = None
+                t0 = time.perf_counter()
+                try:
+                    fn(process, horizon)
+                except MassTransportError as e:
+                    refused = str(e)
+                row = {"s": time.perf_counter() - t0, "refused": refused}
+                table.setdefault(name, {}).setdefault(fn.__name__, {})[str(horizon)] = row
+    return table
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -153,6 +218,8 @@ def bench(seconds: float) -> dict:
     from masstransport import rng  # imported from src/ by thread_table
 
     record["rng_path"] = rng.uniform_path()
+    record["exact_horizons"] = exact_table()
+    record["criteria_s"] = criteria_times()
     return record
 
 
