@@ -101,7 +101,7 @@ def test_spread_gives_the_median_and_quartiles(monkeypatch):
 def test_criterion_time_reads_a_verdict_line(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     bench = importlib.import_module("bench")
-    assert bench.criterion_time("criterion 1 (exact identity, n <= 8, 0.1s): PASS") == (
+    assert bench.criterion_time(".criterion 1 (exact identity, n <= 8, 0.1s): PASS") == (
         "1", {"s": 0.1, "verdict": "PASS"}
     )
     # the total comes first, before a colon and its breakdown

@@ -48,9 +48,10 @@ EXACT_NAMES = (
 )
 IDENTITY_HORIZONS = (64, 128, 256, 512, 1024)
 SURVIVAL_HORIZONS = (256, 512, 1024, 2048)
-# "criterion N (...): PASS", whose text ends in the criterion's wall time,
-# or holds it before a colon that starts a breakdown of it
-VERDICT = re.compile(r"criterion (\d+) \((.*)\): (PASS|FAIL)")
+# "criterion N (...): PASS", after pytest's progress dots, whose text ends
+# in the criterion's wall time or holds it before a colon that starts a
+# breakdown of it
+VERDICT = re.compile(r"criterion (\d+) \((.*)\): (PASS|FAIL)$")
 WALL = re.compile(r"(?<![\w.])(\d+\.\d)s(?=:|$)")
 
 # what the metrics cannot show, next to the metrics they affect
@@ -136,7 +137,7 @@ def thread_table() -> dict:
 def criterion_time(line: str) -> tuple[str, dict] | None:
     """(criterion, {"s": its wall time or None, "verdict": ...}) of an
     acceptance verdict line, or None for any other line."""
-    m = VERDICT.fullmatch(line.strip())
+    m = VERDICT.search(line.rstrip())
     if m is None:
         return None
     wall = WALL.search(m[2])
