@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -894,17 +895,37 @@ def test_birkhoff_dip_csv(capsys):
     assert rows[0][2] == "128"
 
 
-def test_an_environment_variable_sets_no_thread_count():
+def test_threads_default_to_one():
+    args = build_parser().parse_args(["verify-identity", "--spec", "x.json"])
+    assert args.threads == 1
+
+
+_STRAY_ARGV = {
+    "sample": ["sample", "--spec", str(spec_path("p06_walk"))],
+    "survival": ["survival", "--spec", str(spec_path("p06_walk")), "--horizon", "4", "--trials", "100"],
+}
+
+
+@functools.cache
+def _masstransport(command: str, threads_env: str | None):
+    """The exit code and bytes of ``masstransport`` run as its own process."""
+    env = {k: v for k, v in os.environ.items() if k != "MASSTRANSPORT_THREADS"}
+    if threads_env is not None:
+        env["MASSTRANSPORT_THREADS"] = threads_env
+    argv = [sys.executable, "-m", "masstransport", *_STRAY_ARGV[command]]
+    done = subprocess.run(argv, capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+@pytest.mark.parametrize("command", sorted(_STRAY_ARGV))
+def test_an_environment_variable_sets_no_thread_count(command, raw):
     # --threads is the one thread setting: a stray variable of the old
     # name, malformed or not, changes neither the exit code nor a byte
-    env = {k: v for k, v in os.environ.items() if k != "MASSTRANSPORT_THREADS"}
-    spec = ["--spec", str(spec_path("p06_walk"))]
-    for argv in (["sample", *spec], ["survival", *spec, "--horizon", "4", "--trials", "100"]):
-        command = [sys.executable, "-m", "masstransport", *argv]
-        plain = subprocess.run(command, capture_output=True, env=env)
-        stray = subprocess.run(command, capture_output=True, env={**env, "MASSTRANSPORT_THREADS": "abc"})
-        assert plain.returncode == stray.returncode == 0, stray.stderr
-        assert plain.stdout and stray.stdout == plain.stdout, argv
+    code, out, _ = _masstransport(command, None)
+    stray_code, stray_out, stray_err = _masstransport(command, raw)
+    assert code == stray_code == 0, stray_err
+    assert out and stray_out == out
 
 
 def test_only_gaussian_processes_import_scipy():
