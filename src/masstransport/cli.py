@@ -31,13 +31,14 @@ import os
 import stat
 import sys
 import uuid
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidSpec, MassTransportError
 from .processes import DEFAULT_ATOM_CAP, make_process, sample_window
-from .scratch import check_memory
+from .scratch import check_bytes
 from .specio import parse_spec_file
 from . import ergodic, transport, verify
 
@@ -55,7 +56,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -130,31 +131,31 @@ def _table(header: list[str], rows):
     return lambda: _csv_text(header, rows())
 
 
-# the window's values and sums as Python floats, a row per index and the
-# text: the peak memory of `sample` grew by 260-285 bytes per increment
-# (CSV and JSON alike)
+# the window's values and sums as Python floats and the text: at 400000
+# increments the peak memory of `sample` grew by 150 bytes per increment
+# as CSV and by 256 as JSON, whose indenting encoder holds one string per
+# value
 _SAMPLE_ENTRY_BYTES = 288
 
 
 def cmd_sample(args, process):
     n = args.hi - args.lo
-    check_memory(1, 0, n * _SAMPLE_ENTRY_BYTES // 8, f"window [{args.lo}, {args.hi}]")
+    check_bytes(n * _SAMPLE_ENTRY_BYTES, f"window [{args.lo}, {args.hi}]")
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
 
     def rows():
-        return [
-            [k, "" if k == window.lo else window.x(k), window.s(k)]
-            for k in range(window.lo, window.hi + 1)
-        ]
+        for k in range(window.lo, window.hi + 1):
+            yield k, "" if k == window.lo else window.x(k), window.s(k)
 
     def payload():
+        # json writes the window's tuples as arrays
         return {
             "lo": window.lo,
             "hi": window.hi,
             "seed": args.seed,
             "trial": args.trial,
-            "values": list(window.values),
-            "sums": list(window.sums),
+            "values": window.values,
+            "sums": window.sums,
         }
 
     return True, _table(["index", "x", "s"], rows), payload
@@ -173,7 +174,7 @@ def cmd_transport(args, process):
     # sender lo + k has at most n - k records after it
     n = args.hi - args.lo
     entries = n * (n + 1) // 2
-    check_memory(1, 0, entries * _TRANSPORT_ENTRY_BYTES // 8, f"window [{args.lo}, {args.hi}]")
+    check_bytes(entries * _TRANSPORT_ENTRY_BYTES, f"window [{args.lo}, {args.hi}]")
     window = sample_window(process, args.lo, args.hi, args.seed, args.trial)
     failures: list[str] = []
 

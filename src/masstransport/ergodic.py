@@ -72,8 +72,8 @@ def _to_averages(sums: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     return sums
 
 
-# numpy's float64 sum of a segment a[s:e], in add.reduce and add.reduceat,
-# is a[s] + pairwise(a[s+1:e]).  pairwise over m elements is one leaf when
+# numpy's float64 sum of a segment a[s:e] in add.reduceat is a[s] +
+# pairwise(a[s+1:e]).  pairwise over m elements is one leaf when
 # m <= LEAF: below 8 elements a sum in order from SHORT_LEAF_START, else
 # eight accumulators r_j of the elements j, j+8, .., up to the last full
 # group of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
@@ -103,27 +103,14 @@ def _pairwise_steps(a: int, m: int):
 
 def _grid_steps(grid: tuple[int, ...]):
     """The replay of every grid segment k: (_HEAD, k) for its first
-    position, its pairwise steps, then (_END, k, whether it had any)."""
+    position, its pairwise steps, then (_END, k)."""
     s = 0
     for k, e in enumerate(grid):
         yield _HEAD, k
         if e - s > 1:
             yield from _pairwise_steps(s + 1, e - s - 1)
-        yield _END, k, e - s > 1
+        yield _END, k
         s = e
-
-
-def _stack_depth(grid: tuple[int, ...]) -> int:
-    """The most subtree sums a segment's replay holds at once: one, plus
-    one for each left half waiting on the right one that is split again."""
-    depth = 1
-    for s, e in zip((0,) + grid[:-1], grid):
-        m, d = e - s - 1, 1
-        while m > LEAF:
-            half = m // 2
-            m, d = m - (half - half % 8), d + 1
-        depth = max(depth, d)
-    return depth
 
 
 class _SegmentSums:
@@ -132,18 +119,18 @@ class _SegmentSums:
     bit, ``add.reduceat``'s sum of segment k of row t.
 
     It replays numpy's summation tree of each segment across tiles: each
-    trial's open leaf (eight accumulators) and the stack of finished
-    subtree sums live in arrays of the chunk, one row of trials per
-    accumulator or stack entry, and each full group of 8 positions of a
-    leaf is one add.  That is a few dozen floats per trial at any n_max.
+    trial's open leaf (eight accumulators) lives in an array of the
+    chunk, one row of trials per accumulator, and the finished subtree
+    sums on a stack, one array of trials each: a leaf pushes one, a merge
+    pops the right one into the left, and a segment's end pops the last
+    into its head.  Each full group of 8 positions of a leaf is one add.
+    That is a few dozen floats per trial at any n_max.
     """
 
     def __init__(self, grid: tuple[int, ...], out: np.ndarray):
-        trials = out.shape[0]
         self.out = out
-        self.acc = np.empty((8, trials))
-        self.stack = np.empty((_stack_depth(grid), trials))
-        self.depth = 0
+        self.acc = np.empty((8, out.shape[0]))
+        self.stack: list[np.ndarray] = []
         self.steps = _grid_steps(grid)
         self.step = next(self.steps)
 
@@ -161,24 +148,22 @@ class _SegmentSums:
                 a, m = step[1], step[2]
                 if p == hi:
                     break
+                if p == a:
+                    stack.append(np.empty(len(self.out)))
                 start, p = p, min(a + m, hi)
                 self._leaf(cols[start - lo : p - lo], m, start - a)
                 if p < a + m:
                     break  # the leaf goes on in the next tile
-                self.depth += 1
             elif kind == _HEAD:
                 if p == hi:
                     break
                 self.out[rows, step[1]] = cols[p - lo]
                 p += 1
             elif kind == _MERGE:
-                d = self.depth
-                np.add(stack[d - 2], stack[d - 1], out=stack[d - 2])
-                self.depth = d - 1
-            else:  # _END of segment k: its head plus the pairwise sum of the rest
-                if step[2]:
-                    self.out[rows, step[1]] += stack[0]
-                    self.depth = 0
+                right = stack.pop()
+                np.add(stack[-1], right, out=stack[-1])
+            elif stack:  # _END of segment k, longer than its head: add the rest's sum
+                self.out[rows, step[1]] += stack.pop()
             step = next(self.steps, None)
         self.step = step
 
@@ -186,7 +171,7 @@ class _SegmentSums:
         """Add the next elements of a leaf of m elements into the top of
         the stack: cols[j] holds element i + j, and i elements went in
         before."""
-        acc, out = self.acc, self.stack[self.depth]
+        acc, out = self.acc, self.stack[-1]
         stop = i + len(cols)
         if m < 8:
             if i == 0:

@@ -54,7 +54,7 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from . import rng
-from .scratch import FRESH, check_memory, order_of, scan, tile_order
+from .scratch import FRESH, check_bytes, order_of, scan, tile_order
 from .errors import (
     ExplosionCap,
     InvalidSpec,
@@ -832,7 +832,7 @@ def sample_window(process: Process, lo: int, hi: int, seed: int, trial: int = 0)
     _check_window(lo, hi)
     if not 0 <= trial < 1 << 64:
         raise InvalidSpec(f"trial must lie in [0, 2**64), got {trial}")
-    check_memory(1, 0, hi - lo, f"window [{lo}, {hi}]")
+    check_bytes(8 * (hi - lo), f"window [{lo}, {hi}]")
     block = process.sample_block(seed, np.array([trial], dtype=np.uint64), lo, hi)
     return PathWindow(lo, hi, tuple(block[0].tolist()))
 

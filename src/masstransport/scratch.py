@@ -27,9 +27,10 @@ over both.  The walked trajectories cut numpy's pairwise segment sums
 between tiles the same way, by carrying each trial's partial sums
 (``ergodic._SegmentSums``).
 
-:func:`check_memory` refuses, before anything is allocated, work whose
-kept results or one tile could not fit in physical memory, and
-:func:`check_bytes` any other amount that could not.
+:func:`check_bytes` refuses, before anything is allocated, a number of
+bytes that physical memory could not hold: each caller checks its one
+tile or window first, naming that field, then what it keeps per trial,
+naming trials.
 """
 
 from __future__ import annotations
@@ -130,18 +131,6 @@ def scan(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     for j in range(1, len(src)):
         ufunc(dst[j - 1], src[j], out=dst[j])
     return out
-
-
-def check_memory(trials: int, per_trial: int, width: int, window: str) -> None:
-    """Refuse a run that the machine's physical memory could not hold.
-
-    A run keeps ``per_trial`` float64 results for each trial, and a tile
-    holds at least ``width`` float64 increments: one trial's whole window
-    where tiles hold whole windows, a walk's tile where they walk.  The
-    error names ``window`` when the tile alone is too large, else trials.
-    """
-    check_bytes(8 * width, window)
-    check_bytes(8 * trials * per_trial, "trials")
 
 
 def check_bytes(nbytes: int, field: str) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .processes import DEFAULT_ATOM_CAP, Process, exact_fold, reversed_law
-from .scratch import Scratch, check_bytes, check_memory, order_of, scan
+from .scratch import Scratch, check_bytes, order_of, scan
 from .transport import received_mass_terms, sent_mass_terms
 
 # perfbench/spans.py patches these names here; nothing in this module calls them
@@ -71,9 +71,6 @@ AGREEMENT_SIGMAS = 4.0
 # only groups trials; every draw is keyed by its absolute trial index, so
 # results cannot depend on this number.
 TILE_BYTES = 512 << 10
-# the float64 increments a walk's tile (``_walk``) holds at most, at any
-# horizon: its width is TILE_BYTES over the trials still walking
-WALK_TILE = TILE_BYTES // 8
 
 # a walked run draws at most this many increments: about half a day of
 # sampling on one core at 2-3 ns per increment.  A walk holds no row, so
@@ -236,12 +233,15 @@ def _walk_rows(step, trials: int, threads: int, n_max: int, field: str, *kept) -
     filled through ``_fill_rows`` by ``step(chunk, tile, *rows)``, which
     walks its chunk (``_walk``): the trials of a tile ``min(n_max,
     WALK_WIDTH)`` positions wide.  Before anything is allocated it
-    refuses an n_max below 1, then (``field`` naming n_max) kept arrays or
-    a walk's tile that memory could not hold and runs past the work cap.
+    refuses an n_max below 1, then the bytes memory could not hold: a
+    walk's tile of ``TILE_BYTES``, naming ``field`` (the caller's name
+    for n_max), and each trial's kept dtypes, naming trials; then runs
+    past the work cap.
     """
     if n_max < 1:
         raise InvalidSpec("n_max must be at least 1")
-    check_memory(trials, sum(np.dtype(d).itemsize for d in kept) // 8, WALK_TILE, field)
+    check_bytes(TILE_BYTES, field)
+    check_bytes(trials * sum(np.dtype(d).itemsize for d in kept), "trials")
     check_work(trials, n_max, field)
     outs = [np.empty(trials, d) for d in kept]
     _fill_rows(step, threads, min(n_max, WALK_WIDTH), *outs)
@@ -404,9 +404,10 @@ def mc_identity(
     if horizon < 1:
         raise InvalidSpec("horizon must be at least 1")
     _check_interval(trials, z)
-    # the row of all trials and one trial's window; the held terms are
+    # one trial's window and the row of all trials; the held terms are
     # checked as the chunks return them
-    check_memory(trials, 1, horizon, "horizon")
+    check_bytes(8 * horizon, "horizon")
+    check_bytes(8 * trials, "trials")
     check_work(trials, 2 * horizon, "horizon")
     # the n = 1 term is +0.0 on every path, and this is from_samples of such a row
     zero = EstimateCI(0.0, 0.0, trials, z, 0.0, 0.0)

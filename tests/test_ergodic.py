@@ -181,6 +181,22 @@ def test_the_segment_replay_equals_reduceat_bit_for_bit():
             assert got.tobytes() == want.tobytes(), (grid[-1], widths)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_segment_replay_equals_reduceat_with_eleven_subtree_sums_held():
+    # the last segment of average_grid(2**17) holds 11 subtree sums at
+    # once, the grids above at most 8.  Every NaN here is the one inf - inf
+    # makes, the only NaN a walk's increments and sums can hold: numpy's
+    # build orders some of its adds the other way round from the replay,
+    # which shows only where two different NaNs meet
+    grid = average_grid(2**17)
+    rows = _awkward_rows(8, grid[-1], seed=7)
+    rows[np.isnan(rows)] = np.inf - np.inf
+    want = np.add.reduceat(rows, np.array((0,) + grid[:-1]), axis=1)
+    assert np.isnan(want).any() and (np.signbit(want) & (want == 0.0)).any()
+    for widths in ((3, 5), (127, 129), (4096,)):
+        assert _replayed(grid, rows, widths).tobytes() == want.tobytes(), widths
+
+
 def test_trajectory_batch_memory_stays_flat_as_n_max_grows(corpus):
     # the rows are walked: no row is held whole, and the replay's per-trial
     # arrays grow with the depth of the summation tree, not with n_max
